@@ -7,11 +7,6 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type handle = int
 
-type op_event =
-  | Op_insert of { handle : handle; point : Point.t; weight : float }
-  | Op_delete of handle
-  | Op_epoch of { epochs : int; n0 : int }
-
 (* A strict total order: depth first, then the cell's stable uid, then
    the entry version (freshest first). With no ties between
    distinguishable entries, a heap's top — and hence every query
@@ -60,7 +55,6 @@ type t = {
   mutable next_handle : int;
   mutable epochs : int;
   mutable pushes : int;  (** heap entries since the last compaction *)
-  mutable journal : op_event -> unit;  (** op-journaling hook *)
 }
 
 let entry_cmp = Entry.cmp
@@ -112,7 +106,6 @@ let create ?(cfg = Config.default) ?(radius = 1.) ~dim () =
       next_handle = 0;
       epochs = 0;
       pushes = 0;
-      journal = ignore;
     }
   in
   attach_hook t;
@@ -126,7 +119,6 @@ let radius t = t.radius
 let config t = t.cfg
 let handle_id (h : handle) : int = h
 let handle_of_id (i : int) : handle = i
-let on_op t f = t.journal <- f
 
 let rebuild t =
   t.epochs <- t.epochs + 1;
@@ -146,8 +138,7 @@ let rebuild t =
   Hashtbl.fold (fun h bw acc -> (h, bw) :: acc) t.balls []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
   |> List.iter (fun (_, (center, weight)) ->
-         Sample_space.insert t.space ~center ~weight);
-  t.journal (Op_epoch { epochs = t.epochs; n0 = t.n0 })
+         Sample_space.insert t.space ~center ~weight)
 
 let maybe_rebuild t =
   let n = size t in
@@ -169,7 +160,6 @@ let insert_checked t ?(weight = 1.) p =
       t.next_handle <- h + 1;
       Hashtbl.replace t.balls h (center, weight);
       Sample_space.insert t.space ~center ~weight;
-      t.journal (Op_insert { handle = h; point = p; weight });
       maybe_rebuild t;
       maybe_compact t;
       h)
@@ -183,7 +173,6 @@ let delete t h =
   | Some (center, weight) ->
       Hashtbl.remove t.balls h;
       Sample_space.delete t.space ~center ~weight;
-      t.journal (Op_delete h);
       maybe_rebuild t;
       maybe_compact t
 
@@ -267,7 +256,6 @@ let restore (s : State.t) =
       next_handle = s.State.next_handle;
       epochs = s.State.epochs;
       pushes = 0;
-      journal = ignore;
     }
   in
   attach_hook t;

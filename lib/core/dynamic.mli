@@ -88,33 +88,17 @@ val heap_budget : cells:int -> int
 (** Push budget before a lazy heap over [cells] live cells is rebuilt
     (compaction policy; never affects answers). *)
 
-(** {2 Durability: op journaling and exact state capture}
+(** {2 Durability: exact state capture}
 
-    The building blocks of the [maxrs_durable] crash-safe session: a
-    hook that observes every applied mutation (for write-ahead logging)
-    and an exact serializable state (for snapshots). The contract is
-    bit-identical continuation: [restore (state t)] behaves exactly like
-    [t] — same cells, same counters, same answer to every future
-    operation sequence — because all randomness flows through captured
-    split-stream rng states and every order-sensitive internal iteration
-    is canonical (sorted handles on epoch rebuilds, a total-order heap
-    comparator). *)
-
-type op_event =
-  | Op_insert of { handle : handle; point : Maxrs_geom.Point.t; weight : float }
-      (** fired after the insert is applied; [point] is the caller's
-          (unscaled) point, so replaying it through {!insert} reproduces
-          the operation exactly *)
-  | Op_delete of handle  (** fired after the delete is applied *)
-  | Op_epoch of { epochs : int; n0 : int }
-      (** fired after an epoch rebuild completes — a consistency marker,
-          not an operation: replays derive rebuilds from the op stream
-          and can use this to detect divergence *)
-
-val on_op : t -> (op_event -> unit) -> unit
-(** Register the journaling hook (a single slot; the default is
-    [ignore]). The hook runs synchronously inside {!insert}/{!delete}
-    after the mutation is applied and must not mutate the structure. *)
+    The building block of the [maxrs_durable] snapshots: an exact
+    serializable state. The contract is bit-identical continuation:
+    [restore (state t)] behaves exactly like [t] — same cells, same
+    counters, same answer to every future operation sequence — because
+    all randomness flows through captured split-stream rng states and
+    every order-sensitive internal iteration is canonical (sorted
+    handles on epoch rebuilds, a total-order heap comparator). The
+    durable session journals through {!Sharded.on_op}; this structure
+    stays the reference the sharded store is checked against. *)
 
 module State : sig
   type t = {
@@ -138,5 +122,4 @@ val state : t -> State.t
 val restore : State.t -> t
 (** Rebuild a structure that continues bit-identically to the captured
     one. Raises [Invalid_argument] on an internally inconsistent state
-    (a decoded-but-semantically-corrupt snapshot). No journaling hook is
-    registered on the result. *)
+    (a decoded-but-semantically-corrupt snapshot). *)

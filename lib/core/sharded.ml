@@ -200,6 +200,11 @@ let apply t f =
         f owned.(i)
       done)
 
+(* Never more domains than shards: a participant beyond the shard count
+   would have no chunk to run. *)
+let pool_for domains ~shards =
+  Parallel.create (Int.min (Parallel.resolve domains) shards)
+
 let owned_grids ~grids ~shards =
   Array.init shards (fun s ->
       List.init grids Fun.id
@@ -217,7 +222,7 @@ let create ?(cfg = Config.default) ?(radius = 1.) ?domains ~dim ~shards () =
       cfg;
       radius;
       nshards = shards;
-      pool = Parallel.create (Parallel.resolve domains);
+      pool = pool_for domains ~shards;
       key_grid =
         Grid.make ~side:(Config.grid_side cfg ~dim) ~origin:(Array.make dim 0.);
       columns = Array.init shards (fun _ -> cols_create ~dim);
@@ -238,14 +243,10 @@ let create ?(cfg = Config.default) ?(radius = 1.) ?domains ~dim ~shards () =
 
 let size t = t.nlive
 let epochs t = t.epochs
-let sample_count t = Sample_space.sample_count t.space
 let dim t = t.dim
 let radius t = t.radius
 let config t = t.cfg
 let shards t = t.nshards
-let domains t = Parallel.size t.pool
-let handle_id = Dynamic.handle_id
-let handle_of_id = Dynamic.handle_of_id
 let on_op t f = t.journal <- f
 
 let shard_of_handle t h =
@@ -425,7 +426,7 @@ let restore ?domains ~shards (s : Dynamic.State.t) =
       cfg;
       radius = s.Dynamic.State.radius;
       nshards = shards;
-      pool = Parallel.create (Parallel.resolve domains);
+      pool = pool_for domains ~shards;
       key_grid =
         Grid.make ~side:(Config.grid_side cfg ~dim) ~origin:(Array.make dim 0.);
       columns = Array.init shards (fun _ -> cols_create ~dim);

@@ -32,9 +32,11 @@ val create :
   unit ->
   t
 (** [create ~dim ~shards ()] builds an empty store with [shards] owners
-    on a fresh pool of [domains] domains (default: [MAXRS_DOMAINS]).
-    Shard and domain counts are independent: shards fix the {e state}
-    partition (and the durable layout), domains fix the executors.
+    on a fresh pool of [min domains shards] domains ([domains] defaults
+    to [MAXRS_DOMAINS]), so a one-shard store never spawns a domain.
+    Shard and domain counts are otherwise independent: shards fix the
+    {e state} partition (and the durable layout), domains fix the
+    executors.
     Raises [Invalid_argument] if [shards < 1] or [radius <= 0]. *)
 
 val insert : t -> ?weight:float -> Maxrs_geom.Point.t -> handle
@@ -56,7 +58,6 @@ val best : t -> (Maxrs_geom.Point.t * float) option
 
 val size : t -> int
 val epochs : t -> int
-val sample_count : t -> int
 val dim : t -> int
 val radius : t -> float
 val config : t -> Config.t
@@ -64,22 +65,16 @@ val config : t -> Config.t
 val shards : t -> int
 (** Shard count (fixed at creation). *)
 
-val domains : t -> int
-(** Pool size actually executing the shards. *)
-
 val shard_of_handle : t -> handle -> int option
 (** Storage owner of a live handle; [None] if unknown/deleted. *)
 
-val handle_id : handle -> int
-val handle_of_id : int -> handle
-
 (** {2 Journaling and state capture}
 
-    Like {!Dynamic.on_op}, but every mutation reports its storage
-    owner, so the durable session appends the record to exactly that
-    shard's WAL. Epoch markers carry no shard: they are derived state,
-    not journaled per-shard (recovery re-derives rebuilds from the op
-    stream). *)
+    The durable session's hook: every mutation reports its storage
+    owner, so the session appends the record to exactly that shard's
+    WAL. Epoch markers carry no shard: they are derived state (recovery
+    re-derives rebuilds from the op stream); the single-log layout
+    records them as consistency markers. *)
 type op_event =
   | Op_insert of {
       shard : int;
@@ -91,6 +86,11 @@ type op_event =
   | Op_epoch of { epochs : int; n0 : int }
 
 val on_op : t -> (op_event -> unit) -> unit
+(** Register the journaling hook (a single slot; the default is
+    [ignore]). It runs synchronously inside {!insert}/{!delete} after
+    the mutation is applied — [Op_insert]/[Op_delete] first, then
+    [Op_epoch] if the op triggered a rebuild — and must not mutate the
+    store. [Op_insert]'s [point] is the caller's (unscaled) point. *)
 
 val state : t -> Dynamic.State.t
 (** Canonical state capture — the {e same} type and the same canonical
@@ -107,4 +107,4 @@ val restore : ?domains:int -> shards:int -> Dynamic.State.t -> t
 
 val close : t -> unit
 (** Shut down the owner pool. Further mutations raise
-    [Invalid_argument]; idempotent. *)
+    [Invalid_argument]; queries and {!state} still answer. Idempotent. *)

@@ -1,26 +1,33 @@
-(* Crash-safe session around [Maxrs.Dynamic] / [Maxrs.Sharded]: every
-   applied operation is journaled via the structure's op hook,
-   full-state snapshots are taken every [snapshot_every] ops, and
-   [open_] on an existing log recovers by loading the newest usable
-   snapshot and replaying the log suffix, stopping cleanly at the first
-   torn or corrupt record.
+(* Crash-safe session around [Maxrs.Sharded]: every applied operation
+   is journaled through the store's op hook to the WAL of the shard that
+   owns it, full-state snapshots are taken every [snapshot_every] ops,
+   and [open_] on an existing layout recovers by restoring the newest
+   usable snapshot and replaying the surviving op prefix, stopping
+   cleanly at the first torn or corrupt record.
 
-   Two backends share the session shell:
+   One backend, two on-disk layouts, one recovery driver:
 
-   - Solo: one [Dynamic.t], one WAL — the original layout.
-   - Shards: one [Sharded.t] whose storage owners each journal to
-     their own WAL ([Shard_wal] layout: manifest + <base>.shard<k>).
-     Sharded records carry their global seq explicitly; recovery scans
-     all shard logs in parallel, merges by seq, and replays the longest
-     contiguous prefix, then cross-checks the recovered state
-     fingerprint against the newest [Check] record inside the prefix.
+   - The single log: one WAL at [wal] with unsequenced
+     [Insert]/[Delete] records and [Epoch] markers, behind a one-shard
+     store. Recovery reads it as shard 0 of a one-shard layout: an op's
+     seq is its position after the log's base, and every [Epoch]
+     marker is verified against the replayed structure.
+   - The shard manifest ([Shard_wal]): a manifest at [wal] plus one WAL
+     per shard. Records carry their global seq; recovery scans all
+     shard logs in parallel, merges them by seq, replays the longest
+     contiguous prefix, and cross-checks the [Check] state fingerprints
+     stamped at creation, at every snapshot and at every clean close.
+
+   The single log remains the default because a fingerprint costs a
+   full state capture, encoding and CRC at every snapshot and close;
+   it is the layout of every session not opened with [~shards].
 
    Because restore-from-state continues bit-identically (captured rng
    streams, canonical iteration orders, exact float bit patterns), the
    recovered structure is byte-for-byte equivalent to one that replayed
-   the surviving op prefix from scratch — for both backends.
+   the surviving op prefix from scratch — for both layouts.
 
-   Ordering: hooks journal an op after it is applied but before the
+   Ordering: the hook journals an op after it is applied but before the
    mutating call returns, so a crash can only lose ops that had not yet
    returned to the caller — recovery always lands on a valid prefix,
    never a half-applied operation. *)
@@ -30,14 +37,13 @@ module Config = Maxrs.Config
 module Dynamic = Maxrs.Dynamic
 module Sharded = Maxrs.Sharded
 module Parallel = Maxrs_parallel.Parallel
-module Point = Maxrs_geom.Point
 
 let c_runs = Obs.counter "recovery.runs"
 let c_replayed = Obs.counter "recovery.replayed"
 let c_truncated = Obs.counter "recovery.truncated_bytes"
 
-(* Wall-clock milliseconds spent in sharded (parallel) recovery —
-   the E16 experiment's recovery-latency signal. *)
+(* Wall-clock milliseconds spent opening a session that recovered, for
+   either layout — the E16 experiment's recovery-latency signal. *)
 let c_shard_recovery_ms = Obs.counter "shard.recovery_ms"
 
 type recovery = {
@@ -51,12 +57,12 @@ type recovery = {
           valid prefix (or its header was unrecoverable) *)
 }
 
-type backend =
-  | Solo of { dyn : Dynamic.t; writer : Wal.writer }
-  | Shards of { store : Sharded.t; writers : Wal.writer array }
-
 type t = {
-  backend : backend;
+  store : Sharded.t;
+  writers : Wal.writer array;  (** [writers.(k)] journals shard [k] *)
+  manifest : bool;
+      (** shard-manifest layout (sequenced records, [Check]
+          fingerprints) rather than the single log *)
   wal : string;
   snapshot_every : int;
   mutable seq : int;
@@ -65,232 +71,187 @@ type t = {
   recovery : recovery option;
 }
 
+(* Replay disagrees with the log: handle, epoch, owner or fingerprint
+   mismatch. [open_] reports it as an [Error]. *)
 exception Divergence of string
 
-(* {1 Solo replay} *)
+let file_size path =
+  try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0
 
-(* Replay [records] onto [dyn], skipping the first [skip] op records
-   (already contained in the restored snapshot). Epoch markers are
-   verified, not applied: a mismatch means the WAL and the structure
-   disagree about history and recovery must not pretend otherwise.
-   Sharded records inside a solo log are a layout violation. *)
-let replay dyn records ~skip =
-  let applied = ref 0 and skipped = ref 0 in
-  List.iter
-    (fun r ->
-      match r with
-      | Wal.Insert { handle; point; weight } ->
-          if !skipped < skip then incr skipped
-          else begin
-            let h = Dynamic.insert dyn ~weight point in
-            if Dynamic.handle_id h <> handle then
-              raise
-                (Divergence
-                   (Printf.sprintf "replay assigned handle %d, log says %d"
-                      (Dynamic.handle_id h) handle));
-            incr applied
-          end
-      | Wal.Delete handle ->
-          if !skipped < skip then incr skipped
-          else begin
-            (match Dynamic.delete dyn (Dynamic.handle_of_id handle) with
-            | () -> ()
-            | exception Not_found ->
-                raise
-                  (Divergence
-                     (Printf.sprintf "replay deletes unknown handle %d" handle)));
-            incr applied
-          end
-      | Wal.Epoch { epochs; n0 = _ } ->
-          if !skipped >= skip && Dynamic.epochs dyn <> epochs then
-            raise
-              (Divergence
-                 (Printf.sprintf "epoch marker %d but structure has %d" epochs
-                    (Dynamic.epochs dyn)))
-      | Wal.Sinsert _ | Wal.Sdelete _ | Wal.Check _ ->
-          raise (Divergence "sharded record in a solo log"))
-    records;
-  !applied
+let log_path ~wal ~manifest k =
+  if manifest then Shard_wal.shard_path wal k else wal
 
-let install_hook_solo t dyn writer =
-  Dynamic.on_op dyn (fun ev ->
-      match ev with
-      | Dynamic.Op_insert { handle; point; weight } ->
-          Wal.append writer
-            (Wal.Insert { handle = Dynamic.handle_id handle; point; weight });
-          t.seq <- t.seq + 1
-      | Dynamic.Op_delete h ->
-          Wal.append writer (Wal.Delete (Dynamic.handle_id h));
-          t.seq <- t.seq + 1
-      | Dynamic.Op_epoch { epochs; n0 } ->
-          Wal.append writer (Wal.Epoch { epochs; n0 }))
-
-let install_hook_sharded t store writers =
-  Sharded.on_op store (fun ev ->
-      match ev with
-      | Sharded.Op_insert { shard; handle; point; weight } ->
-          t.seq <- t.seq + 1;
-          Wal.append writers.(shard)
-            (Wal.Sinsert
-               { seq = t.seq; handle = Dynamic.handle_id handle; point; weight })
-      | Sharded.Op_delete { shard; handle } ->
-          t.seq <- t.seq + 1;
-          Wal.append writers.(shard)
-            (Wal.Sdelete { seq = t.seq; handle = Dynamic.handle_id handle })
-      | Sharded.Op_epoch _ ->
-          (* Derived state, not an op: sharded recovery re-derives
-             rebuilds from the op stream and verifies the result via
-             handle checks and [Check] fingerprints instead. *)
-          ())
-
-let op_count records =
-  List.fold_left
-    (fun n r ->
-      match r with
-      | Wal.Epoch _ | Wal.Check _ -> n
-      | Wal.Insert _ | Wal.Delete _ | Wal.Sinsert _ | Wal.Sdelete _ -> n + 1)
-    0 records
-
-let params_of_dyn dyn ~base_seq =
+let params_of store ~base_seq =
   {
-    Wal.dim = Dynamic.dim dyn;
-    radius = Dynamic.radius dyn;
-    cfg = Dynamic.config dyn;
+    Wal.dim = Sharded.dim store;
+    radius = Sharded.radius store;
+    cfg = Sharded.config store;
     base_seq;
   }
 
-let file_size path = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0
+(* Stamp the fingerprint of [st], the state after op [seq], into every
+   shard log: recovery verifies the merged replay against it. *)
+let stamp writers ~seq st =
+  let crc = Codec.state_crc st in
+  Array.iter
+    (fun w -> Wal.append w (Wal.Check { seq; state_crc = crc }))
+    writers
 
-(* Newest snapshot that passes semantic validation and is not older
-   than the log's base (an older one could not bridge the gap to the
-   first logged record). [restore] abstracts over the backend. *)
-let usable_snapshot ~wal ~base ~restore =
-  List.find_map
-    (fun (seq, state, _file) ->
-      if seq < base then None
-      else
-        match restore state with
-        | v -> Some (seq, v)
-        | exception Invalid_argument _ -> None)
-    (Snapshot.load_all ~wal)
-
-(* {1 Solo recovery} *)
-
-let recover_from_scan ~wal ~fsync (scan : Wal.scan) =
-  let base = scan.params.Wal.base_seq in
-  let wal_ops = op_count scan.records in
-  let valid_seq = base + wal_ops in
-  let truncated = file_size wal - scan.valid_bytes in
-  let corruption = Option.map Wal.corruption_to_string scan.corruption in
-  let finish dyn ~snapshot_seq ~replayed ~seq ~wal_rewritten ~writer =
-    Obs.incr c_runs;
-    Obs.add c_replayed replayed;
-    Obs.add c_truncated (max 0 truncated);
-    ( dyn,
-      writer,
-      { snapshot_seq; replayed; seq; truncated_bytes = max 0 truncated; corruption; wal_rewritten }
-    )
-  in
-  match usable_snapshot ~wal ~base ~restore:Dynamic.restore with
-  | Some (snap_seq, dyn) when snap_seq > valid_seq ->
-      (* The snapshot is ahead of the log's valid prefix (e.g. bit rot
-         destroyed a middle record after the snapshot was taken). The
-         snapshot is the longest surviving prefix: adopt it and rewrite
-         the log to start there. *)
-      let writer =
-        Wal.create wal (params_of_dyn dyn ~base_seq:snap_seq) ~fsync
-      in
-      Ok
-        (finish dyn ~snapshot_seq:(Some snap_seq) ~replayed:0 ~seq:snap_seq
-           ~wal_rewritten:true ~writer)
-  | Some (snap_seq, dyn) ->
-      let replayed = replay dyn scan.records ~skip:(snap_seq - base) in
-      let writer =
-        Wal.reopen wal ~valid_bytes:scan.valid_bytes
-          ~records:(List.length scan.records) ~fsync
-      in
-      Ok
-        (finish dyn ~snapshot_seq:(Some snap_seq) ~replayed ~seq:valid_seq
-           ~wal_rewritten:false ~writer)
-  | None ->
-      if base > 0 then
-        Error
-          (Printf.sprintf
-             "%s: log starts at op %d but no usable snapshot covers the gap"
-             wal base)
-      else
-        let dyn =
-          Dynamic.create ~cfg:scan.params.Wal.cfg
-            ~radius:scan.params.Wal.radius ~dim:scan.params.Wal.dim ()
-        in
-        let replayed = replay dyn scan.records ~skip:0 in
-        let writer =
-          Wal.reopen wal ~valid_bytes:scan.valid_bytes
-            ~records:(List.length scan.records) ~fsync
-        in
-        Ok
-          (finish dyn ~snapshot_seq:None ~replayed ~seq:valid_seq
-             ~wal_rewritten:false ~writer)
-
-(* No usable log: missing, empty, or its header never made it to disk
-   intact. Any usable snapshot still recovers the session (the log
-   suffix is lost, but it held nothing readable anyway); otherwise
-   start fresh with the caller's parameters. Either way the log is
-   (re)written. *)
-let recover_without_log ~wal ~fsync ~dim ~radius ~cfg ~why =
-  let old_bytes = file_size wal in
-  let snapshot_seq, dyn =
-    match usable_snapshot ~wal ~base:0 ~restore:Dynamic.restore with
-    | Some (seq, dyn) -> (Some seq, dyn)
-    | None -> (None, Dynamic.create ~cfg ~radius ~dim ())
-  in
-  let seq = Option.value snapshot_seq ~default:0 in
-  let writer = Wal.create wal (params_of_dyn dyn ~base_seq:seq) ~fsync in
-  Obs.incr c_runs;
-  Obs.add c_truncated old_bytes;
-  ( dyn,
-    writer,
-    {
-      snapshot_seq;
-      replayed = 0;
-      seq;
-      truncated_bytes = old_bytes;
-      corruption = Some why;
-      wal_rewritten = true;
-    } )
-
-(* {1 Sharded creation and recovery} *)
-
-(* Write all shard logs, then the manifest — the manifest rename is the
-   commit point of the layout. Every fresh log gets a [Check] anchor at
-   the base seq so recovery can cross-check even an op-free log. *)
-let create_sharded_logs ~wal ~fsync ~(m : Shard_wal.manifest) store =
-  let params =
-    {
-      Wal.dim = m.Shard_wal.dim;
-      radius = m.Shard_wal.radius;
-      cfg = m.Shard_wal.cfg;
-      base_seq = m.Shard_wal.base_seq;
-    }
-  in
-  let crc = Codec.state_crc (Sharded.state store) in
+(* Write a whole layout for [store], its logs starting after op
+   [base_seq]. A manifest layout anchors every shard log with a
+   fingerprint at the base, so recovery can cross-check even an op-free
+   log, and writes the manifest last: its rename is the commit point. *)
+let create_logs ~wal ~fsync ~manifest store ~base_seq =
+  let params = params_of store ~base_seq in
   let writers =
-    Array.init m.Shard_wal.shards (fun k ->
-        let w = Wal.create (Shard_wal.shard_path wal k) params ~fsync in
-        Wal.append w
-          (Wal.Check { seq = m.Shard_wal.base_seq; state_crc = crc });
-        Wal.flush w;
-        w)
+    Array.init (Sharded.shards store) (fun k ->
+        Wal.create (log_path ~wal ~manifest k) params ~fsync)
   in
-  Shard_wal.write_manifest wal m;
+  if manifest then begin
+    stamp writers ~seq:base_seq (Sharded.state store);
+    Array.iter Wal.flush writers;
+    Shard_wal.write_manifest wal
+      { Shard_wal.shards = Array.length writers; params }
+  end;
   writers
 
-(* Replay the merged op prefix onto the sharded store, skipping ops the
-   snapshot already contains, verifying handle assignment, storage
-   ownership (the record must have come from the owner's log), and
-   every state fingerprint recorded inside the replayed range. *)
-let replay_sharded store (merged : Shard_wal.merged) ~from_seq =
-  let checks = ref (List.filter (fun (s, _) -> s >= from_seq) merged.checks) in
+(* Journal every applied op to its owner's log. Single-log records are
+   unsequenced and epoch rebuilds leave an [Epoch] marker; manifest
+   records carry their global seq, and rebuilds are not journaled there
+   (recovery re-derives them from the op stream and verifies the result
+   through handle checks and [Check] fingerprints). *)
+let install_hook t =
+  Sharded.on_op t.store (fun ev ->
+      match ev with
+      | Sharded.Op_insert { shard; handle; point; weight } ->
+          t.seq <- t.seq + 1;
+          let handle = Dynamic.handle_id handle in
+          Wal.append t.writers.(shard)
+            (if t.manifest then
+               Wal.Sinsert { seq = t.seq; handle; point; weight }
+             else Wal.Insert { handle; point; weight })
+      | Sharded.Op_delete { shard; handle } ->
+          t.seq <- t.seq + 1;
+          let handle = Dynamic.handle_id handle in
+          Wal.append t.writers.(shard)
+            (if t.manifest then Wal.Sdelete { seq = t.seq; handle }
+             else Wal.Delete handle)
+      | Sharded.Op_epoch { epochs; n0 } ->
+          if not t.manifest then
+            Wal.append t.writers.(0) (Wal.Epoch { epochs; n0 }))
+
+(* {1 Recovery} *)
+
+(* What recovery reads off either layout. *)
+type logs = {
+  manifest : bool;
+  shards : int;
+  params : Wal.params;  (** the logs' structure parameters and base seq *)
+  merged : Shard_wal.merged;  (** the surviving op prefix, in seq order *)
+  bytes : int;  (** log bytes on disk before recovery *)
+  lost : bool;
+      (** nothing readable is left of the logs: they are rewritten
+          from the starting state whatever it is *)
+  rebuild_manifest : bool;
+      (** the manifest was lost or corrupt: rewrite it once recovered *)
+}
+
+(* The single log as shard 0 of a one-shard layout: an op's seq is its
+   position after the base, an [Epoch] marker takes the seq of the op
+   before it, and the whole valid prefix is kept. *)
+let single_logs ~wal (sc : Wal.scan) =
+  let seq = ref sc.Wal.params.Wal.base_seq in
+  let ops =
+    List.map
+      (fun record ->
+        (match record with
+        | Wal.Insert _ | Wal.Delete _ -> incr seq
+        | Wal.Epoch _ -> ()
+        | Wal.Sinsert _ | Wal.Sdelete _ | Wal.Check _ ->
+            raise (Divergence "sharded record in a solo log"));
+        { Shard_wal.seq = !seq; shard = 0; record })
+      sc.Wal.records
+  in
+  {
+    manifest = false;
+    shards = 1;
+    params = sc.Wal.params;
+    merged =
+      {
+        Shard_wal.seq_end = !seq;
+        ops;
+        checks = [];
+        keep = [| (sc.Wal.valid_bytes, List.length sc.Wal.records) |];
+        corruption = Option.map Wal.corruption_to_string sc.Wal.corruption;
+      };
+    bytes = file_size wal;
+    lost = false;
+    rebuild_manifest = false;
+  }
+
+(* Logs that are missing, empty or headless: nothing to replay, and
+   the caller's parameters stand in for the lost headers. *)
+let lost_logs ~wal ~manifest ~shards params ~why =
+  {
+    manifest;
+    shards;
+    params;
+    merged =
+      {
+        Shard_wal.seq_end = 0;
+        ops = [];
+        checks = [];
+        keep = Array.make shards (0, 0);
+        corruption = Some why;
+      };
+    bytes = file_size wal;
+    lost = true;
+    rebuild_manifest = false;
+  }
+
+let manifest_logs ~wal ~domains ~rebuild_manifest (m : Shard_wal.manifest) =
+  let base_seq = m.Shard_wal.params.Wal.base_seq in
+  let scans =
+    Shard_wal.scan_all wal ~shards:m.Shard_wal.shards ~base_seq
+      ~domains:(Parallel.resolve domains)
+  in
+  let bytes = ref 0 in
+  for k = 0 to m.Shard_wal.shards - 1 do
+    bytes := !bytes + file_size (Shard_wal.shard_path wal k)
+  done;
+  {
+    manifest = true;
+    shards = m.Shard_wal.shards;
+    params = m.Shard_wal.params;
+    merged = Shard_wal.merge ~base_seq scans;
+    bytes = !bytes;
+    lost = false;
+    rebuild_manifest;
+  }
+
+(* Corrupt or vanished manifest over surviving shard logs: the layout
+   is self-describing enough to rebuild it — shard files are
+   enumerable and each carries the params (incl. base_seq) in its own
+   header. *)
+let manifest_from_shard_files wal =
+  let n = Shard_wal.shard_files_present wal in
+  let rec first_params k =
+    if k >= n then None
+    else
+      match Wal.scan (Shard_wal.shard_path wal k) with
+      | Wal.Scan sc -> Some { Shard_wal.shards = n; params = sc.Wal.params }
+      | _ -> first_params (k + 1)
+  in
+  first_params 0
+
+(* Replay the surviving ops past [from_seq] (the snapshot holds the
+   rest), verifying handle assignment, storage ownership (the op must
+   come from its owner's log), every [Epoch] marker and every state
+   fingerprint inside the replayed range. *)
+let replay store (merged : Shard_wal.merged) ~from_seq =
+  let checks =
+    ref (List.filter (fun (s, _) -> s >= from_seq) merged.checks)
+  in
   let verify_at seq =
     match !checks with
     | (cseq, crc) :: rest when cseq = seq ->
@@ -309,190 +270,147 @@ let replay_sharded store (merged : Shard_wal.merged) ~from_seq =
   let applied = ref 0 in
   List.iter
     (fun (op : Shard_wal.merged_op) ->
-      if op.seq > from_seq then begin
-        (match op.record with
-        | Wal.Sinsert { handle; point; weight; _ } ->
-            let h = Sharded.insert store ~weight point in
-            if Dynamic.handle_id h <> handle then
+      match op.record with
+      | Wal.Epoch { epochs; n0 = _ } ->
+          if op.seq >= from_seq && Sharded.epochs store <> epochs then
+            raise
+              (Divergence
+                 (Printf.sprintf "epoch marker %d but structure has %d" epochs
+                    (Sharded.epochs store)))
+      | _ when op.seq <= from_seq -> ()
+      | Wal.Insert { handle; point; weight }
+      | Wal.Sinsert { handle; point; weight; _ } ->
+          let h = Sharded.insert store ~weight point in
+          if Dynamic.handle_id h <> handle then
+            raise
+              (Divergence
+                 (Printf.sprintf "replay assigned handle %d, log says %d"
+                    (Dynamic.handle_id h) handle));
+          (match Sharded.shard_of_handle store h with
+          | Some s when s <> op.shard ->
               raise
                 (Divergence
-                   (Printf.sprintf "replay assigned handle %d, log says %d"
-                      (Dynamic.handle_id h) handle));
-            (match Sharded.shard_of_handle store h with
-            | Some s when s <> op.shard ->
-                raise
-                  (Divergence
-                     (Printf.sprintf
-                        "handle %d recovered into shard %d but was logged by \
-                         shard %d"
-                        handle s op.shard))
-            | _ -> ())
-        | Wal.Sdelete { handle; _ } -> (
-            match Sharded.delete store (Dynamic.handle_of_id handle) with
-            | () -> ()
-            | exception Not_found ->
-                raise
-                  (Divergence
-                     (Printf.sprintf "replay deletes unknown handle %d" handle)))
-        | Wal.Check _ | Wal.Insert _ | Wal.Delete _ | Wal.Epoch _ ->
-            (* merge never emits these as prefix ops *)
-            assert false);
-        incr applied;
-        verify_at op.seq
-      end)
+                   (Printf.sprintf
+                      "handle %d recovered into shard %d but was logged by \
+                       shard %d"
+                      handle s op.shard))
+          | _ -> ());
+          incr applied;
+          verify_at op.seq
+      | Wal.Delete handle | Wal.Sdelete { handle; _ } ->
+          (match Sharded.delete store (Dynamic.handle_of_id handle) with
+          | () -> ()
+          | exception Not_found ->
+              raise
+                (Divergence
+                   (Printf.sprintf "replay deletes unknown handle %d" handle)));
+          incr applied;
+          verify_at op.seq
+      | Wal.Check _ ->
+          (* readers keep fingerprints out of the op list *)
+          assert false)
     merged.ops;
   !applied
 
-let recover_sharded ~wal ~fsync ~domains ~rewrite_manifest
-    (m : Shard_wal.manifest) =
-  let t0 = Unix.gettimeofday () in
-  let dcount = Parallel.resolve domains in
-  let nshards = m.Shard_wal.shards in
-  let scans =
-    Shard_wal.scan_all wal ~shards:nshards ~base_seq:m.Shard_wal.base_seq
-      ~domains:dcount
+(* The one recovery driver: restore the newest snapshot that decodes
+   and validates, replay the surviving ops past it with every check,
+   then reopen each log at its keep boundary — or rewrite the logs when
+   the snapshot is ahead of everything that survived or no log did. *)
+let recover ~wal ~fsync ~domains ~t0 (logs : logs) =
+  let merged = logs.merged and base = logs.params.Wal.base_seq in
+  let snapshot =
+    Snapshot.newest ~wal ~min_seq:base (fun st ->
+        match Sharded.restore ?domains ~shards:logs.shards st with
+        | store -> Some store
+        | exception Invalid_argument _ -> None)
   in
-  let merged = Shard_wal.merge ~base_seq:m.Shard_wal.base_seq scans in
-  let valid_seq = merged.Shard_wal.seq_end in
-  let old_bytes =
-    let sum = ref 0 in
-    for k = 0 to nshards - 1 do
-      sum := !sum + file_size (Shard_wal.shard_path wal k)
-    done;
-    !sum
-  in
-  let restore st = Sharded.restore ?domains ~shards:nshards st in
-  let finish store ~writers ~snapshot_seq ~replayed ~seq ~truncated_bytes
-      ~wal_rewritten =
-    Obs.incr c_runs;
-    Obs.add c_replayed replayed;
-    Obs.add c_truncated (max 0 truncated_bytes);
-    Obs.add c_shard_recovery_ms
-      (int_of_float ((Unix.gettimeofday () -. t0) *. 1000.));
-    ( store,
-      writers,
-      {
-        snapshot_seq;
-        replayed;
-        seq;
-        truncated_bytes = max 0 truncated_bytes;
-        corruption = merged.Shard_wal.corruption;
-        wal_rewritten;
-      } )
-  in
-  match usable_snapshot ~wal ~base:m.Shard_wal.base_seq ~restore with
-  | Some (snap_seq, store) when snap_seq > valid_seq ->
-      (* The snapshot is ahead of every surviving shard log prefix:
-         adopt it and rewrite the whole layout to start there. *)
-      let m' = { m with Shard_wal.base_seq = snap_seq } in
-      let writers = create_sharded_logs ~wal ~fsync ~m:m' store in
-      Ok
-        (finish store ~writers ~snapshot_seq:(Some snap_seq) ~replayed:0
-           ~seq:snap_seq ~truncated_bytes:old_bytes ~wal_rewritten:true)
-  | Some (snap_seq, store) ->
-      let replayed = replay_sharded store merged ~from_seq:snap_seq in
-      let writers =
-        Array.init nshards (fun k ->
-            let bytes, records = merged.Shard_wal.keep.(k) in
-            if bytes = 0 then
-              (* This shard's log is unreadable from the header down:
-                 rewrite it in place (its surviving ops, if any, are
-                 already beyond the merged prefix). *)
-              Wal.create (Shard_wal.shard_path wal k)
-                {
-                  Wal.dim = m.Shard_wal.dim;
-                  radius = m.Shard_wal.radius;
-                  cfg = m.Shard_wal.cfg;
-                  base_seq = m.Shard_wal.base_seq;
-                }
-                ~fsync
-            else
-              Wal.reopen (Shard_wal.shard_path wal k) ~valid_bytes:bytes
-                ~records ~fsync)
-      in
-      let kept_bytes =
-        Array.fold_left (fun acc (b, _) -> acc + b) 0 merged.Shard_wal.keep
-      in
-      if rewrite_manifest then Shard_wal.write_manifest wal m;
-      Ok
-        (finish store ~writers ~snapshot_seq:(Some snap_seq) ~replayed
-           ~seq:valid_seq
-           ~truncated_bytes:(old_bytes - kept_bytes)
-           ~wal_rewritten:false)
-  | None ->
-      if m.Shard_wal.base_seq > 0 then
+  let start =
+    match snapshot with
+    | Some (seq, store) -> Ok (Some seq, store)
+    | None when base > 0 ->
         Error
           (Printf.sprintf
-             "%s: shard logs start at op %d but no usable snapshot covers \
-              the gap"
-             wal m.Shard_wal.base_seq)
-      else
-        let store =
-          Sharded.create ~cfg:m.Shard_wal.cfg ~radius:m.Shard_wal.radius
-            ?domains ~dim:m.Shard_wal.dim ~shards:nshards ()
-        in
-        let replayed = replay_sharded store merged ~from_seq:0 in
-        let writers =
-          Array.init nshards (fun k ->
-              let bytes, records = merged.Shard_wal.keep.(k) in
-              if bytes = 0 then
-                Wal.create (Shard_wal.shard_path wal k)
-                  {
-                    Wal.dim = m.Shard_wal.dim;
-                    radius = m.Shard_wal.radius;
-                    cfg = m.Shard_wal.cfg;
-                    base_seq = 0;
-                  }
-                  ~fsync
-              else
-                Wal.reopen (Shard_wal.shard_path wal k) ~valid_bytes:bytes
-                  ~records ~fsync)
-        in
-        let kept_bytes =
-          Array.fold_left (fun acc (b, _) -> acc + b) 0 merged.Shard_wal.keep
-        in
-        if rewrite_manifest then Shard_wal.write_manifest wal m;
+             "%s: %s at op %d but no usable snapshot covers the gap" wal
+             (if logs.manifest then "shard logs start" else "log starts")
+             base)
+    | None ->
+        let p = logs.params in
         Ok
-          (finish store ~writers ~snapshot_seq:None ~replayed ~seq:valid_seq
-             ~truncated_bytes:(old_bytes - kept_bytes)
-             ~wal_rewritten:false)
-
-(* Corrupt or vanished manifest over surviving shard logs: the layout
-   is self-describing enough to rebuild it — shard files are
-   enumerable and each carries the params (incl. base_seq) in its own
-   header. *)
-let manifest_from_shard_files wal =
-  let n = Shard_wal.shard_files_present wal in
-  if n = 0 then None
-  else
-    let rec first_params k =
-      if k >= n then None
-      else
-        match Wal.scan (Shard_wal.shard_path wal k) with
-        | Wal.Scan sc -> Some sc.Wal.params
-        | _ -> first_params (k + 1)
-    in
-    Option.map
-      (fun (p : Wal.params) ->
+          ( None,
+            Sharded.create ~cfg:p.Wal.cfg ~radius:p.Wal.radius ?domains
+              ~dim:p.Wal.dim ~shards:logs.shards () )
+  in
+  Result.map
+    (fun (snapshot_seq, store) ->
+      let from_seq = Option.value snapshot_seq ~default:base in
+      (* The starting state is ahead of every surviving log prefix
+         (e.g. bit rot destroyed a record after the snapshot was taken),
+         or no log survives at all: it is the longest surviving prefix,
+         so adopt it and rewrite the logs from it. *)
+      let rewrite = from_seq > merged.seq_end || logs.lost in
+      let replayed, seq, writers =
+        if rewrite then
+          ( 0,
+            from_seq,
+            create_logs ~wal ~fsync ~manifest:logs.manifest store
+              ~base_seq:from_seq )
+        else begin
+          let replayed = replay store merged ~from_seq in
+          let writers =
+            Array.init logs.shards (fun k ->
+                let path = log_path ~wal ~manifest:logs.manifest k in
+                match merged.keep.(k) with
+                | 0, _ ->
+                    (* Unreadable from the header down: rewrite it in
+                       place (its surviving ops, if any, lie beyond the
+                       merged prefix). *)
+                    Wal.create path (params_of store ~base_seq:base) ~fsync
+                | valid_bytes, records ->
+                    Wal.reopen path ~valid_bytes ~records ~fsync)
+          in
+          if logs.rebuild_manifest then
+            Shard_wal.write_manifest wal
+              { Shard_wal.shards = logs.shards; params = logs.params };
+          (replayed, merged.seq_end, writers)
+        end
+      in
+      let kept = Array.fold_left (fun acc (b, _) -> acc + b) 0 merged.keep in
+      (* A rewritten manifest layout reports every byte it replaced; a
+         rewritten single log reports only its corrupt suffix. *)
+      let truncated_bytes =
+        max 0
+          (if rewrite && logs.manifest then logs.bytes else logs.bytes - kept)
+      in
+      Obs.incr c_runs;
+      Obs.add c_replayed replayed;
+      Obs.add c_truncated truncated_bytes;
+      Obs.add c_shard_recovery_ms
+        (int_of_float ((Unix.gettimeofday () -. t0) *. 1000.));
+      ( store,
+        writers,
         {
-          Shard_wal.shards = n;
-          dim = p.Wal.dim;
-          radius = p.Wal.radius;
-          cfg = p.Wal.cfg;
-          base_seq = p.Wal.base_seq;
-        })
-      (first_params 0)
+          snapshot_seq;
+          replayed;
+          seq;
+          truncated_bytes;
+          corruption = merged.corruption;
+          wal_rewritten = rewrite;
+        } ))
+    start
 
 (* {1 Opening} *)
 
 let open_ ~wal ?shards ?domains ?(snapshot_every = 1000)
     ?(fsync = Wal.Interval 64) ?(dim = 2) ?(radius = 1.)
     ?(cfg = Config.default) () =
-  let make backend (recovery : recovery option) =
+  let t0 = Unix.gettimeofday () in
+  let make ~manifest store writers (recovery : recovery option) =
     let seq = match recovery with Some r -> r.seq | None -> 0 in
     let t =
       {
-        backend;
+        store;
+        writers;
+        manifest;
         wal;
         snapshot_every;
         seq;
@@ -501,72 +419,68 @@ let open_ ~wal ?shards ?domains ?(snapshot_every = 1000)
         recovery;
       }
     in
-    (match backend with
-    | Solo { dyn; writer } -> install_hook_solo t dyn writer
-    | Shards { store; writers } -> install_hook_sharded t store writers);
+    install_hook t;
     Ok t
   in
-  let open_solo () =
-    let fresh () =
-      let dyn = Dynamic.create ~cfg ~radius ~dim () in
-      let writer = Wal.create wal (params_of_dyn dyn ~base_seq:0) ~fsync in
-      Ok (dyn, writer, None)
-    in
-    let recovered =
-      match Wal.scan wal with
-      | Wal.No_file | Wal.Empty_file -> (
-          (* A vanished or never-written log with surviving snapshots is
-             still a crash to recover from, not a fresh session. *)
-          match Snapshot.load_all ~wal with
-          | [] -> fresh ()
-          | _ :: _ ->
-              let dyn, writer, r =
-                recover_without_log ~wal ~fsync ~dim ~radius ~cfg
-                  ~why:"log missing or empty"
-              in
-              Ok (dyn, writer, Some r))
-      | Wal.Foreign_file ->
-          Error
-            (Printf.sprintf
-               "%s exists but is not a MaxRS WAL; refusing to overwrite it" wal)
-      | Wal.Torn_header ->
-          let dyn, writer, r =
-            recover_without_log ~wal ~fsync ~dim ~radius ~cfg
-              ~why:"torn or corrupt header"
-          in
-          Ok (dyn, writer, Some r)
-      | Wal.Scan scan -> (
-          match recover_from_scan ~wal ~fsync scan with
-          | Ok (dyn, writer, r) -> Ok (dyn, writer, Some r)
-          | Error _ as e -> e
-          | exception Divergence msg ->
-              Error (wal ^ ": replay divergence: " ^ msg))
-    in
-    match recovered with
-    | Error _ as e -> e
-    | Ok (dyn, writer, recovery) -> make (Solo { dyn; writer }) recovery
+  let fresh ~manifest shards =
+    let store = Sharded.create ~cfg ~radius ?domains ~dim ~shards () in
+    make ~manifest store
+      (create_logs ~wal ~fsync ~manifest store ~base_seq:0)
+      None
   in
-  let open_sharded ~rewrite_manifest m =
-    match recover_sharded ~wal ~fsync ~domains ~rewrite_manifest m with
-    | Ok (store, writers, r) -> make (Shards { store; writers }) (Some r)
+  let recovered ~manifest read =
+    match recover ~wal ~fsync ~domains ~t0 (read ()) with
+    | Ok (store, writers, r) -> make ~manifest store writers (Some r)
     | Error _ as e -> e
     | exception Divergence msg ->
-        Error (wal ^ ": sharded replay divergence: " ^ msg)
+        Error
+          (Printf.sprintf "%s: %sreplay divergence: %s" wal
+             (if manifest then "sharded " else "")
+             msg)
   in
-  let fresh_sharded k =
-    let store = Sharded.create ~cfg ~radius ?domains ~dim ~shards:k () in
-    let m = { Shard_wal.shards = k; dim; radius; cfg; base_seq = 0 } in
-    let writers = create_sharded_logs ~wal ~fsync ~m store in
-    make (Shards { store; writers }) None
+  let lost ~manifest shards why () =
+    lost_logs ~wal ~manifest ~shards
+      { Wal.dim; radius; cfg; base_seq = 0 }
+      ~why
+  in
+  (* A vanished layout with a decodable snapshot is still a crash to
+     recover from, not a fresh session. *)
+  let fresh_unless_snapshot ~manifest shards why =
+    if Option.is_none (Snapshot.newest ~wal ~min_seq:0 (fun _ -> Some ()))
+    then fresh ~manifest shards
+    else recovered ~manifest (lost ~manifest shards why)
+  in
+  let single () =
+    match Wal.scan wal with
+    | Wal.Scan sc ->
+        recovered ~manifest:false (fun () -> single_logs ~wal sc)
+    | Wal.Foreign_file ->
+        Error
+          (Printf.sprintf
+             "%s exists but is not a MaxRS WAL; refusing to overwrite it" wal)
+    | Wal.Torn_header ->
+        recovered ~manifest:false
+          (lost ~manifest:false 1 "torn or corrupt header")
+    | Wal.No_file | Wal.Empty_file ->
+        fresh_unless_snapshot ~manifest:false 1 "log missing or empty"
+  in
+  let from_manifest ~rebuild_manifest m =
+    recovered ~manifest:true (fun () ->
+        manifest_logs ~wal ~domains ~rebuild_manifest m)
+  in
+  let from_shard_files () =
+    Option.map
+      (from_manifest ~rebuild_manifest:true)
+      (manifest_from_shard_files wal)
   in
   match Shard_wal.read_manifest wal with
   | Shard_wal.Manifest m ->
       (* The on-disk layout wins over the [shards] argument: shard
          count is a persistent property of the session. *)
-      open_sharded ~rewrite_manifest:false m
+      from_manifest ~rebuild_manifest:false m
   | Shard_wal.Corrupt_manifest -> (
-      match manifest_from_shard_files wal with
-      | Some m -> open_sharded ~rewrite_manifest:true m
+      match from_shard_files () with
+      | Some r -> r
       | None ->
           Error
             (Printf.sprintf
@@ -581,66 +495,36 @@ let open_ ~wal ?shards ?domains ?(snapshot_every = 1000)
                "%s exists but is not a shard manifest; refusing to shard \
                 over it"
                wal)
-      | None -> open_solo ())
+      | None -> single ())
   | Shard_wal.No_manifest -> (
       match shards with
-      | Some k when k >= 1 ->
-          if Shard_wal.shard_files_present wal > 0 then
-            (* Manifest vanished but shard logs survive: recover, then
-               restore the manifest. *)
-            match manifest_from_shard_files wal with
-            | Some m -> open_sharded ~rewrite_manifest:true m
-            | None -> fresh_sharded k
-          else fresh_sharded k
-      | Some k -> Error (Printf.sprintf "shards must be >= 1 (got %d)" k)
-      | None ->
-          if Shard_wal.shard_files_present wal > 0 then
-            match manifest_from_shard_files wal with
-            | Some m -> open_sharded ~rewrite_manifest:true m
-            | None -> open_solo ()
-          else open_solo ())
+      | Some k when k < 1 ->
+          Error (Printf.sprintf "shards must be >= 1 (got %d)" k)
+      | _ -> (
+          (* Shard logs without a manifest: recover them and restore
+             the manifest. Otherwise the layout is [shards]' to make. *)
+          match (from_shard_files (), shards) with
+          | Some r, _ -> r
+          | None, Some k ->
+              fresh_unless_snapshot ~manifest:true k "shard logs missing"
+          | None, None -> single ()))
 
 let recovery t = t.recovery
 let seq t = t.seq
 let wal_path t = t.wal
-
-let dynamic t =
-  match t.backend with
-  | Solo { dyn; _ } -> dyn
-  | Shards _ ->
-      invalid_arg "Session.dynamic: sharded session has no solo structure"
-
-let shards t =
-  match t.backend with Solo _ -> 1 | Shards { store; _ } -> Sharded.shards store
-
-let state t =
-  match t.backend with
-  | Solo { dyn; _ } -> Dynamic.state dyn
-  | Shards { store; _ } -> Sharded.state store
-
-let flush_writers t =
-  match t.backend with
-  | Solo { writer; _ } -> Wal.flush writer
-  | Shards { writers; _ } -> Array.iter Wal.flush writers
+let shards t = Sharded.shards t.store
+let state t = Sharded.state t.store
 
 let snapshot_now t =
   if t.closed then invalid_arg "Session.snapshot_now: closed session";
   (* Flush first so the durable log is never behind the snapshot —
      otherwise every crash right after a snapshot would force a log
      rewrite on recovery. *)
-  flush_writers t;
+  Array.iter Wal.flush t.writers;
   let st = state t in
   ignore (Snapshot.write ~wal:t.wal ~seq:t.seq st);
   Snapshot.prune ~wal:t.wal ~keep:2;
-  (match t.backend with
-  | Solo _ -> ()
-  | Shards { writers; _ } ->
-      (* Stamp the fingerprint into every shard log: recovery verifies
-         the merged replay against it. *)
-      let crc = Codec.state_crc st in
-      Array.iter
-        (fun w -> Wal.append w (Wal.Check { seq = t.seq; state_crc = crc }))
-        writers);
+  if t.manifest then stamp t.writers ~seq:t.seq st;
   t.last_snapshot_seq <- t.seq
 
 let maybe_snapshot t =
@@ -649,46 +533,25 @@ let maybe_snapshot t =
 
 let insert t ?weight p =
   if t.closed then invalid_arg "Session.insert: closed session";
-  let h =
-    match t.backend with
-    | Solo { dyn; _ } -> Dynamic.insert dyn ?weight p
-    | Shards { store; _ } -> Sharded.insert store ?weight p
-  in
+  let h = Sharded.insert t.store ?weight p in
   maybe_snapshot t;
   h
 
 let delete t h =
   if t.closed then invalid_arg "Session.delete: closed session";
-  (match t.backend with
-  | Solo { dyn; _ } -> Dynamic.delete dyn h
-  | Shards { store; _ } -> Sharded.delete store h);
+  Sharded.delete t.store h;
   maybe_snapshot t
 
-let best t =
-  match t.backend with
-  | Solo { dyn; _ } -> Dynamic.best dyn
-  | Shards { store; _ } -> Sharded.best store
-
-let size t =
-  match t.backend with
-  | Solo { dyn; _ } -> Dynamic.size dyn
-  | Shards { store; _ } -> Sharded.size store
-
-let flush t = if not t.closed then flush_writers t
+let best t = Sharded.best t.store
+let size t = Sharded.size t.store
+let flush t = if not t.closed then Array.iter Wal.flush t.writers
 
 let close t =
   if not t.closed then begin
-    (match t.backend with
-    | Solo { writer; _ } -> Wal.close writer
-    | Shards { store; writers } ->
-        (* A final fingerprint anchor: a clean close leaves every shard
-           log attesting to the same state. *)
-        let crc = Codec.state_crc (Sharded.state store) in
-        Array.iter
-          (fun w ->
-            Wal.append w (Wal.Check { seq = t.seq; state_crc = crc });
-            Wal.close w)
-          writers;
-        Sharded.close store);
+    (* A final fingerprint anchor: a clean close leaves every shard log
+       attesting to the same state. *)
+    if t.manifest then stamp t.writers ~seq:t.seq (state t);
+    Array.iter Wal.close t.writers;
+    Sharded.close t.store;
     t.closed <- true
   end

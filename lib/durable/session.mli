@@ -1,22 +1,27 @@
-(** Crash-safe session around {!Maxrs.Dynamic} / {!Maxrs.Sharded}.
+(** Crash-safe session around {!Maxrs.Sharded}.
 
     Every applied insert/delete is journaled to a checksummed
     write-ahead log before the mutating call returns; full-state
     snapshots are written atomically every [snapshot_every] ops; and
-    {!open_} on an existing log recovers by loading the newest usable
-    snapshot and replaying the WAL suffix, stopping cleanly at the
-    first torn or corrupt record.
+    {!open_} on an existing layout recovers by restoring the newest
+    usable snapshot and replaying the surviving log suffix, stopping
+    cleanly at the first torn or corrupt record.
 
-    Two on-disk layouts share this interface:
+    Every session is a {!Maxrs.Sharded.t} with [k >= 1] storage shards
+    and one WAL writer per shard, on one of two on-disk layouts:
 
-    - {e solo} (default): one {!Maxrs.Dynamic.t}, one WAL file.
-    - {e sharded} ([~shards:k]): one {!Maxrs.Sharded.t} whose [k]
-      storage owners each journal to their own WAL beside a shard
-      manifest (see {!Shard_wal}). Recovery scans all shard logs in
-      parallel, merges them by global sequence number, replays the
-      longest contiguous prefix, and cross-checks the recovered state
-      fingerprint against the [Check] records stamped into every shard
-      log at each snapshot and clean close.
+    - {e single log} (default): a one-shard store journaling to one WAL
+      file at [wal]. Its records carry no sequence number (an op's seq
+      is its position) and epoch rebuilds leave verified markers.
+    - {e shard manifest} ([~shards:k]): the [k] storage owners each
+      journal to their own WAL beside a shard manifest (see
+      {!Shard_wal}). Recovery scans all shard logs in parallel, merges
+      them by global sequence number, replays the longest contiguous
+      prefix, and cross-checks the recovered state fingerprint against
+      the [Check] records stamped into every shard log at creation,
+      each snapshot and each clean close.
+
+    One recovery driver serves both layouts.
 
     The recovery guarantee is {e bit-identical prefix continuation}
     for both layouts: after any crash, truncation, or record
@@ -39,11 +44,6 @@ type recovery = {
           prefix, or its header was unrecoverable *)
 }
 
-exception Divergence of string
-(** Raised internally when replay disagrees with the log (handle or
-    epoch mismatch, wrong shard, state-fingerprint mismatch); surfaces
-    from {!open_} as an [Error]. *)
-
 val open_ :
   wal:string ->
   ?shards:int ->
@@ -62,15 +62,16 @@ val open_ :
     to [dim = 2], [radius = 1.], {!Maxrs.Config.default} and only seed
     a fresh session).
 
-    [shards]: [Some k] creates a fresh {e sharded} session with [k]
-    storage shards. On an existing layout the disk wins: a shard
-    manifest at [wal] always reopens sharded (with its recorded shard
-    count, ignoring [shards]), a solo WAL always reopens solo — and
-    passing [shards] over an existing solo WAL is an [Error] rather
-    than a silent overwrite. A lost or corrupt manifest over surviving
-    shard logs is rebuilt from the shard log headers. [domains] bounds
-    the worker pool of a sharded session (and its parallel recovery
-    scan); defaults like {!Maxrs_parallel.Parallel.resolve}.
+    [shards]: [Some k] creates a fresh {e shard-manifest} session with
+    [k] storage shards. On an existing layout the disk wins: a shard
+    manifest at [wal] always reopens as one (with its recorded shard
+    count, ignoring [shards]), a single log always reopens as a single
+    log — and passing [shards] over an existing single log is an
+    [Error] rather than a silent overwrite. A lost or corrupt manifest
+    over surviving shard logs is rebuilt from the shard log headers.
+    [domains] bounds the store's worker pool (never more than its shard
+    count) and the parallel recovery scan of a manifest layout;
+    defaults like {!Maxrs_parallel.Parallel.resolve}.
 
     [Error] cases: the path holds a foreign file, the log is
     unrecoverable (replay divergence, fingerprint mismatch, or a
@@ -89,29 +90,23 @@ val recovery : t -> recovery option
 (** [None] when {!open_} created a fresh log. *)
 
 val shards : t -> int
-(** Storage shard count: [1] for a solo session. *)
-
-val dynamic : t -> Maxrs.Dynamic.t
-(** The underlying structure of a {e solo} session. Mutating it
-    directly still journals (the hook is installed on it) but bypasses
-    the snapshot cadence. Raises [Invalid_argument] on a sharded
-    session — use {!state} for backend-independent access. *)
+(** Storage shard count: [1] for a single-log session. *)
 
 val state : t -> Maxrs.Dynamic.State.t
-(** Canonical full state of either backend — solo and sharded sessions
-    holding the same balls return byte-identical encodings. *)
+(** Canonical full state — sessions holding the same balls return
+    byte-identical encodings whatever their layout and shard count. *)
 
 val snapshot_now : t -> unit
 (** Flush the WAL(s), write a snapshot at the current seq, prune old
-    ones (keeping 2). A sharded session additionally stamps the state
-    fingerprint ([Check] record) into every shard log. *)
+    ones (keeping 2). A shard-manifest session additionally stamps the
+    state fingerprint ([Check] record) into every shard log. *)
 
 val flush : t -> unit
 (** fsync any unsynced WAL appends. *)
 
 val close : t -> unit
-(** Flush and close the WAL(s); a sharded session writes a final
-    fingerprint anchor to every shard log and shuts its pool down.
-    Idempotent; further mutation raises. *)
+(** Flush and close the WAL(s) and shut the store's pool down; a
+    shard-manifest session first writes a final fingerprint anchor to
+    every shard log. Idempotent; further mutation raises. *)
 
 val wal_path : t -> string

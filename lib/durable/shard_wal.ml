@@ -7,9 +7,10 @@
      <base>.shard<k>  standard Wal file of shard k's op subsequence
    v}
 
-   The manifest is written atomically (tmp + fsync + rename) and LAST
-   at creation time — it is the commit point: a crash before the rename
-   leaves no manifest, so recovery never sees a half-created layout.
+   The manifest is written atomically ([Atomic_file]: tmp + fsync +
+   rename + directory fsync) and LAST at creation time — it is the
+   commit point: a crash before the rename leaves no manifest, so
+   recovery never sees a half-created layout.
    Because every shard log's own params frame also records
    [base_seq] (and the shard files are enumerable), the manifest is
    mostly a layout marker: a corrupt manifest is rebuilt from the shard
@@ -26,7 +27,6 @@
    parallel multi-log recovery land on the same bit-identical prefix
    contract as the single-log session. *)
 
-module Config = Maxrs.Config
 module Parallel = Maxrs_parallel.Parallel
 
 let magic = "MXSHRD01"
@@ -38,40 +38,26 @@ let shard_files_present base =
   let rec go k = if Sys.file_exists (shard_path base k) then go (k + 1) else k in
   go 0
 
-type manifest = {
-  shards : int;
-  dim : int;
-  radius : float;
-  cfg : Config.t;
-  base_seq : int;
-}
+(* The shard count plus the params every shard log's header repeats. *)
+type manifest = { shards : int; params : Wal.params }
 
 let encode_manifest m =
   let payload =
     let b = Buffer.create 64 in
     Codec.int_ b m.shards;
-    Codec.int_ b m.dim;
-    Codec.f64 b m.radius;
-    Codec.config b m.cfg;
-    Codec.int_ b m.base_seq;
+    Codec.int_ b m.params.Wal.dim;
+    Codec.f64 b m.params.Wal.radius;
+    Codec.config b m.params.Wal.cfg;
+    Codec.int_ b m.params.Wal.base_seq;
     Buffer.contents b
   in
   let b = Buffer.create (String.length payload + 12) in
   Buffer.add_string b magic;
   Buffer.add_int32_le b (Int32.of_int (Crc32.of_string payload));
   Buffer.add_string b payload;
-  Buffer.contents b
+  Buffer.to_bytes b
 
-let write_manifest path m =
-  let tmp = path ^ ".tmp" in
-  let data = Bytes.of_string (encode_manifest m) in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      Wal.write_all fd data;
-      Unix.fsync fd);
-  Sys.rename tmp path
+let write_manifest path m = Atomic_file.write path (encode_manifest m)
 
 type manifest_result =
   | Manifest of manifest
@@ -102,10 +88,12 @@ let read_manifest path =
               let base_seq = Codec.r_int r in
               if not (Codec.at_end r) then
                 Codec.malformed "trailing bytes in manifest";
-              { shards; dim; radius; cfg; base_seq })
+              { shards; params = { Wal.dim; radius; cfg; base_seq } })
             payload
         with
-        | Ok m when m.shards >= 1 && m.dim >= 1 && m.base_seq >= 0 ->
+        | Ok m
+          when m.shards >= 1 && m.params.Wal.dim >= 1
+               && m.params.Wal.base_seq >= 0 ->
             Manifest m
         | Ok _ | Error _ -> Corrupt_manifest
 
@@ -162,7 +150,6 @@ type merged = {
       (** (seq, state_crc) fingerprints with seq <= seq_end, ascending *)
   keep : (int * int) array;
       (** per shard: (valid-prefix bytes, records kept) for the reopen *)
-  dropped : int;  (** intact op records beyond the contiguous prefix *)
   corruption : string option;
 }
 
@@ -214,7 +201,6 @@ let merge ~base_seq (scans : shard_scan array) =
      advance the run. *)
   let seq_end = ref base_seq in
   let prefix = ref [] in
-  let dropped = ref 0 in
   let dup = ref None in
   List.iter
     (fun op ->
@@ -223,14 +209,10 @@ let merge ~base_seq (scans : shard_scan array) =
           seq_end := op.seq;
           prefix := op :: !prefix
         end
-        else if op.seq <= !seq_end then begin
-          if !dup = None then
-            dup :=
-              Some
-                (Printf.sprintf "duplicate op seq %d (shard %d)" op.seq
-                   op.shard)
-        end
-        else incr dropped)
+        else if op.seq <= !seq_end && !dup = None then
+          dup :=
+            Some
+              (Printf.sprintf "duplicate op seq %d (shard %d)" op.seq op.shard))
     all;
   let seq_end = !seq_end in
   (* Pass 2: fingerprints that fall inside the recovered prefix. *)
@@ -298,6 +280,5 @@ let merge ~base_seq (scans : shard_scan array) =
     ops = List.rev !prefix;
     checks;
     keep;
-    dropped = !dropped;
     corruption;
   }

@@ -21,15 +21,13 @@ val shard_files_present : string -> int
 
 type manifest = {
   shards : int;
-  dim : int;
-  radius : float;
-  cfg : Maxrs.Config.t;
-  base_seq : int;
+  params : Wal.params;  (** the params every shard log's header repeats *)
 }
 
 val write_manifest : string -> manifest -> unit
-(** Atomic (tmp + fsync + rename). Written {e last} at layout creation
-    — the commit point — and rewritten on every log rewrite. *)
+(** Atomic and durable ({!Atomic_file.write}). Written {e last} at
+    layout creation — the commit point — and rewritten on every log
+    rewrite. *)
 
 type manifest_result =
   | Manifest of manifest
@@ -49,7 +47,6 @@ type shard_scan = {
           aborting recovery *)
 }
 
-val scan_shard : string -> int -> base_seq:int -> shard_scan
 
 val scan_all :
   string -> shards:int -> base_seq:int -> domains:int -> shard_scan array
@@ -66,7 +63,6 @@ type merged = {
   keep : (int * int) array;
       (** per shard: (valid-prefix bytes, records kept) — the reopen
           truncation boundaries *)
-  dropped : int;  (** intact op records beyond the contiguous prefix *)
   corruption : string option;  (** first reason the prefix stopped early *)
 }
 

@@ -7,12 +7,13 @@
      payload          i64 seq | encoded Dynamic.State
    v}
 
-   Writes are atomic: encode to [<target>.tmp], fsync, rename into
-   place, fsync the directory. A crash mid-write leaves at worst a
-   stale .tmp (ignored by recovery) — never a half-written snapshot
-   under the real name. Recovery considers candidates newest-first and
-   skips any that fail the checksum or decode, so a bit-rotted snapshot
-   silently falls back to the previous one (or to pure WAL replay). *)
+   Writes are atomic ([Atomic_file]: encode to [<target>.tmp], fsync,
+   rename into place, fsync the directory). A crash mid-write leaves at
+   worst a stale .tmp (ignored by recovery) — never a half-written
+   snapshot under the real name. Recovery decodes candidates
+   newest-first and skips any that fail the checksum or decode, so a
+   bit-rotted snapshot silently falls back to the previous one (or to
+   pure WAL replay). *)
 
 module Obs = Maxrs_obs.Obs
 module Dynamic = Maxrs.Dynamic
@@ -24,43 +25,24 @@ let magic = "MXSNAP01"
 
 let path ~wal ~seq = Printf.sprintf "%s.snap.%d" wal seq
 
-let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | fd ->
-      Fun.protect
-        ~finally:(fun () -> Unix.close fd)
-        (fun () -> try Unix.fsync fd with Unix.Unix_error _ -> ())
-  | exception Unix.Unix_error _ -> ()
-
 let write ~wal ~seq state =
   let target = path ~wal ~seq in
-  let tmp = target ^ ".tmp" in
-  let payload =
-    let b = Buffer.create 4096 in
-    Codec.i64 b (Int64.of_int seq);
-    Codec.state b state;
-    Buffer.contents b
-  in
-  let b = Buffer.create (String.length payload + 12) in
+  let b = Buffer.create 4096 in
   Buffer.add_string b magic;
-  Buffer.add_int32_le b (Int32.of_int (Crc32.of_string payload));
-  Buffer.add_string b payload;
-  let data = Buffer.contents b in
-  let fd = Unix.openfile tmp [ Unix.O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
-  Fun.protect
-    ~finally:(fun () -> Unix.close fd)
-    (fun () ->
-      let bytes = Bytes.of_string data in
-      let len = Bytes.length bytes in
-      let n = ref 0 in
-      while !n < len do
-        n := !n + Unix.write fd bytes !n (len - !n)
-      done;
-      Unix.fsync fd);
-  Sys.rename tmp target;
-  fsync_dir (Filename.dirname (if Filename.is_relative target then Filename.concat (Sys.getcwd ()) target else target));
+  Buffer.add_int32_le b 0l;
+  Codec.i64 b (Int64.of_int seq);
+  Codec.state b state;
+  let data = Buffer.to_bytes b in
+  (* One copy of the encoding: the payload's CRC fills the slot left
+     after the magic. *)
+  let crc =
+    Crc32.of_substring (Bytes.unsafe_to_string data) ~pos:12
+      ~len:(Bytes.length data - 12)
+  in
+  Bytes.set_int32_le data 8 (Int32.of_int crc);
+  Atomic_file.write target data;
   Obs.incr c_writes;
-  Obs.add c_bytes (String.length data);
+  Obs.add c_bytes (Bytes.length data);
   target
 
 let candidates ~wal =
@@ -107,6 +89,17 @@ let load_all ~wal =
          match load_file file with
          | Some (s, state) when s = seq -> Some (seq, state, file)
          | _ -> None)
+
+let newest ~wal ~min_seq f =
+  let rec go = function
+    | (seq, file) :: rest when seq >= min_seq -> (
+        match load_file file with
+        | Some (s, state) when s = seq -> (
+            match f state with Some v -> Some (seq, v) | None -> go rest)
+        | _ -> go rest)
+    | _ -> None
+  in
+  go (candidates ~wal)
 
 let prune ~wal ~keep =
   candidates ~wal

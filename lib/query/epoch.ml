@@ -23,13 +23,12 @@ let publish t index ~built_seq =
 
 let current t = Atomic.get t.cell
 
-let lag t ~now_seq =
-  match Atomic.get t.cell with
-  | None -> None
-  | Some e ->
-      let l = max 0 (now_seq - e.built_seq) in
-      Obs.set_gauge g_lag l;
-      Some l
+let lag_of e ~now_seq =
+  let l = max 0 (now_seq - e.built_seq) in
+  Obs.set_gauge g_lag l;
+  l
+
+let lag t ~now_seq = Option.map (lag_of ~now_seq) (Atomic.get t.cell)
 
 let hit () = Obs.incr c_hits
 let fallback () = Obs.incr c_fallbacks

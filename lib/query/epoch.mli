@@ -35,10 +35,16 @@ val publish : t -> Rmsq.t -> built_seq:int -> entry
 val current : t -> entry option
 (** One atomic load; the returned entry is immutable. *)
 
+val lag_of : entry -> now_seq:int -> int
+(** Operations applied since [entry] was compiled ([now_seq -
+    built_seq], clamped at 0); also exports the value through the
+    [rmsq.lag_ops] gauge. A reader tags its answer with the lag of the
+    entry it {e served}, never with a fresh load of the cell: a publish
+    in between would credit an older index's answer with the new
+    entry's lag. *)
+
 val lag : t -> now_seq:int -> int option
-(** Operations applied since the live entry was compiled
-    ([now_seq - built_seq], clamped at 0), or [None] when cold. Also
-    exports the value through the [rmsq.lag_ops] gauge. *)
+(** {!lag_of} the live entry, or [None] when cold. *)
 
 val hit : unit -> unit
 (** Record a read served from the index ([rmsq.hits]). *)

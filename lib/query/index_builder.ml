@@ -25,15 +25,20 @@ let build_once ?lens src cell =
   e
 
 let of_snapshot ?lens ~wal () =
-  match Snapshot.load_all ~wal with
-  | [] -> Error (Printf.sprintf "no decodable snapshot for %s" wal)
-  | (seq, state, _path) :: _ ->
+  match Snapshot.newest ~wal ~min_seq:0 Option.some with
+  | None -> Error (Printf.sprintf "no decodable snapshot for %s" wal)
+  | Some (seq, state) ->
       let index = Rmsq.of_state ?lens state in
       Ok { Epoch.index; epoch = 0; built_seq = seq }
 
 type t = { stop_flag : bool Atomic.t; dom : unit Domain.t }
 
-let start ?lens ?(min_lag = 1) ?(poll_s = 0.02) src cell =
+(* Rebuild as soon as the store is one op ahead of the live index, and
+   look every 20 ms. *)
+let min_lag = 1
+let poll_s = 0.02
+
+let start src cell =
   let stop_flag = Atomic.make false in
   let dom =
     Domain.spawn (fun () ->
@@ -44,7 +49,7 @@ let start ?lens ?(min_lag = 1) ?(poll_s = 0.02) src cell =
             | None -> true
             | Some e -> now_seq - e.Epoch.built_seq >= min_lag
           in
-          if stale then ignore (build_once ?lens src cell)
+          if stale then ignore (build_once src cell)
           else ignore (Epoch.lag cell ~now_seq);
           if not (Atomic.get stop_flag) then Unix.sleepf poll_s
         done)

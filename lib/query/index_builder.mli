@@ -32,26 +32,19 @@ val of_snapshot :
   ?lens:float array -> wal:string -> unit -> (Epoch.entry, string) result
 (** Compile from the newest decodable durable snapshot of [wal]
     without opening a session (crash-recovery read path: corrupt
-    snapshots are skipped by {!Maxrs_durable.Snapshot.load_all}).
+    snapshots are skipped by {!Maxrs_durable.Snapshot.newest}).
     Returns an unpublished entry with [epoch = 0]; publish it through
     {!Epoch.publish} if it should serve. [Error] when no snapshot
     decodes. *)
 
 type t
 
-val start :
-  ?lens:float array ->
-  ?min_lag:int ->
-  ?poll_s:float ->
-  source ->
-  Epoch.t ->
-  t
-(** Spawn the builder domain: every [poll_s] (default 0.02 s) it reads
-    the store seq and rebuilds when the live epoch is missing or at
-    least [min_lag] (default 1) ops stale — the staleness bound: the
-    served index lags the store by fewer than [min_lag] ops plus one
-    in-flight rebuild. Each poll also refreshes the [rmsq.lag_ops]
-    gauge. *)
+val start : source -> Epoch.t -> t
+(** Spawn the builder domain: every 20 ms it reads the store seq and
+    rebuilds when the live epoch is missing or behind the store — the
+    staleness bound: the served index lags the store by the ops of one
+    poll interval plus one in-flight rebuild. Each poll also refreshes
+    the [rmsq.lag_ops] gauge. *)
 
 val stop : t -> unit
 (** Signal and join the builder domain. Idempotent. Call before

@@ -66,7 +66,6 @@ type config = {
   shards : int option;
   domains : int option;
   index : bool;
-  index_min_lag : int;
 }
 
 let default_config addr =
@@ -87,7 +86,6 @@ let default_config addr =
     shards = None;
     domains = None;
     index = true;
-    index_min_lag = 1;
   }
 
 (* {1 Latency histogram}
@@ -444,9 +442,9 @@ let execute t (req : Proto.request) : Proto.reply =
         (* Hot path: one atomic load of the live epoch, then a lock-free
            O(log n) query against the immutable index; the session lock
            is only taken to read the current seq for the staleness
-           figure. Cold path (no epoch yet): capture the state under
-           the lock and answer with the index-free reference scan —
-           bit-identical, just O(n). *)
+           figure, which is the lag of the entry served. Cold path (no
+           epoch yet): capture the state under the lock and answer with
+           the index-free reference scan — bit-identical, just O(n). *)
         match Epoch.current t.epoch with
         | Some e -> (
             match session_op t (fun sess -> Ok (Session.seq sess)) with
@@ -466,9 +464,7 @@ let execute t (req : Proto.request) : Proto.reply =
                   |> Option.map (fun s ->
                          (s.Rmsq.s_lo, s.Rmsq.s_hi, s.Rmsq.s_sum))
                 in
-                let lag_ops =
-                  Option.value ~default:0 (Epoch.lag t.epoch ~now_seq)
-                in
+                let lag_ops = Epoch.lag_of e ~now_seq in
                 Proto.Range_best { seg; epoch = e.Epoch.epoch; lag_ops })
         | None -> (
             match session_op t (fun sess -> Ok (Session.state sess)) with
@@ -776,10 +772,7 @@ let start cfg =
                           (Session.state sess, Session.seq sess)));
                 }
               in
-              t.builder <-
-                Some
-                  (Index_builder.start ~min_lag:(Int.max 1 cfg.index_min_lag)
-                     src t.epoch)
+              t.builder <- Some (Index_builder.start src t.epoch)
           | _ -> ());
           let workers =
             List.init (Int.max 1 cfg.workers) (fun _ ->

@@ -29,17 +29,17 @@ type config = {
   fsync : Maxrs_durable.Wal.fsync_policy;
   snapshot_every : int;
   shards : int option;
-      (** open the session sharded ([Some k] = [k] per-shard WALs with
-          parallel recovery); [None] opens solo — an existing sharded
-          layout at [wal] reopens sharded either way (the disk wins) *)
-  domains : int option;  (** worker-pool bound for a sharded session *)
+      (** open a fresh session on the shard-manifest layout ([Some k] =
+          [k] per-shard WALs with parallel recovery); [None] opens a
+          single log — an existing layout at [wal] reopens as it is
+          either way (the disk wins) *)
+  domains : int option;  (** worker-pool bound for the session's store *)
   index : bool;
       (** compile RMSQ read-tier indexes on a background domain and
           serve [Range_sum] from the live epoch (default [true]; only
-          meaningful with a session) *)
-  index_min_lag : int;
-      (** rebuild when the live index lags the store by at least this
-          many ops — the staleness bound (default 1, clamped >= 1) *)
+          meaningful with a session). The builder recompiles whenever
+          the store is ahead of the live index
+          ({!Maxrs_query.Index_builder.start}). *)
 }
 
 val default_config : Netio.addr -> config

@@ -630,6 +630,34 @@ let test_sharded_refuses_layout_conflicts () =
           Session.close s;
           Alcotest.fail "shards = 0 was accepted")
 
+(* Manifest and every shard log gone, snapshots intact: reopening with
+   [~shards] recovers the newest snapshot into a rewritten layout rather
+   than starting fresh beside it (a fresh log under a newer snapshot
+   would have that stale snapshot adopted over its own ops on the next
+   recovery). *)
+let test_sharded_logs_lost () =
+  let cfg = test_cfg 0.45 97 in
+  let ops = gen_ops ~n:60 ~seed:97 ~extent:4. in
+  let master = sharded_master ~cfg ~ops ~shards:3 ~snapshot_every:25 in
+  Fun.protect
+    ~finally:(fun () -> cleanup master)
+    (fun () ->
+      Sys.remove master;
+      for k = 0 to 2 do
+        Sys.remove (Shard_wal.shard_path master k)
+      done;
+      let s = Result.get_ok (Session.open_ ~wal:master ~shards:3 ~cfg ()) in
+      (match Session.recovery s with
+      | Some r ->
+          Alcotest.(check (option int))
+            "newest snapshot" (Some 50) r.Session.snapshot_seq;
+          Alcotest.(check bool) "logs rewritten" true r.Session.wal_rewritten
+      | None -> Alcotest.fail "opened fresh beside a surviving snapshot");
+      Alcotest.(check int) "shards" 3 (Session.shards s);
+      check_fp "snapshot adopted" (baseline ~cfg ~radius:1. ops ~prefix:50)
+        (session_fingerprint s);
+      Session.close s)
+
 (* Crash storm over the sharded layout: each trial damages a random
    nonempty subset of the shard logs (truncation anywhere, a bit flip
    anywhere — including the magic — or deleting the file outright),
@@ -737,6 +765,65 @@ let test_sharded_crash_storm () =
       storm_sharded ~cfg ~ops ~master ~shards:3
         ~trials:(Int.max 8 (crash_trials () / 4))
         ~seed:3003)
+
+(* ------------------------------------------------------------------ *)
+(* On-disk format golden: one fixed script written through [Session]
+   as a single-log layout and as a 3-shard layout. The byte length and
+   CRC-32 of every file it leaves (logs, manifest, snapshots) are pinned
+   in cli_golden/durable_layout.golden, so any change to either format —
+   framing, field order, which records are written when — is a visible,
+   reviewed diff. The script crosses several epoch rebuilds, so the
+   single log carries [Epoch] markers. *)
+
+let golden_dir =
+  Filename.concat (Filename.dirname Sys.executable_name) "cli_golden"
+
+let layout_listing () =
+  let cfg = test_cfg 0.45 41 in
+  let ops = gen_ops ~n:250 ~seed:41 ~extent:4. in
+  let dir = Filename.temp_dir "maxrs_layout" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter
+        (fun (name, shards) ->
+          let s =
+            Result.get_ok
+              (Session.open_ ~wal:(Filename.concat dir name) ?shards
+                 ~snapshot_every:100 ~fsync:Wal.Never ~cfg ())
+          in
+          List.iter (apply_session s) ops;
+          Session.close s)
+        [ ("single.wal", None); ("sharded.wal", Some 3) ];
+      let epochs =
+        match Wal.scan (Filename.concat dir "single.wal") with
+        | Wal.Scan sc ->
+            List.length
+              (List.filter
+                 (function Wal.Epoch _ -> true | _ -> false)
+                 sc.Wal.records)
+        | _ -> 0
+      in
+      Alcotest.(check bool)
+        "single log holds >= 2 epoch markers" true (epochs >= 2);
+      Sys.readdir dir |> Array.to_list |> List.sort String.compare
+      |> List.map (fun f ->
+             let data = read_file (Filename.concat dir f) in
+             Printf.sprintf "%s %d %08x" f (String.length data)
+               (Crc32.of_string data)))
+
+let test_layout_golden () =
+  let expected =
+    read_file (Filename.concat golden_dir "durable_layout.golden")
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> String.trim l <> "")
+  in
+  Alcotest.(check (list string)) "file bytes match the golden" expected
+    (layout_listing ())
 
 (* ------------------------------------------------------------------ *)
 (* Wal.write_all under short writes: a non-blocking pipe (64 KiB
@@ -876,6 +963,11 @@ let () =
           Alcotest.test_case "write_all survives short writes" `Quick
             test_wal_short_writes;
         ] );
+      ( "format",
+        [
+          Alcotest.test_case "layout bytes match the golden" `Quick
+            test_layout_golden;
+        ] );
       ( "session",
         [
           Alcotest.test_case "clean restart is bit-identical" `Quick
@@ -902,6 +994,8 @@ let () =
             test_sharded_manifest_lost_or_corrupt;
           Alcotest.test_case "refuses layout conflicts" `Quick
             test_sharded_refuses_layout_conflicts;
+          Alcotest.test_case "all logs lost, snapshot survives" `Quick
+            test_sharded_logs_lost;
           Alcotest.test_case "multi-shard crash storm" `Slow
             test_sharded_crash_storm;
         ] );

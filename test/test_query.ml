@@ -312,6 +312,20 @@ let test_staleness_bound () =
       Alcotest.(check int) "rmsq.lag_ops gauge tracks" 3
         (Obs.gauge_value (Obs.gauge "rmsq.lag_ops")))
 
+(* A reader that loaded an entry reports that entry's lag, even when a
+   newer entry is published before it answers: the served answer must
+   not be credited with the newer index's freshness. *)
+let test_lag_of_served_entry () =
+  let cell = Epoch.create () in
+  let index = Rmsq.build [| (0., 1.) |] in
+  ignore (Epoch.publish cell index ~built_seq:10 : Epoch.entry);
+  let served = Option.get (Epoch.current cell) in
+  ignore (Epoch.publish cell index ~built_seq:15 : Epoch.entry);
+  Alcotest.(check int) "served entry's lag" 5
+    (Epoch.lag_of served ~now_seq:15);
+  Alcotest.(check (option int)) "live entry's lag" (Some 0)
+    (Epoch.lag cell ~now_seq:15)
+
 (* A live builder over a real session: the published epoch converges to
    the store seq, answers match the sweep over the session state, and
    the lag never exceeds the ops applied since its build. *)
@@ -336,7 +350,7 @@ let test_builder_session () =
         }
       in
       let cell = Epoch.create () in
-      let b = Index_builder.start ~poll_s:0.001 src cell in
+      let b = Index_builder.start src cell in
       let n = 200 in
       for i = 0 to n - 1 do
         ignore
@@ -464,6 +478,8 @@ let () =
           Alcotest.test_case "swap linearizability" `Quick
             test_epoch_linearizable;
           Alcotest.test_case "staleness bound" `Quick test_staleness_bound;
+          Alcotest.test_case "lag of the served entry" `Quick
+            test_lag_of_served_entry;
           Alcotest.test_case "background builder over session" `Quick
             test_builder_session;
           Alcotest.test_case "compile from recovered snapshot" `Quick

@@ -867,7 +867,7 @@ let local_fingerprint ~m ops =
             Session.delete s (Dynamic.handle_of_id insert_index))
     ops;
   let fp =
-    (Codec.encode_state (Dynamic.state (Session.dynamic s)), Session.best s)
+    (Codec.encode_state (Session.state s), Session.best s)
   in
   Session.close s;
   cleanup_wal wal;
@@ -960,7 +960,7 @@ let test_sigterm_drain_process () =
     | Error e -> Alcotest.fail e
   in
   let got_state =
-    Codec.encode_state (Dynamic.state (Session.dynamic s))
+    Codec.encode_state (Session.state s)
   in
   let got_best = Session.best s in
   Session.close s;
@@ -1002,7 +1002,7 @@ let test_kill9_recovery_process () =
     | Error e -> Alcotest.fail ("recovery after kill -9: " ^ e)
   in
   let seq = Session.seq s in
-  let got_state = Codec.encode_state (Dynamic.state (Session.dynamic s)) in
+  let got_state = Codec.encode_state (Session.state s) in
   let got_best = Session.best s in
   Session.close s;
   Alcotest.(check bool)
