@@ -1115,12 +1115,74 @@ let e12 () =
 
 (* ------------------------------------------------------------------ *)
 (* E13 — durability: per-update WAL overhead under the three fsync
-   cadences, and recovery time as a function of log length with and
-   without snapshots. Results go to BENCH_durability.json.
+   cadences, recovery time as a function of log length with and
+   without snapshots, and one snapshot at each ladder size taken apart
+   into its phases. Results go to BENCH_durability.json.
    MAXRS_E13_OPS / MAXRS_E13_MAX_N shrink the run (CI smoke). *)
 
 module Session = Maxrs_durable.Session
 module Wal = Maxrs_durable.Wal
+
+type snapshot_phases = {
+  sp_bytes : int;
+  sp_samples : int;
+  sp_words_per_sample : float;
+      (** words the capture allocates per captured sample *)
+  sp_capture : float;
+  sp_encode : float;
+  sp_crc : float;
+  sp_write : float;  (** write + fsync + rename + directory fsync *)
+  sp_decode : float;
+  sp_restore : float;
+}
+
+(* The snapshot path of a live session, one phase at a time: capture,
+   encode, CRC, atomic write, decode, restore. The words allocated by
+   the capture are a deterministic count for a given binary and input. *)
+let snapshot_phases ~scratch sess =
+  Gc.compact ();
+  let w0 = Gc.allocated_bytes () in
+  let st, capture = wtime (fun () -> Session.state sess) in
+  let words =
+    (Gc.allocated_bytes () -. w0) /. float_of_int (Sys.word_size / 8)
+  in
+  let samples =
+    Array.fold_left
+      (fun acc g -> acc + Array.length g.Maxrs.Sample_space.State.ids)
+      0 st.Dynamic.State.space.Maxrs.Sample_space.State.grids
+  in
+  let data, encode =
+    wtime (fun () -> Maxrs_durable.Codec.encode_state_bytes st)
+  in
+  let _, crc = wtime (fun () -> Maxrs_durable.Crc32.of_bytes data) in
+  let (), write =
+    wtime (fun () -> Maxrs_durable.Atomic_file.write scratch data)
+  in
+  Sys.remove scratch;
+  (* Each phase's input is dead once the next phase has its output:
+     collect it, so at most two copies of the state sit beside the
+     session. *)
+  Gc.full_major ();
+  let decoded, decode =
+    wtime (fun () ->
+        Maxrs_durable.Codec.decode_state (Bytes.unsafe_to_string data))
+  in
+  Gc.full_major ();
+  let store, restore =
+    wtime (fun () -> Maxrs.Sharded.restore ~shards:1 decoded)
+  in
+  Maxrs.Sharded.close store;
+  {
+    sp_bytes = Bytes.length data;
+    sp_samples = samples;
+    sp_words_per_sample = words /. float_of_int (Int.max 1 samples);
+    sp_capture = capture;
+    sp_encode = encode;
+    sp_crc = crc;
+    sp_write = write;
+    sp_decode = decode;
+    sp_restore = restore;
+  }
 
 let e13 () =
   header "E13 — durability (WAL overhead, recovery time)";
@@ -1262,16 +1324,25 @@ let e13 () =
             Fun.protect
               ~finally:(fun () -> cleanup_wal wal)
               (fun () ->
-                (match
-                   Session.open_ ~wal ~snapshot_every ~fsync:(Wal.Interval 64)
-                     ~cfg ()
-                 with
-                | Error msg -> failwith msg
-                | Ok sess ->
-                    run_bops ops
-                      ~ins:(fun p w -> Session.insert sess ~weight:w p)
-                      ~del:(fun h -> Session.delete sess h);
-                    Session.close sess);
+                let phases =
+                  match
+                    Session.open_ ~wal ~snapshot_every
+                      ~fsync:(Wal.Interval 64) ~cfg ()
+                  with
+                  | Error msg -> failwith msg
+                  | Ok sess ->
+                      run_bops ops
+                        ~ins:(fun p w -> Session.insert sess ~weight:w p)
+                        ~del:(fun h -> Session.delete sess h);
+                      let phases =
+                        if snapshot_every = 0 then None
+                        else
+                          Some
+                            (snapshot_phases ~scratch:(wal ^ ".phases") sess)
+                      in
+                      Session.close sess;
+                      phases
+                in
                 let recovered = ref None in
                 let _, dt =
                   wtime (fun () ->
@@ -1290,10 +1361,44 @@ let e13 () =
                   (if snapshot_every = 0 then "none"
                    else Printf.sprintf "every %d" snapshot_every)
                   replayed (1e3 *. dt);
-                (n, snapshot_every, replayed, dt)))
+                (n, snapshot_every, replayed, dt, phases)))
           [ 0; Int.max 1 (n / 4) ])
       ladder
   in
+  row "\n[snapshot phases] one snapshot of the session at each size, ms:\n";
+  row "%8s %10s %9s %8s %8s %8s %8s %8s %8s %11s\n" "log ops" "MB" "samples"
+    "capture" "encode" "crc" "write" "decode" "restore" "words/smp";
+  List.iter
+    (fun (n, _, _, _, phases) ->
+      Option.iter
+        (fun p ->
+          row "%8d %10.1f %9d %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %11.3f\n" n
+            (float_of_int p.sp_bytes /. 1048576.)
+            p.sp_samples (1e3 *. p.sp_capture) (1e3 *. p.sp_encode)
+            (1e3 *. p.sp_crc) (1e3 *. p.sp_write) (1e3 *. p.sp_decode)
+            (1e3 *. p.sp_restore) p.sp_words_per_sample)
+        phases)
+    recovery;
+  (* Snapshot recovery against full replay at each size (the target is
+     10x at the largest). Same-process wall ratio: reported, not gated. *)
+  let speedups =
+    List.filter_map
+      (fun n ->
+        let at every =
+          List.find_map
+            (fun (n', e, _, dt, _) ->
+              if n' = n && (e = 0) = every then Some dt else None)
+            recovery
+        in
+        match (at true, at false) with
+        | Some replay, Some snap when snap > 0. -> Some (n, replay /. snap)
+        | _ -> None)
+      ladder
+  in
+  List.iter
+    (fun (n, x) ->
+      row "recovery at %d ops: snapshot %.1fx faster than full replay\n" n x)
+    speedups;
   (* JSON *)
   let buf = Buffer.create 2048 in
   Printf.bprintf buf
@@ -1307,12 +1412,33 @@ let e13 () =
     overhead;
   Buffer.add_string buf "]\n  },\n  \"recovery\": [\n";
   List.iteri
-    (fun i (n, snapshot_every, replayed, dt) ->
+    (fun i (n, snapshot_every, replayed, dt, _) ->
       if i > 0 then Buffer.add_string buf ",\n";
       Printf.bprintf buf
         "    { \"log_ops\": %d, \"snapshot_every\": %d, \"replayed\": %d, \
          \"recover_s\": %.6f }" n snapshot_every replayed dt)
     recovery;
+  Buffer.add_string buf "\n  ],\n  \"snapshot_speedup\": [";
+  List.iteri
+    (fun i (n, x) ->
+      if i > 0 then Buffer.add_string buf ", ";
+      Printf.bprintf buf "{ \"log_ops\": %d, \"replay_over_snapshot\": %.2f }"
+        n x)
+    speedups;
+  Buffer.add_string buf "],\n  \"snapshot_phases\": [\n";
+  List.iteri
+    (fun i (n, _, p) ->
+      if i > 0 then Buffer.add_string buf ",\n";
+      Printf.bprintf buf
+        "    { \"log_ops\": %d, \"bytes\": %d, \"samples\": %d, \
+         \"words_per_sample\": %.4f, \"capture_s\": %.6f, \"encode_s\": %.6f, \
+         \"crc_s\": %.6f, \"write_s\": %.6f, \"decode_s\": %.6f, \
+         \"restore_s\": %.6f }"
+        n p.sp_bytes p.sp_samples p.sp_words_per_sample p.sp_capture
+        p.sp_encode p.sp_crc p.sp_write p.sp_decode p.sp_restore)
+    (List.filter_map
+       (fun (n, e, _, _, ph) -> Option.map (fun p -> (n, e, p)) ph)
+       recovery);
   Buffer.add_string buf "\n  ]\n}\n";
   let oc = open_out "BENCH_durability.json" in
   output_string oc (Buffer.contents buf);

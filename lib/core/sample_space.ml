@@ -534,89 +534,138 @@ let best t =
 (* ------------------------------------------------------------------ *)
 (* Durable state capture.
 
-   [state] is a canonical deep copy of everything mutable: per-grid rng
+   [state] is a canonical copy of everything mutable: per-grid rng
    stream states, id counters, and every live cell with its samples'
-   exact float bit patterns. Cells are sorted by key and balls are not
-   part of this layer (the dynamic structure owns them), so two
-   structures that behave identically serialize identically — the
-   bit-for-bit comparison the crash-recovery harness relies on.
+   exact float bit patterns. Balls are not part of this layer (the
+   dynamic structure owns them), so two structures that behave
+   identically capture identical states — the bit-for-bit comparison
+   the crash-recovery harness relies on.
+
+   The capture is columnar: per grid, one flat column per cell or
+   sample field, cells in ascending key order. Taking it is a key sort
+   plus one copy of each cell's columns into the grid's; the codec
+   streams the columns straight into the wire format and decodes
+   straight back into them.
 
    [restore] rebuilds the deterministic parts (the grid collection) from
-   the config and patches every mutable field back in. The hash tables
-   are repopulated in serialized order; no observable behaviour depends
-   on their internal layout — the dynamic structure's heap uses a total
-   order over (depth, cell uid, version), and epoch rebuilds iterate
-   balls in sorted handle order. *)
+   the config and slices every cell's columns back out of the grid's.
+   The hash tables are repopulated in key order; no observable
+   behaviour depends on their internal layout — the dynamic structure's
+   heap uses a total order over (depth, cell uid, version), and epoch
+   rebuilds iterate balls in sorted handle order. *)
 module State = struct
-  type sample_s = {
-    s_id : int;
-    s_pos : float array;
-    s_depth : float;
-    s_flag : int;
-    s_version : int;
+  type grid = {
+    rng : int64;
+    next_id : int;
+    keys : int array;  (** [cells * dim] cell keys, ascending *)
+    nballs : int array;
+    cversion : int array;
+    cmax : floatarray;
+    best : int array;
+    ids : int array;  (** [cells * samples_per_cell] *)
+    pos : floatarray;  (** [cells * samples_per_cell * dim] *)
+    depth : floatarray;
+    flag : int array;
+    sver : int array;
   }
 
-  type cell_s = {
-    cs_key : int array;
-    cs_nballs : int;
-    cs_version : int;
-    cs_max : float;
-    cs_best : int;  (** index into [cs_samples] *)
-    cs_samples : sample_s array;
-  }
+  type t = { dim : int; samples_per_cell : int; grids : grid array }
 
-  type grid_s = { gs_rng : int64; gs_next_id : int; gs_cells : cell_s list }
-  type t = { st_dim : int; st_samples_per_cell : int; st_grids : grid_s array }
+  let cells g = Array.length g.nballs
+
+  let check_shape st =
+    let dim = st.dim and m = st.samples_per_cell in
+    Array.iter
+      (fun g ->
+        let n = cells g in
+        if
+          Array.length g.keys <> n * dim
+          || Array.length g.cversion <> n
+          || FA.length g.cmax <> n
+          || Array.length g.best <> n
+          || Array.length g.ids <> n * m
+          || FA.length g.pos <> n * m * dim
+          || FA.length g.depth <> n * m
+          || Array.length g.flag <> n * m
+          || Array.length g.sver <> n * m
+        then
+          invalid_arg
+            "Sample_space.State: column lengths disagree with dim and \
+             samples_per_cell")
+      st.grids
 end
 
-let state t =
-  let grid gi =
-    let cells =
-      Grid.Tbl.fold
-        (fun key c acc ->
-          {
-            State.cs_key = Array.copy key;
-            cs_nballs = c.nballs;
-            cs_version = c.cversion;
-            cs_max = c.max_depth;
-            cs_best = c.best;
-            cs_samples =
-              (let dim = t.dim in
-               Array.init (Array.length c.ids) (fun si ->
-                   {
-                     State.s_id = c.ids.(si);
-                     s_pos =
-                       Array.init dim (fun k -> FA.get c.posf ((si * dim) + k));
-                     s_depth = FA.get c.depth si;
-                     s_flag = c.flag.(si);
-                     s_version = c.sver.(si);
-                   }));
-          }
-          :: acc)
-        t.tables.(gi) []
-      |> List.sort (fun a b -> Stdlib.compare a.State.cs_key b.State.cs_key)
-    in
+(* Lexicographic order on keys of one length — the order
+   [Stdlib.compare] gives them, without its polymorphic dispatch. *)
+let compare_keys (a : int array) (b : int array) =
+  let n = Array.length a and k = ref 0 in
+  while !k < n && Array.unsafe_get a !k = Array.unsafe_get b !k do
+    incr k
+  done;
+  if !k = n then 0
+  else Int.compare (Array.unsafe_get a !k) (Array.unsafe_get b !k)
+
+(* [Array.blit] writes an old-generation [int array] through the write
+   barrier, one call per slot; a typed loop is plain stores. *)
+let blit_ints (src : int array) spos (dst : int array) dpos len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (dpos + i) (Array.unsafe_get src (spos + i))
+  done
+
+let capture_grid t gi =
+  let cells =
+    Grid.Tbl.fold (fun key c acc -> (key, c) :: acc) t.tables.(gi) []
+    |> Array.of_list
+  in
+  Array.sort (fun (a, _) (b, _) -> compare_keys a b) cells;
+  let n = Array.length cells and dim = t.dim and m = t.t_samples in
+  let g =
     {
-      State.gs_rng = Rng.state t.rngs.(gi);
-      gs_next_id = t.next_ids.(gi);
-      gs_cells = cells;
+      State.rng = Rng.state t.rngs.(gi);
+      next_id = t.next_ids.(gi);
+      keys = Array.make (n * dim) 0;
+      nballs = Array.make n 0;
+      cversion = Array.make n 0;
+      cmax = FA.create n;
+      best = Array.make n 0;
+      ids = Array.make (n * m) 0;
+      pos = FA.create (n * m * dim);
+      depth = FA.create (n * m);
+      flag = Array.make (n * m) 0;
+      sver = Array.make (n * m) 0;
     }
   in
+  Array.iteri
+    (fun i (key, c) ->
+      blit_ints key 0 g.State.keys (i * dim) dim;
+      g.State.nballs.(i) <- c.nballs;
+      g.State.cversion.(i) <- c.cversion;
+      FA.set g.State.cmax i c.max_depth;
+      g.State.best.(i) <- c.best;
+      blit_ints c.ids 0 g.State.ids (i * m) m;
+      FA.blit c.posf 0 g.State.pos (i * m * dim) (m * dim);
+      FA.blit c.depth 0 g.State.depth (i * m) m;
+      blit_ints c.flag 0 g.State.flag (i * m) m;
+      blit_ints c.sver 0 g.State.sver (i * m) m)
+    cells;
+  g
+
+let state t =
   {
-    State.st_dim = t.dim;
-    st_samples_per_cell = t.t_samples;
-    st_grids = Array.init (grid_count t) grid;
+    State.dim = t.dim;
+    samples_per_cell = t.t_samples;
+    grids = Array.init (grid_count t) (capture_grid t);
   }
 
 let restore ~cfg (st : State.t) =
   Config.validate cfg;
-  let dim = st.State.st_dim in
+  let dim = st.State.dim and m = st.State.samples_per_cell in
   if dim < 1 then invalid_arg "Sample_space.restore: dimension must be >= 1";
-  if st.State.st_samples_per_cell < 1 then
+  if m < 1 then
     invalid_arg "Sample_space.restore: samples_per_cell must be >= 1";
   let grids, _rng = make_grids ~dim ~cfg in
   let count = Shifted_grids.count grids in
-  if count <> Array.length st.State.st_grids then
+  if count <> Array.length st.State.grids then
     invalid_arg "Sample_space.restore: grid count disagrees with the config";
   let t =
     {
@@ -624,57 +673,36 @@ let restore ~cfg (st : State.t) =
       cfg;
       grids;
       tables = Array.init count (fun _ -> Grid.Tbl.create 256);
-      rngs =
-        Array.map (fun g -> Rng.of_state g.State.gs_rng) st.State.st_grids;
-      t_samples = st.State.st_samples_per_cell;
+      rngs = Array.map (fun g -> Rng.of_state g.State.rng) st.State.grids;
+      t_samples = m;
       stride = count;
-      next_ids = Array.map (fun g -> g.State.gs_next_id) st.State.st_grids;
-      n_cells =
-        Array.map (fun g -> List.length g.State.gs_cells) st.State.st_grids;
+      next_ids = Array.map (fun g -> g.State.next_id) st.State.grids;
+      n_cells = Array.map State.cells st.State.grids;
       scratch = make_scratch ~dim count;
       hook = ignore;
     }
   in
+  State.check_shape st;
   Array.iteri
-    (fun gi g ->
-      List.iter
-        (fun (c : State.cell_s) ->
-          let n = Array.length c.State.cs_samples in
-          if n <> t.t_samples then
-            invalid_arg "Sample_space.restore: cell sample count mismatch";
-          if c.State.cs_best < 0 || c.State.cs_best >= n then
-            invalid_arg "Sample_space.restore: best index out of range";
-          let ids = Array.make n 0 in
-          let posf = FA.create (n * dim) in
-          let depth = FA.create n in
-          let flag = Array.make n 0 in
-          let sver = Array.make n 0 in
-          Array.iteri
-            (fun si (s : State.sample_s) ->
-              if Array.length s.State.s_pos <> dim then
-                invalid_arg "Sample_space.restore: sample dimension mismatch";
-              ids.(si) <- s.State.s_id;
-              for k = 0 to dim - 1 do
-                FA.set posf ((si * dim) + k) s.State.s_pos.(k)
-              done;
-              FA.set depth si s.State.s_depth;
-              flag.(si) <- s.State.s_flag;
-              sver.(si) <- s.State.s_version)
-            c.State.cs_samples;
-          let cell =
-            {
-              ids;
-              posf;
-              depth;
-              flag;
-              sver;
-              nballs = c.State.cs_nballs;
-              max_depth = c.State.cs_max;
-              best = c.State.cs_best;
-              cversion = c.State.cs_version;
-            }
-          in
-          Grid.Tbl.add t.tables.(gi) (Array.copy c.State.cs_key) cell)
-        g.State.gs_cells)
-    st.State.st_grids;
+    (fun gi (g : State.grid) ->
+      for i = 0 to State.cells g - 1 do
+        let best = g.State.best.(i) in
+        if best < 0 || best >= m then
+          invalid_arg "Sample_space.restore: best index out of range";
+        let cell =
+          {
+            ids = Array.sub g.State.ids (i * m) m;
+            posf = FA.sub g.State.pos (i * m * dim) (m * dim);
+            depth = FA.sub g.State.depth (i * m) m;
+            flag = Array.sub g.State.flag (i * m) m;
+            sver = Array.sub g.State.sver (i * m) m;
+            nballs = g.State.nballs.(i);
+            max_depth = FA.get g.State.cmax i;
+            best;
+            cversion = g.State.cversion.(i);
+          }
+        in
+        Grid.Tbl.add t.tables.(gi) (Array.sub g.State.keys (i * dim) dim) cell
+      done)
+    st.State.grids;
   t

@@ -140,39 +140,49 @@ val validate : t -> live:Maxrs_geom.Point.t list -> bool
     cells intersected by a live ball, each with the correct reference
     count, and every cached cell max matches its samples. *)
 
-(** Exact serializable state (durability layer). The capture is
-    canonical — cells sorted by key, every mutable float copied
-    bit-for-bit — so behaviourally identical structures produce
-    structurally equal states. *)
+(** Exact serializable state (durability layer), in flat columns. The
+    capture is canonical — cells in ascending key order, every mutable
+    float copied bit-for-bit — so behaviourally identical structures
+    produce structurally equal states. Per grid, cell [i]'s key is
+    [keys.(i * dim) .. keys.(i * dim + dim - 1)], its per-cell fields
+    are slot [i] of [nballs]/[cversion]/[cmax]/[best], and its samples
+    are slots [i * samples_per_cell ..] of the sample columns ([pos]
+    holds [dim] coordinates per sample). *)
 module State : sig
-  type sample_s = {
-    s_id : int;
-    s_pos : float array;
-    s_depth : float;
-    s_flag : int;
-    s_version : int;
+  type grid = {
+    rng : int64;  (** the grid's rng stream state *)
+    next_id : int;  (** the grid's sample-id counter *)
+    keys : int array;  (** [cells * dim] cell keys, ascending *)
+    nballs : int array;  (** per cell: live balls intersecting it *)
+    cversion : int array;  (** per cell: {!cell_version} *)
+    cmax : floatarray;  (** per cell: {!cell_max} *)
+    best : int array;  (** per cell: index of its best sample *)
+    ids : int array;  (** [cells * samples_per_cell] sample ids *)
+    pos : floatarray;  (** [cells * samples_per_cell * dim] positions *)
+    depth : floatarray;  (** per sample *)
+    flag : int array;  (** per sample *)
+    sver : int array;  (** per sample: version *)
   }
 
-  type cell_s = {
-    cs_key : int array;
-    cs_nballs : int;
-    cs_version : int;
-    cs_max : float;
-    cs_best : int;  (** index into [cs_samples] *)
-    cs_samples : sample_s array;
-  }
+  type t = { dim : int; samples_per_cell : int; grids : grid array }
 
-  type grid_s = { gs_rng : int64; gs_next_id : int; gs_cells : cell_s list }
-  type t = { st_dim : int; st_samples_per_cell : int; st_grids : grid_s array }
+  val cells : grid -> int
+  (** Live cells captured in the grid ([Array.length nballs]). *)
+
+  val check_shape : t -> unit
+  (** Raises [Invalid_argument] unless every column has the length
+      [dim], [samples_per_cell] and its grid's cell count give it. *)
 end
 
 val state : t -> State.t
-(** Deep canonical copy of all mutable state (rng streams, id counters,
-    cells, samples). The structure may continue evolving afterwards. *)
+(** Canonical copy of all mutable state (rng streams, id counters,
+    cells, samples): a key sort per grid plus one copy of each cell's
+    columns. The structure may continue evolving afterwards. *)
 
 val restore : cfg:Config.t -> State.t -> t
 (** Rebuild a structure whose future behaviour is identical to the
     captured one's. The grid collection is re-derived from [cfg], which
     must be the config the captured structure was built with; raises
-    [Invalid_argument] when the state is inconsistent with it. No hook
-    is registered on the restored structure. *)
+    [Invalid_argument] when the state is inconsistent with it or fails
+    {!State.check_shape}. No hook is registered on the restored
+    structure. *)

@@ -169,61 +169,171 @@ let r_config r : Config.t =
     stats;
   }
 
-(* {1 Sample-space state} *)
+(* {1 Sample-space state}
 
-let sample b (s : Sample_space.State.sample_s) =
-  int_ b s.Sample_space.State.s_id;
-  float_array b s.Sample_space.State.s_pos;
-  f64 b s.Sample_space.State.s_depth;
-  int_ b s.Sample_space.State.s_flag;
-  int_ b s.Sample_space.State.s_version
+   The wire format, every field fixed-width little-endian:
+   {v
+     space  := int dim | int samples_per_cell | int grids | grid*
+     grid   := i64 rng | int next_id | int cells | cell*   (ascending keys)
+     cell   := int dim | int key*dim | int nballs | int version | f64 max
+               | int best | int samples_per_cell | sample*
+     sample := int id | int dim | f64 pos*dim | f64 depth | int flag
+               | int version
+   v}
+   The in-cell lengths repeat the space header, and decoding rejects
+   any that disagree with it. So every cell encodes to the same number
+   of bytes and the exact size of a state is known before a byte is
+   written: the encoder fills one buffer of exactly that size straight
+   from the state's columns, and the decoder fills the columns straight
+   from the bytes. *)
 
-let r_sample r : Sample_space.State.sample_s =
-  let s_id = r_int r in
-  let s_pos = r_float_array r "sample pos" in
-  let s_depth = r_f64 r in
-  let s_flag = r_int r in
-  let s_version = r_int r in
-  { Sample_space.State.s_id; s_pos; s_depth; s_flag; s_version }
+module SS = Sample_space.State
 
-let cell b (c : Sample_space.State.cell_s) =
-  int_array b c.Sample_space.State.cs_key;
-  int_ b c.Sample_space.State.cs_nballs;
-  int_ b c.Sample_space.State.cs_version;
-  f64 b c.Sample_space.State.cs_max;
-  int_ b c.Sample_space.State.cs_best;
-  array_ sample b c.Sample_space.State.cs_samples
+let sample_bytes ~dim = 8 * (dim + 5)
+let cell_bytes ~dim ~m = (8 * (dim + 6)) + (m * sample_bytes ~dim)
 
-let r_cell r : Sample_space.State.cell_s =
-  let cs_key = r_int_array r "cell key" in
-  let cs_nballs = r_int r in
-  let cs_version = r_int r in
-  let cs_max = r_f64 r in
-  let cs_best = r_int r in
-  let cs_samples = r_array r_sample r "cell samples" in
-  { Sample_space.State.cs_key; cs_nballs; cs_version; cs_max; cs_best; cs_samples }
+let space_bytes (s : SS.t) =
+  let cell = cell_bytes ~dim:s.SS.dim ~m:s.SS.samples_per_cell in
+  Array.fold_left (fun acc g -> acc + 24 + (SS.cells g * cell)) 24 s.SS.grids
 
-let grid b (g : Sample_space.State.grid_s) =
-  i64 b g.Sample_space.State.gs_rng;
-  int_ b g.Sample_space.State.gs_next_id;
-  list_ cell b g.Sample_space.State.gs_cells
+let put_int b p v = Bytes.set_int64_le b p (Int64.of_int v)
 
-let r_grid r : Sample_space.State.grid_s =
-  let gs_rng = r_i64 r in
-  let gs_next_id = r_int r in
-  let gs_cells = r_list r_cell r "grid cells" in
-  { Sample_space.State.gs_rng; gs_next_id; gs_cells }
+(* Write [s] at offset [p] of [b]; returns the offset past it. The
+   shape check licenses the unchecked column reads. *)
+let write_space b p (s : SS.t) =
+  SS.check_shape s;
+  let dim = s.SS.dim and m = s.SS.samples_per_cell in
+  put_int b p dim;
+  put_int b (p + 8) m;
+  put_int b (p + 16) (Array.length s.SS.grids);
+  let p = ref (p + 24) in
+  Array.iter
+    (fun (g : SS.grid) ->
+      let n = SS.cells g in
+      Bytes.set_int64_le b !p g.SS.rng;
+      put_int b (!p + 8) g.SS.next_id;
+      put_int b (!p + 16) n;
+      p := !p + 24;
+      for i = 0 to n - 1 do
+        let q = !p in
+        put_int b q dim;
+        for k = 0 to dim - 1 do
+          put_int b
+            (q + 8 + (8 * k))
+            (Array.unsafe_get g.SS.keys ((i * dim) + k))
+        done;
+        let q = q + 8 + (8 * dim) in
+        put_int b q (Array.unsafe_get g.SS.nballs i);
+        put_int b (q + 8) (Array.unsafe_get g.SS.cversion i);
+        Bytes.set_int64_le b (q + 16)
+          (Int64.bits_of_float (Float.Array.unsafe_get g.SS.cmax i));
+        put_int b (q + 24) (Array.unsafe_get g.SS.best i);
+        put_int b (q + 32) m;
+        let q = ref (q + 40) in
+        for j = i * m to (i * m) + m - 1 do
+          let r = !q in
+          put_int b r (Array.unsafe_get g.SS.ids j);
+          put_int b (r + 8) dim;
+          for k = 0 to dim - 1 do
+            Bytes.set_int64_le b
+              (r + 16 + (8 * k))
+              (Int64.bits_of_float
+                 (Float.Array.unsafe_get g.SS.pos ((j * dim) + k)))
+          done;
+          let r = r + 16 + (8 * dim) in
+          Bytes.set_int64_le b r
+            (Int64.bits_of_float (Float.Array.unsafe_get g.SS.depth j));
+          put_int b (r + 8) (Array.unsafe_get g.SS.flag j);
+          put_int b (r + 16) (Array.unsafe_get g.SS.sver j);
+          q := r + 24
+        done;
+        p := !q
+      done)
+    s.SS.grids;
+  !p
 
-let space b (s : Sample_space.State.t) =
-  int_ b s.Sample_space.State.st_dim;
-  int_ b s.Sample_space.State.st_samples_per_cell;
-  array_ grid b s.Sample_space.State.st_grids
+let int_at s p =
+  let v = String.get_int64_le s p in
+  let i = Int64.to_int v in
+  if Int64.of_int i <> v then
+    malformed "int out of native range at offset %d" p;
+  i
 
-let r_space r : Sample_space.State.t =
-  let st_dim = r_int r in
-  let st_samples_per_cell = r_int r in
-  let st_grids = r_array r_grid r "grids" in
-  { Sample_space.State.st_dim; st_samples_per_cell; st_grids }
+let expect_len s p ~want what =
+  let v = int_at s p in
+  if v <> want then malformed "%s length %d, expected %d" what v want
+
+(* Decode one grid straight into its columns. The cell count is checked
+   against the bytes left before anything is allocated; after that
+   every cell's bytes are known to be there. *)
+let r_grid ~dim ~m r : SS.grid =
+  let rng = r_i64 r in
+  let next_id = r_int r in
+  let n = r_int r in
+  let cb = cell_bytes ~dim ~m in
+  let remaining = String.length r.data - r.pos in
+  if n < 0 || n > remaining / cb then
+    malformed "bad grid cells length %d (%d bytes left)" n remaining;
+  let g =
+    {
+      SS.rng;
+      next_id;
+      keys = Array.make (n * dim) 0;
+      nballs = Array.make n 0;
+      cversion = Array.make n 0;
+      cmax = Float.Array.create n;
+      best = Array.make n 0;
+      ids = Array.make (n * m) 0;
+      pos = Float.Array.create (n * m * dim);
+      depth = Float.Array.create (n * m);
+      flag = Array.make (n * m) 0;
+      sver = Array.make (n * m) 0;
+    }
+  in
+  let s = r.data in
+  let p = ref r.pos in
+  for i = 0 to n - 1 do
+    let q = !p in
+    expect_len s q ~want:dim "cell key";
+    for k = 0 to dim - 1 do
+      Array.unsafe_set g.SS.keys ((i * dim) + k) (int_at s (q + 8 + (8 * k)))
+    done;
+    let q = q + 8 + (8 * dim) in
+    Array.unsafe_set g.SS.nballs i (int_at s q);
+    Array.unsafe_set g.SS.cversion i (int_at s (q + 8));
+    Float.Array.unsafe_set g.SS.cmax i
+      (Int64.float_of_bits (String.get_int64_le s (q + 16)));
+    Array.unsafe_set g.SS.best i (int_at s (q + 24));
+    expect_len s (q + 32) ~want:m "cell samples";
+    let q = ref (q + 40) in
+    for j = i * m to (i * m) + m - 1 do
+      let r = !q in
+      Array.unsafe_set g.SS.ids j (int_at s r);
+      expect_len s (r + 8) ~want:dim "sample pos";
+      for k = 0 to dim - 1 do
+        Float.Array.unsafe_set g.SS.pos
+          ((j * dim) + k)
+          (Int64.float_of_bits (String.get_int64_le s (r + 16 + (8 * k))))
+      done;
+      let r = r + 16 + (8 * dim) in
+      Float.Array.unsafe_set g.SS.depth j
+        (Int64.float_of_bits (String.get_int64_le s r));
+      Array.unsafe_set g.SS.flag j (int_at s (r + 8));
+      Array.unsafe_set g.SS.sver j (int_at s (r + 16));
+      q := r + 24
+    done;
+    p := !q
+  done;
+  r.pos <- !p;
+  g
+
+let r_space r : SS.t =
+  let dim = r_int r in
+  let m = r_int r in
+  if dim < 0 || dim > max_seq_len then malformed "bad state dimension %d" dim;
+  if m < 0 || m > max_seq_len then malformed "bad samples per cell %d" m;
+  let grids = r_array ~elem_bytes:24 (r_grid ~dim ~m) r "grids" in
+  { SS.dim; samples_per_cell = m; grids }
 
 (* {1 Dynamic state} *)
 
@@ -238,15 +348,24 @@ let r_ball r =
   let weight = r_f64 r in
   (h, (center, weight))
 
-let state b (s : Dynamic.State.t) =
-  int_ b s.Dynamic.State.dim;
-  f64 b s.Dynamic.State.radius;
-  config b s.Dynamic.State.cfg;
-  list_ ball b s.Dynamic.State.balls;
-  int_ b s.Dynamic.State.n0;
-  int_ b s.Dynamic.State.next_handle;
-  int_ b s.Dynamic.State.epochs;
-  space b s.Dynamic.State.space
+(* The fields ahead of the sample space — a few hundred bytes plus the
+   balls — go through a small [Buffer]; the space, nearly all of the
+   state, is written in place. *)
+let encode_state_bytes ?(reserve = 0) (s : Dynamic.State.t) =
+  let head = Buffer.create 4096 in
+  int_ head s.Dynamic.State.dim;
+  f64 head s.Dynamic.State.radius;
+  config head s.Dynamic.State.cfg;
+  list_ ball head s.Dynamic.State.balls;
+  int_ head s.Dynamic.State.n0;
+  int_ head s.Dynamic.State.next_handle;
+  int_ head s.Dynamic.State.epochs;
+  let hl = Buffer.length head in
+  let b = Bytes.create (reserve + hl + space_bytes s.Dynamic.State.space) in
+  Buffer.blit head 0 b reserve hl;
+  let stop = write_space b (reserve + hl) s.Dynamic.State.space in
+  assert (stop = Bytes.length b);
+  b
 
 let r_state r : Dynamic.State.t =
   let dim = r_int r in
@@ -259,17 +378,14 @@ let r_state r : Dynamic.State.t =
   let space = r_space r in
   { Dynamic.State.dim; radius; cfg; balls; n0; next_handle; epochs; space }
 
-let encode_state s =
-  let b = Buffer.create 4096 in
-  state b s;
-  Buffer.contents b
+let encode_state s = Bytes.unsafe_to_string (encode_state_bytes s)
 
 (* The state fingerprint journaled by [Check] records and compared by
    sharded recovery: CRC-32 of the canonical encoding. Two structures
    fingerprint equal iff their canonical states are byte-equal (modulo
    CRC collisions, which the differential suite's full-string compares
    would still catch). *)
-let state_crc s = Crc32.of_string (encode_state s)
+let state_crc s = Crc32.of_bytes (encode_state_bytes s)
 
 let decode_state data =
   let r = reader data in

@@ -57,14 +57,25 @@ val r_len : ?elem_bytes:int -> reader -> string -> int
 
 val config : Buffer.t -> Maxrs.Config.t -> unit
 val r_config : reader -> Maxrs.Config.t
-val state : Buffer.t -> Maxrs.Dynamic.State.t -> unit
+val encode_state_bytes : ?reserve:int -> Maxrs.Dynamic.State.t -> bytes
+(** The state's encoding in one pass, at offset [reserve] (default 0) of
+    a fresh buffer of exactly [reserve] plus its encoded size: the
+    sample space is written straight from its columns, with no growth
+    and no copy. The first [reserve] bytes are left unset for the
+    caller's own header. Raises [Invalid_argument] when the space's
+    column lengths disagree with its [dim] and [samples_per_cell]. *)
+
 val r_state : reader -> Maxrs.Dynamic.State.t
+(** Decode a state, the sample space straight into its columns. Beyond
+    truncation and bad tags, raises {!Malformed} when a cell key, a
+    cell's sample count or a sample position has a length other than
+    the one the space header gives. *)
 
 val encode_state : Maxrs.Dynamic.State.t -> string
-(** Whole-state convenience wrapper. Because {!Maxrs.Dynamic.state} is
-    canonical (sorted balls, sorted cells), two structures with equal
-    observable state encode to equal strings — tests use this as a
-    fingerprint for bit-identical recovery. *)
+(** {!encode_state_bytes} as a string. Because {!Maxrs.Dynamic.state}
+    is canonical (sorted balls, sorted cells), two structures with
+    equal observable state encode to equal strings — tests use this as
+    a fingerprint for bit-identical recovery. *)
 
 val state_crc : Maxrs.Dynamic.State.t -> int
 (** CRC-32 of {!encode_state} — the compact state fingerprint carried

@@ -19,8 +19,12 @@
      stamped at creation, at every snapshot and at every clean close.
 
    The single log remains the default because a fingerprint costs a
-   full state capture, encoding and CRC at every snapshot and close;
-   it is the layout of every session not opened with [~shards].
+   full state capture, encoding and CRC at every snapshot and close:
+   ~0.18 s for a 50 MB state (n = 2,500 balls at the default config;
+   capture 59-84 ms, encode 21-64 ms, CRC 66-77 ms on a shared 2-CPU
+   x86-64 host), against 0.67-0.77 s before the state was captured in
+   columns. It is the layout of every session not opened with
+   [~shards].
 
    Because restore-from-state continues bit-identically (captured rng
    streams, canonical iteration orders, exact float bit patterns), the

@@ -7,19 +7,23 @@
      payload          i64 seq | encoded Dynamic.State
    v}
 
-   Writes are atomic ([Atomic_file]: encode to [<target>.tmp], fsync,
-   rename into place, fsync the directory). A crash mid-write leaves at
-   worst a stale .tmp (ignored by recovery) — never a half-written
-   snapshot under the real name. Recovery decodes candidates
-   newest-first and skips any that fail the checksum or decode, so a
-   bit-rotted snapshot silently falls back to the previous one (or to
-   pure WAL replay). *)
+   The file is built in one buffer of exactly its size: the codec
+   leaves the 20 header bytes free, the payload CRC is computed in
+   place and patched into its slot. Writes are atomic ([Atomic_file]:
+   write to [<target>.tmp], fsync, rename into place, fsync the
+   directory). A crash mid-write leaves at worst a stale .tmp (ignored
+   by recovery) — never a half-written snapshot under the real name.
+   Recovery decodes candidates newest-first and skips any that fail
+   the checksum, the decode or the caller's restore, falling back to
+   the previous one (or to pure WAL replay); [newest] counts each skip
+   as [snapshot.skipped_corrupt]. *)
 
 module Obs = Maxrs_obs.Obs
 module Dynamic = Maxrs.Dynamic
 
 let c_writes = Obs.counter "snapshot.writes"
 let c_bytes = Obs.counter "snapshot.bytes"
+let c_skipped = Obs.counter "snapshot.skipped_corrupt"
 
 let magic = "MXSNAP01"
 
@@ -27,14 +31,9 @@ let path ~wal ~seq = Printf.sprintf "%s.snap.%d" wal seq
 
 let write ~wal ~seq state =
   let target = path ~wal ~seq in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b magic;
-  Buffer.add_int32_le b 0l;
-  Codec.i64 b (Int64.of_int seq);
-  Codec.state b state;
-  let data = Buffer.to_bytes b in
-  (* One copy of the encoding: the payload's CRC fills the slot left
-     after the magic. *)
+  let data = Codec.encode_state_bytes ~reserve:20 state in
+  Bytes.blit_string magic 0 data 0 8;
+  Bytes.set_int64_le data 12 (Int64.of_int seq);
   let crc =
     Crc32.of_substring (Bytes.unsafe_to_string data) ~pos:12
       ~len:(Bytes.length data - 12)
@@ -91,12 +90,15 @@ let load_all ~wal =
          | _ -> None)
 
 let newest ~wal ~min_seq f =
-  let rec go = function
+  let rec skip rest =
+    Obs.incr c_skipped;
+    go rest
+  and go = function
     | (seq, file) :: rest when seq >= min_seq -> (
         match load_file file with
         | Some (s, state) when s = seq -> (
-            match f state with Some v -> Some (seq, v) | None -> go rest)
-        | _ -> go rest)
+            match f state with Some v -> Some (seq, v) | None -> skip rest)
+        | _ -> skip rest)
     | _ -> None
   in
   go (candidates ~wal)

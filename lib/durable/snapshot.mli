@@ -25,7 +25,10 @@ val newest :
   (int * 'a) option
 (** Decode the snapshots with [seq >= min_seq] newest-first and return
     the first one [f] accepts, with its seq. Stops at that one: older
-    sidecars are never read. *)
+    sidecars are never read. Each snapshot passed over on the way — a
+    bad magic or checksum, a failed decode, a seq that disagrees with
+    the file name, or a state [f] rejects — counts once in
+    [snapshot.skipped_corrupt]. *)
 
 val prune : wal:string -> keep:int -> unit
 (** Delete all but the [keep] newest snapshot files. *)

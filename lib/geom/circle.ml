@@ -16,8 +16,11 @@ let cov_arc = 2
 let coverage_into c ~cx ~cy ~r out =
   let dx = cx -. c.cx and dy = cy -. c.cy in
   let dd = sqrt ((dx *. dx) +. (dy *. dy)) in
+  (* The disk is closed: at exact tangency (external, or internal from
+     inside the circle) it still holds the touching point, which the arc
+     branch yields as a zero-length span. *)
   if dd +. c.r <= r then cov_covered
-  else if dd >= r +. c.r || dd +. r <= c.r then cov_disjoint
+  else if dd > r +. c.r || dd +. r < c.r then cov_disjoint
   else if dd < 1e-15 then (* concentric, neither contained: numeric guard *)
     cov_disjoint
   else begin

@@ -109,14 +109,13 @@ let sweep_circle_cols ~radius xs ys colors n i =
         let start = Float.Array.get sc.cov 0
         and len = Float.Array.get sc.cov 1 in
         let col = Array.unsafe_get colors j in
+        let stop = Angle.norm (start +. len) in
         Kern.Fbuf.push sc.add_a start;
         Kern.Ibuf.push sc.add_c col;
-        Kern.Fbuf.push sc.rem_a (Angle.norm (start +. len));
+        Kern.Fbuf.push sc.rem_a stop;
         Kern.Ibuf.push sc.rem_c col;
-        if
-          Angle.norm (0. -. start) <= len +. 1e-12
-          && len < Angle.two_pi -. 1e-12
-        then Color_counter.add counter col
+        (* Active from the start iff it wraps (see [Disk2d]). *)
+        if stop < start then Color_counter.add counter col
       end
     end
   done;

@@ -87,15 +87,15 @@ let sweep_circle_cols ~radius xs ys ws n i =
       else if code = Circle.cov_arc then begin
         let start = Float.Array.get sc.cov 0
         and len = Float.Array.get sc.cov 1 in
+        let stop = Angle.norm (start +. len) in
         Kern.Fbuf.push sc.add_a start;
         Kern.Fbuf.push sc.add_w wj;
-        Kern.Fbuf.push sc.rem_a (Angle.norm (start +. len));
+        Kern.Fbuf.push sc.rem_a stop;
         Kern.Fbuf.push sc.rem_w (-.wj);
-        (* Arcs containing angle 0 are active from the start. *)
-        if
-          Angle.norm (0. -. start) <= len +. 1e-12
-          && len < Angle.two_pi -. 1e-12
-        then base := !base +. wj
+        (* An arc whose removal the sweep meets before its addition
+           wraps past angle 0: it is active from the start. One that
+           starts at 0 is added by its own event, not counted twice. *)
+        if stop < start then base := !base +. wj
       end
     end
   done;

@@ -63,8 +63,10 @@ let sweep_circle ~radius centers ~colors i candidates =
             let s, e = Angle.endpoints ivl in
             events := (s, true, colors.(j)) :: (e, false, colors.(j)) :: !events;
             n_events := !n_events + 2;
-            if Angle.mem ivl 0. && ivl.Angle.len < Angle.two_pi -. 1e-12 then
-              bump colors.(j) 1
+            (* Active from the start iff the arc wraps past angle 0 (its
+               removal sorts before its addition); one starting at 0 is
+               added by its own event. *)
+            if e < s then bump colors.(j) 1
       end)
     candidates;
   let evts = Array.of_list !events in

@@ -21,6 +21,10 @@ module Wal = Maxrs_durable.Wal
 module Shard_wal = Maxrs_durable.Shard_wal
 module Snapshot = Maxrs_durable.Snapshot
 module Session = Maxrs_durable.Session
+module Obs = Maxrs_obs.Obs
+module SS = Maxrs.Sample_space.State
+
+let skipped_corrupt = Obs.counter "snapshot.skipped_corrupt"
 
 (* Small structures keep state captures cheap: few shifted grids, a
    coarse epsilon. *)
@@ -131,6 +135,47 @@ let test_crc_detects_single_bit_flips () =
     Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
     if Crc32.of_bytes b = crc then Alcotest.fail "bit flip not detected"
   done
+
+(* Bit-at-a-time CRC-32 with no table: the reference the sliced
+   implementation must agree with. *)
+let crc_reference s ~pos ~len =
+  let crc = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    crc := !crc lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      crc :=
+        if !crc land 1 = 1 then 0xEDB88320 lxor (!crc lsr 1) else !crc lsr 1
+    done
+  done;
+  !crc lxor 0xFFFFFFFF
+
+let random_string rng n = String.init n (fun _ -> Char.chr (Rng.int rng 256))
+
+let test_crc_every_alignment () =
+  let s = random_string (Rng.create 8) 80 in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      Alcotest.(check int)
+        (Printf.sprintf "pos %d len %d" pos len)
+        (crc_reference s ~pos ~len)
+        (Crc32.of_substring s ~pos ~len)
+    done
+  done;
+  let big = random_string (Rng.create 9) ((1 lsl 20) + 13) in
+  Alcotest.(check int) "1 MiB + 13"
+    (crc_reference big ~pos:0 ~len:(String.length big))
+    (Crc32.of_string big);
+  Alcotest.(check int) "1 MiB at offset 5"
+    (crc_reference big ~pos:5 ~len:(1 lsl 20))
+    (Crc32.of_substring big ~pos:5 ~len:(1 lsl 20))
+
+let qcheck_crc_matches_reference =
+  QCheck.Test.make ~count:500
+    ~name:"crc32: sliced = bit-at-a-time on random substrings"
+    QCheck.(triple (int_range 0 7) (int_range 0 64) int)
+    (fun (pos, len, seed) ->
+      let s = random_string (Rng.create seed) (pos + len + (seed land 7)) in
+      Crc32.of_substring s ~pos ~len = crc_reference s ~pos ~len)
 
 (* ------------------------------------------------------------------ *)
 (* Codec primitives and record round trips (qcheck) *)
@@ -324,7 +369,12 @@ let test_snapshot_survives_corrupt_newest () =
       Bytes.set b (Bytes.length b / 2)
         (Char.chr (Char.code (Bytes.get b (Bytes.length b / 2)) lxor 0x40));
       write_file snap40 (Bytes.to_string b);
-      let s2 = Result.get_ok (Session.open_ ~wal ()) in
+      let before = Obs.value skipped_corrupt in
+      let s2 =
+        Obs.with_enabled true (fun () -> Result.get_ok (Session.open_ ~wal ()))
+      in
+      Alcotest.(check int) "the skip is counted" 1
+        (Obs.value skipped_corrupt - before);
       (match Session.recovery s2 with
       | Some r ->
           Alcotest.(check (option int)) "fell back to snapshot 20" (Some 20)
@@ -926,6 +976,164 @@ let test_codec_huge_length () =
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* State encodings that pass a CRC but are malformed. [wire_state]
+   writes the state wire format field by field from the columns with
+   the codec's [Buffer] primitives — a second implementation of the
+   format — and can misstate the first cell's key length, sample count
+   or first sample's position length, repeating or dropping trailing
+   values to match so the bytes stay otherwise well formed. *)
+
+let wire_state ?key_len ?samples ?pos_len (st : Dynamic.State.t) =
+  let b = Buffer.create 4096 in
+  let sp = st.Dynamic.State.space in
+  let dim = sp.SS.dim and m = sp.SS.samples_per_cell in
+  Codec.int_ b st.Dynamic.State.dim;
+  Codec.f64 b st.Dynamic.State.radius;
+  Codec.config b st.Dynamic.State.cfg;
+  Codec.int_ b (List.length st.Dynamic.State.balls);
+  List.iter
+    (fun (h, (c, w)) ->
+      Codec.int_ b (Dynamic.handle_id h);
+      Codec.float_array b c;
+      Codec.f64 b w)
+    st.Dynamic.State.balls;
+  Codec.int_ b st.Dynamic.State.n0;
+  Codec.int_ b st.Dynamic.State.next_handle;
+  Codec.int_ b st.Dynamic.State.epochs;
+  Codec.int_ b dim;
+  Codec.int_ b m;
+  Codec.int_ b (Array.length sp.SS.grids);
+  let first = ref true in
+  Array.iter
+    (fun (g : SS.grid) ->
+      Codec.i64 b g.SS.rng;
+      Codec.int_ b g.SS.next_id;
+      Codec.int_ b (SS.cells g);
+      for i = 0 to SS.cells g - 1 do
+        let over v default =
+          if !first then Option.value v ~default else default
+        in
+        let kl = over key_len dim and ns = over samples m in
+        Codec.int_ b kl;
+        for k = 0 to kl - 1 do
+          Codec.int_ b g.SS.keys.((i * dim) + min k (dim - 1))
+        done;
+        Codec.int_ b g.SS.nballs.(i);
+        Codec.int_ b g.SS.cversion.(i);
+        Codec.f64 b (Float.Array.get g.SS.cmax i);
+        Codec.int_ b g.SS.best.(i);
+        Codec.int_ b ns;
+        for si = 0 to ns - 1 do
+          let j = (i * m) + min si (m - 1) in
+          let pl = if si = 0 then over pos_len dim else dim in
+          Codec.int_ b g.SS.ids.(j);
+          Codec.int_ b pl;
+          for k = 0 to pl - 1 do
+            Codec.f64 b (Float.Array.get g.SS.pos ((j * dim) + min k (dim - 1)))
+          done;
+          Codec.f64 b (Float.Array.get g.SS.depth j);
+          Codec.int_ b g.SS.flag.(j);
+          Codec.int_ b g.SS.sver.(j)
+        done;
+        first := false
+      done)
+    sp.SS.grids;
+  Buffer.contents b
+
+let malformed_variants (st : Dynamic.State.t) =
+  let dim = st.Dynamic.State.space.SS.dim
+  and m = st.Dynamic.State.space.SS.samples_per_cell in
+  [
+    ("key length dim + 1", wire_state ~key_len:(dim + 1) st);
+    ("key length dim - 1", wire_state ~key_len:(dim - 1) st);
+    ("sample count + 1", wire_state ~samples:(m + 1) st);
+    ("sample count - 1", wire_state ~samples:(m - 1) st);
+    ("pos length dim + 1", wire_state ~pos_len:(dim + 1) st);
+  ]
+
+let test_codec_rejects_malformed_state () =
+  let cfg = test_cfg 0.45 41 in
+  let dyn = Dynamic.create ~cfg ~radius:1. ~dim:2 () in
+  List.iter (apply_dyn dyn) (gen_ops ~n:30 ~seed:41 ~extent:4.);
+  let st = Dynamic.state dyn in
+  Alcotest.(check bool)
+    "the field-by-field writer reproduces the codec" true
+    (String.equal (wire_state st) (Codec.encode_state st));
+  List.iter
+    (fun (what, data) ->
+      (match Codec.decode_state_result data with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s: decoded" what);
+      match Codec.decode_state data with
+      | exception Codec.Malformed _ -> ()
+      | _ -> Alcotest.failf "%s: decode_state did not raise Malformed" what)
+    (malformed_variants st)
+
+(* A checksummed snapshot file holding [payload]. *)
+let snapshot_file ~seq payload =
+  let body = Buffer.create (String.length payload + 8) in
+  Codec.int_ body seq;
+  Buffer.add_string body payload;
+  let body = Buffer.contents body in
+  let b = Buffer.create (String.length body + 12) in
+  Buffer.add_string b "MXSNAP01";
+  Buffer.add_int32_le b (Int32.of_int (Crc32.of_string body));
+  Buffer.add_string b body;
+  Buffer.contents b
+
+(* Each malformed encoding, checksummed correctly, as the newest
+   snapshot: recovery skips it, counts the skip, and lands on the older
+   snapshot plus the log. *)
+let test_recovery_skips_malformed_snapshot () =
+  let cfg = test_cfg 0.45 43 in
+  let ops = gen_ops ~n:50 ~seed:43 ~extent:4. in
+  let expected = baseline ~cfg ~radius:1. ops ~prefix:50 in
+  let st40 = ref None in
+  let wal = fresh_wal_path () in
+  Fun.protect
+    ~finally:(fun () -> cleanup wal)
+    (fun () ->
+      let s =
+        Result.get_ok (Session.open_ ~wal ~snapshot_every:20 ~cfg ())
+      in
+      List.iter (apply_session s) ops;
+      Session.close s;
+      List.iter
+        (fun (seq, st, _) -> if seq = 40 then st40 := Some st)
+        (Snapshot.load_all ~wal));
+  let st40 = Option.get !st40 in
+  List.iter
+    (fun (what, payload) ->
+      let wal = fresh_wal_path () in
+      Fun.protect
+        ~finally:(fun () -> cleanup wal)
+        (fun () ->
+          let s =
+            Result.get_ok (Session.open_ ~wal ~snapshot_every:20 ~cfg ())
+          in
+          List.iter (apply_session s) ops;
+          Session.close s;
+          write_file
+            (Snapshot.path ~wal ~seq:40)
+            (snapshot_file ~seq:40 payload);
+          let before = Obs.value skipped_corrupt in
+          let s2 =
+            Obs.with_enabled true (fun () ->
+                Result.get_ok (Session.open_ ~wal ()))
+          in
+          Alcotest.(check int) (what ^ ": one skip counted") 1
+            (Obs.value skipped_corrupt - before);
+          (match Session.recovery s2 with
+          | Some r ->
+              Alcotest.(check (option int))
+                (what ^ ": fell back to snapshot 20")
+                (Some 20) r.Session.snapshot_seq
+          | None -> Alcotest.fail "expected recovery");
+          check_fp what expected (session_fingerprint s2);
+          Session.close s2))
+    (malformed_variants st40)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -945,12 +1153,17 @@ let () =
           Alcotest.test_case "known vectors" `Quick test_crc_vectors;
           Alcotest.test_case "detects single-bit flips" `Quick
             test_crc_detects_single_bit_flips;
+          Alcotest.test_case "every alignment and 1 MiB match the reference"
+            `Quick test_crc_every_alignment;
+          QCheck_alcotest.to_alcotest qcheck_crc_matches_reference;
         ] );
       ( "codec",
         Alcotest.test_case "garbage raises Malformed" `Quick
           test_codec_rejects_garbage
         :: Alcotest.test_case "adversarial length fails before allocation"
              `Quick test_codec_huge_length
+        :: Alcotest.test_case "malformed lengths under a valid CRC fail"
+             `Quick test_codec_rejects_malformed_state
         :: qcheck_cases
         @ List.map QCheck_alcotest.to_alcotest
             [
@@ -976,6 +1189,8 @@ let () =
             test_session_refuses_foreign_file;
           Alcotest.test_case "corrupt newest snapshot falls back" `Quick
             test_snapshot_survives_corrupt_newest;
+          Alcotest.test_case "malformed newest snapshot is skipped" `Quick
+            test_recovery_skips_malformed_snapshot;
         ] );
       ( "recovery",
         [

@@ -803,17 +803,31 @@ let test_grid_baseline_colored_dominates () =
 
 let dyadic k = float_of_int k /. 8.
 
+(* The solvers reject an empty input, and QCheck's list shrinker
+   ignores [list_of_size]'s lower bound: keep it away from [], so a
+   failure shrinks to a real counterexample instead of the solvers'
+   "must be non-empty" error. Generation is unchanged. *)
+let shrink_non_empty non_empty arb =
+  match arb.QCheck.shrink with
+  | None -> arb
+  | Some shrink ->
+      QCheck.set_shrink
+        (fun v yield -> shrink v (fun v' -> if non_empty v' then yield v'))
+        arb
+
 let gen_weighted_lattice =
   QCheck.(
     list_of_size
       (Gen.int_range 1 25)
       (triple (int_range 0 48) (int_range 0 48) (int_range 1 4)))
+  |> shrink_non_empty (( <> ) [])
 
 let gen_colored_lattice =
   QCheck.(
     list_of_size
       (Gen.int_range 1 25)
       (triple (int_range 0 48) (int_range 0 48) (int_range 0 5)))
+  |> shrink_non_empty (( <> ) [])
 
 let gen_offset = QCheck.int_range (-40) 40
 
@@ -904,6 +918,7 @@ let gen_interval_lattice =
          (Gen.int_range 1 30)
          (pair (int_range (-48) 48) (int_range 1 4)))
       (int_range 4 32))
+  |> shrink_non_empty (fun (l, _) -> l <> [])
 
 let interval_pts l =
   Array.of_list (List.map (fun (x, w) -> (dyadic x, float_of_int w)) l)

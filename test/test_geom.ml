@@ -438,6 +438,13 @@ let test_circle_coverage_cases () =
   (match Circle.coverage_by_disk c ~cx:0. ~cy:0. ~r:0.5 with
   | Circle.Disjoint -> ()
   | _ -> Alcotest.fail "expected Disjoint (inside)");
+  (* Closed disks: an externally tangent disk still holds the touching
+     point, a zero-length span towards its center. *)
+  (match Circle.coverage_by_disk c ~cx:2. ~cy:0. ~r:1. with
+  | Circle.Arc ivl ->
+      check_floatish "tangent start" 0. ivl.Angle.start;
+      check_floatish "tangent length" 0. ivl.Angle.len
+  | _ -> Alcotest.fail "expected a zero-length Arc (tangent)");
   match Circle.coverage_by_disk c ~cx:1. ~cy:0. ~r:1. with
   | Circle.Arc ivl ->
       (* Unit disk at distance 1: covered arc is 2pi/3 centered at angle 0. *)

@@ -361,6 +361,16 @@ let test_disk2d_single () =
   let r = Disk2d.max_weight ~radius:2. [| (3., 4., 7.) |] in
   check_float "single disk" 7. r.Disk2d.value
 
+let reversed a = Array.of_list (List.rev (Array.to_list a))
+
+(* The first two points are exactly 2r apart: the closed disk centred
+   midway holds all three, whatever the input order. *)
+let test_disk2d_tangent_closed () =
+  let pts = [| (1.625, 0.25, 1.); (3.625, 0.25, 1.); (2.375, 0.125, 1.) |] in
+  check_float "forward" 3. (Disk2d.max_weight ~radius:1. pts).Disk2d.value;
+  check_float "reversed" 3.
+    (Disk2d.max_weight ~radius:1. (reversed pts)).Disk2d.value
+
 let prop_disk2d_vs_brute =
   QCheck.Test.make ~count:150 ~name:"disk sweep matches candidate brute force"
     QCheck.(
@@ -393,6 +403,26 @@ let test_colored_disk_basic () =
   let colors = [| 1; 2; 3; 1; 1 |] in
   let r = Colored_disk2d.max_colored ~radius:1. centers ~colors in
   Alcotest.(check int) "three distinct colors" 3 r.Colored_disk2d.value
+
+(* The qcheck counterexample of the input-order property (lattice
+   coordinates / 8): (29, 2) and (13, 2) are exactly 2r apart, and the
+   closed disk between them reaches three colors. *)
+let test_colored_disk_tangent_closed () =
+  let l =
+    [
+      (11, 22, 2); (34, 38, 0); (1, 35, 2); (4, 12, 5); (19, 1, 1);
+      (18, 43, 2); (25, 46, 2); (20, 47, 5); (29, 2, 2); (13, 2, 5);
+    ]
+  in
+  let d k = float_of_int k /. 8. in
+  let centers = Array.of_list (List.map (fun (x, y, _) -> (d x, d y)) l) in
+  let colors = Array.of_list (List.map (fun (_, _, c) -> c) l) in
+  let value centers colors =
+    (Colored_disk2d.max_colored ~radius:1. centers ~colors).Colored_disk2d.value
+  in
+  Alcotest.(check int) "forward" 3 (value centers colors);
+  Alcotest.(check int) "reversed" 3
+    (value (reversed centers) (reversed colors))
 
 let test_colored_disk_duplicates_dont_count () =
   let centers = [| (0., 0.); (0.1, 0.); (0.2, 0.); (0.3, 0.) |] in
@@ -624,6 +654,8 @@ let () =
           Alcotest.test_case "two clusters, weighted" `Quick
             test_disk2d_two_clusters;
           Alcotest.test_case "single disk" `Quick test_disk2d_single;
+          Alcotest.test_case "tangent disks are closed" `Quick
+            test_disk2d_tangent_closed;
         ] );
       ( "colored-disk2d",
         [
@@ -631,6 +663,8 @@ let () =
           Alcotest.test_case "duplicates count once" `Quick
             test_colored_disk_duplicates_dont_count;
           Alcotest.test_case "depth queries" `Quick test_colored_depth_at;
+          Alcotest.test_case "tangent disks are closed" `Quick
+            test_colored_disk_tangent_closed;
         ] );
       ( "differential",
         [
