@@ -1,4 +1,5 @@
 module Grid = Maxrs_geom.Grid
+module Closed = Maxrs_geom.Closed
 module Kern = Maxrs_geom.Kern
 module Pstore = Maxrs_geom.Pstore
 module Shifted_grids = Maxrs_geom.Shifted_grids
@@ -107,7 +108,7 @@ let solve_grid ~budget pts colors grid =
              let i = Kern.Ibuf.get idxs s in
              let x, y = Array.unsafe_get pts i in
              let hit cx cy =
-               (((cx -. x) ** 2.) +. ((cy -. y) ** 2.)) <= 1. +. 1e-12
+               (((cx -. x) ** 2.) +. ((cy -. y) ** 2.)) <= Closed.unit_r2
              in
              if hit lox loy || hit lox hiy || hit hix loy || hit hix hiy then
                Kern.Ibuf.push trim i

@@ -128,10 +128,3 @@ let save_colored path pts colors =
   let buf = Buffer.create 4096 in
   format_colored buf pts colors;
   write_file path buf
-
-let save_1d path pts =
-  let buf = Buffer.create 4096 in
-  Array.iter
-    (fun (x, w) -> Buffer.add_string buf (Printf.sprintf "%.17g,%.17g\n" x w))
-    pts;
-  write_file path buf

@@ -42,7 +42,6 @@ val load_1d : string -> (float * float) array
 
 val save_weighted : string -> (Maxrs_geom.Point.t * float) array -> unit
 val save_colored : string -> (float * float) array -> int array -> unit
-val save_1d : string -> (float * float) array -> unit
 
 val format_weighted : Buffer.t -> (Maxrs_geom.Point.t * float) array -> unit
 val format_colored : Buffer.t -> (float * float) array -> int array -> unit

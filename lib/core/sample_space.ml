@@ -1,5 +1,6 @@
 module Point = Maxrs_geom.Point
 module Ball = Maxrs_geom.Ball
+module Closed = Maxrs_geom.Closed
 module Grid = Maxrs_geom.Grid
 module Shifted_grids = Maxrs_geom.Shifted_grids
 module Sphere = Maxrs_geom.Sphere
@@ -241,6 +242,7 @@ let update_cell t cell ~center update =
   let posf = cell.posf and depth = cell.depth and sver = cell.sver in
   let changed = ref false in
   let mx = ref Float.neg_infinity and arg = ref 0 in
+  let r2 = Closed.unit_r2 in
   for si = 0 to n - 1 do
     let d2 = ref 0. in
     for k = 0 to dim - 1 do
@@ -249,7 +251,7 @@ let update_cell t cell ~center update =
       in
       d2 := !d2 +. (d *. d)
     done;
-    if !d2 <= 1. +. 1e-12 && update si then begin
+    if !d2 <= r2 && update si then begin
       Array.unsafe_set sver si (Array.unsafe_get sver si + 1);
       changed := true
     end;
@@ -273,6 +275,7 @@ let update_cell_add t cell ~center ~delta =
   let posf = cell.posf and depth = cell.depth and sver = cell.sver in
   let changed = ref false in
   let mx = ref Float.neg_infinity and arg = ref 0 in
+  let r2 = Closed.unit_r2 in
   for si = 0 to n - 1 do
     let d2 = ref 0. in
     for k = 0 to dim - 1 do
@@ -281,7 +284,7 @@ let update_cell_add t cell ~center ~delta =
       in
       d2 := !d2 +. (d *. d)
     done;
-    if !d2 <= 1. +. 1e-12 then begin
+    if !d2 <= r2 then begin
       FA.unsafe_set depth si (FA.unsafe_get depth si +. delta);
       Array.unsafe_set sver si (Array.unsafe_get sver si + 1);
       changed := true
@@ -305,6 +308,7 @@ let update_cell_color t cell ~center ~color =
   and flag = cell.flag in
   let changed = ref false in
   let mx = ref Float.neg_infinity and arg = ref 0 in
+  let r2 = Closed.unit_r2 in
   for si = 0 to n - 1 do
     let d2 = ref 0. in
     for k = 0 to dim - 1 do
@@ -313,7 +317,7 @@ let update_cell_color t cell ~center ~color =
       in
       d2 := !d2 +. (d *. d)
     done;
-    if !d2 <= 1. +. 1e-12 && Array.unsafe_get flag si <> color then begin
+    if !d2 <= r2 && Array.unsafe_get flag si <> color then begin
       Array.unsafe_set flag si color;
       FA.unsafe_set depth si (FA.unsafe_get depth si +. 1.);
       Array.unsafe_set sver si (Array.unsafe_get sver si + 1);
@@ -357,6 +361,7 @@ let insert_in_grid t ~grid:gi ~center ~weight =
       let posf = cell.posf and depth = cell.depth and sver = cell.sver in
       let changed = ref false in
       let mx = ref Float.neg_infinity and arg = ref 0 in
+      let r2 = Closed.unit_r2 in
       for si = 0 to n - 1 do
         let d2 = ref 0. in
         for k = 0 to dim - 1 do
@@ -365,7 +370,7 @@ let insert_in_grid t ~grid:gi ~center ~weight =
           in
           d2 := !d2 +. (d *. d)
         done;
-        if !d2 <= 1. +. 1e-12 then begin
+        if !d2 <= r2 then begin
           FA.unsafe_set depth si (FA.unsafe_get depth si +. weight);
           Array.unsafe_set sver si (Array.unsafe_get sver si + 1);
           changed := true
@@ -437,11 +442,6 @@ let touch_colored_in_grid t ~grid ~center ~color =
       cell.nballs <- cell.nballs + 1;
       update_cell_color t cell ~center ~color)
 
-let touch_colored t ~center ~color =
-  for gi = 0 to grid_count t - 1 do
-    touch_colored_in_grid t ~grid:gi ~center ~color
-  done
-
 let iter_samples t f =
   Array.iter
     (fun table ->
@@ -511,11 +511,6 @@ let best_cell_in_grid t gi =
       | _ -> best := Some c)
     t.tables.(gi);
   !best
-
-let best_in_grid t ~grid =
-  match best_cell_in_grid t grid with
-  | Some c when c.max_depth > Float.neg_infinity -> Some (cell_best c)
-  | _ -> None
 
 let best t =
   let best = ref None in

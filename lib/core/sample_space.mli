@@ -94,13 +94,12 @@ val insert_in_grid :
 
 val touch_colored_in_grid :
   t -> grid:int -> center:Maxrs_geom.Point.t -> color:int -> unit
-(** {!touch_colored} restricted to one grid (same contract as
-    {!insert_in_grid}). *)
-
-val best_in_grid : t -> grid:int -> sample option
-(** Max-depth sample among the live cells of one grid (ties broken by
-    that grid's table iteration order, which is deterministic for a
-    fixed operation sequence on the grid). *)
+(** Colored variant of {!insert_in_grid} (Section 3.2): for every
+    sample of an intersected cell lying inside the ball, if
+    [flag <> color] set the flag and increment the depth by 1. Balls
+    must be fed grouped by color. Also maintains refcounts and
+    materialization like {!insert_in_grid}, with the same
+    disjoint-state contract. *)
 
 val delete : t -> center:Maxrs_geom.Point.t -> weight:float -> unit
 (** Reverse of {!insert}; drops cells whose refcount reaches zero. *)
@@ -116,12 +115,6 @@ val insert_with : t -> center:Maxrs_geom.Point.t -> f:(sample -> float) -> unit
     sample of those cells lying inside the ball (a return of 0 leaves
     the sample untouched). Lets callers maintain custom depth notions
     (e.g. the streaming colored monitor's incidence sets). *)
-
-val touch_colored : t -> center:Maxrs_geom.Point.t -> color:int -> unit
-(** Colored variant of {!insert} (Section 3.2): for every sample of an
-    intersected cell lying inside the ball, if [flag <> color] set the
-    flag and increment the depth by 1. Balls must be fed grouped by
-    color. Also maintains refcounts/materialization like {!insert}. *)
 
 val best : t -> sample option
 (** Linear scan over cells for a sample of maximum depth (static

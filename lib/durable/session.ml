@@ -369,8 +369,7 @@ let recover ~wal ~fsync ~domains ~t0 (logs : logs) =
                        place (its surviving ops, if any, lie beyond the
                        merged prefix). *)
                     Wal.create path (params_of store ~base_seq:base) ~fsync
-                | valid_bytes, records ->
-                    Wal.reopen path ~valid_bytes ~records ~fsync)
+                | valid_bytes, _ -> Wal.reopen path ~valid_bytes ~fsync)
           in
           if logs.rebuild_manifest then
             Shard_wal.write_manifest wal

@@ -251,8 +251,6 @@ type writer = {
   fd : Unix.file_descr;
   policy : fsync_policy;
   mutable unsynced : int;  (* appends since the last fsync *)
-  mutable bytes : int;  (* current valid file length *)
-  mutable records : int;
   mutable closed : bool;
 }
 
@@ -285,31 +283,20 @@ let create path params ~fsync =
   let frame = frame_bytes (F_params params) in
   let b = Bytes.cat (Bytes.of_string magic) frame in
   write_all fd b;
-  let w =
-    {
-      fd;
-      policy = fsync;
-      unsynced = 1;
-      bytes = Bytes.length b;
-      records = 0;
-      closed = false;
-    }
-  in
+  let w = { fd; policy = fsync; unsynced = 1; closed = false } in
   (* The header is always made durable immediately, whatever the
      policy: an unreadable header would cost the whole log. *)
   do_fsync w;
   Obs.add c_bytes (Bytes.length b);
   w
 
-let reopen path ~valid_bytes ~records ~fsync =
+let reopen path ~valid_bytes ~fsync =
   let fd = Unix.openfile path [ Unix.O_WRONLY ] 0o644 in
   (* Cut off any trailing garbage past the valid prefix so new frames
      never follow damaged bytes. *)
   Unix.ftruncate fd valid_bytes;
   ignore (Unix.lseek fd valid_bytes Unix.SEEK_SET);
-  let w =
-    { fd; policy = fsync; unsynced = 1; bytes = valid_bytes; records; closed = false }
-  in
+  let w = { fd; policy = fsync; unsynced = 1; closed = false } in
   do_fsync w;
   w
 
@@ -317,8 +304,6 @@ let append w r =
   if w.closed then invalid_arg "Wal.append: writer is closed";
   let frame = frame_bytes (F_op r) in
   write_all w.fd frame;
-  w.bytes <- w.bytes + Bytes.length frame;
-  w.records <- w.records + 1;
   w.unsynced <- w.unsynced + 1;
   Obs.incr c_records;
   Obs.add c_bytes (Bytes.length frame);
@@ -328,9 +313,6 @@ let append w r =
   | Never -> ())
 
 let flush w = if not w.closed then do_fsync w
-
-let bytes_written w = w.bytes
-let records_written w = w.records
 
 let close w =
   if not w.closed then begin

@@ -76,7 +76,7 @@ val create : string -> params -> fsync:fsync_policy -> writer
 (** Truncate/create the file and write the header (magic + params
     frame), fsyncing it regardless of policy. *)
 
-val reopen : string -> valid_bytes:int -> records:int -> fsync:fsync_policy -> writer
+val reopen : string -> valid_bytes:int -> fsync:fsync_policy -> writer
 (** Continue an existing log: truncate to the scanned valid prefix
     (dropping any torn/corrupt suffix) and append after it. *)
 
@@ -88,9 +88,6 @@ val flush : writer -> unit
 
 val close : writer -> unit
 (** Flush and close. Idempotent. *)
-
-val bytes_written : writer -> int
-val records_written : writer -> int
 
 val record_size : record -> int
 (** On-disk frame size of a record, in bytes. *)

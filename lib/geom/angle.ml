@@ -11,12 +11,12 @@ let ivl a b =
   { start = a; len = norm (b -. a) }
 
 let full = { start = 0.; len = two_pi }
-let is_full i = i.len >= two_pi -. 1e-12
+let is_full i = i.len >= two_pi -. Closed.angle_eps
 
 let mem i theta =
   let t = norm theta in
   let off = norm (t -. i.start) in
-  off <= i.len +. 1e-12
+  off <= i.len +. Closed.angle_eps
 
 let midpoint i = norm (i.start +. (i.len /. 2.))
 let endpoints i = (i.start, norm (i.start +. i.len))
@@ -72,7 +72,7 @@ let merge_pieces a b count =
     let m = ref 0 in
     for i = 0 to count - 1 do
       let ai = Fvec.get a i and bi = Fvec.get b i in
-      if !m > 0 && ai <= Fvec.get b (!m - 1) +. 1e-12 then
+      if !m > 0 && ai <= Fvec.get b (!m - 1) +. Closed.angle_eps then
         Fvec.set b (!m - 1) (Float.max (Fvec.get b (!m - 1)) bi)
       else begin
         Fvec.set a !m ai;
@@ -104,24 +104,25 @@ let complement ivls =
     else begin
       (* Gaps between consecutive covered pieces, plus the wrap-around gap
          from the last piece's end back to the first piece's start. *)
+      let tol = Closed.angle_eps in
       let first_a = Fvec.get a 0 in
       let acc = ref [] in
       for i = 0 to m - 2 do
         let b_i = Fvec.get b i and a' = Fvec.get a (i + 1) in
-        if a' -. b_i > 1e-12 then
+        if a' -. b_i > tol then
           acc := { start = b_i; len = a' -. b_i } :: !acc
       done;
       let b_last = Fvec.get b (m - 1) in
       let wrap = { start = norm b_last; len = norm (first_a -. b_last) } in
       let acc =
         if
-          norm (first_a -. b_last) > 1e-12
-          || (b_last >= two_pi -. 1e-12 && first_a <= 1e-12)
-        then if wrap.len > 1e-12 then wrap :: !acc else !acc
+          norm (first_a -. b_last) > tol
+          || (b_last >= two_pi -. tol && first_a <= tol)
+        then if wrap.len > tol then wrap :: !acc else !acc
         else !acc
       in
       List.rev acc
     end
   end
 
-let covers_circle ivls = total_length ivls >= two_pi -. 1e-9
+let covers_circle ivls = total_length ivls >= two_pi -. Closed.angle_eps

@@ -4,7 +4,8 @@
     this repository (exact disk MaxRS, union-of-disks boundaries, the
     output-sensitive colored algorithm). An interval is a counter-clockwise
     span [{start; len}] with [0 <= start < 2pi] and [0 <= len <= 2pi]; it
-    may wrap past [2pi]. *)
+    may wrap past [2pi]. Every comparison here allows the one angular
+    slack {!Closed.angle_eps}. *)
 
 val two_pi : float
 
@@ -21,6 +22,7 @@ val ivl : float -> float -> ivl
 val full : ivl
 
 val is_full : ivl -> bool
+(** Whether the span misses the full turn by at most the angular slack. *)
 
 val mem : ivl -> float -> bool
 (** Closed membership of a (normalized) angle in the span. *)
@@ -40,3 +42,5 @@ val complement : ivl list -> ivl list
     input and [[]] if the input covers the circle. *)
 
 val covers_circle : ivl list -> bool
+(** Whether the union of the spans misses the full turn by at most the
+    angular slack. *)

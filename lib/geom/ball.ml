@@ -1,27 +1,19 @@
 type t = { center : Point.t; radius : float }
 
-(* Points constructed to lie exactly on a sphere (e.g. by [Sphere.sample])
-   suffer float rounding; the paper's ranges are closed, so containment
-   uses a small absolute slack. *)
-let boundary_tolerance = 1e-9
-
 let make center radius =
   assert (radius >= 0.);
   { center; radius }
 
 let unit center = make center 1.
 let dim b = Point.dim b.center
+let contains b p = Closed.in_ball ~radius:b.radius (Point.dist2 p b.center)
 
-let contains b p =
-  Point.dist2 p b.center <= ((b.radius +. boundary_tolerance) ** 2.)
-
-let contains_strict b p = Point.dist2 p b.center < b.radius *. b.radius
-
+(* Two balls meet iff one center lies in the other's ball grown by the
+   first radius (the Minkowski sum), so the rule applies once. *)
 let intersects_ball a b =
-  let r = a.radius +. b.radius in
-  Point.dist2 a.center b.center <= r *. r
+  Closed.in_ball ~radius:(a.radius +. b.radius) (Point.dist2 a.center b.center)
 
 let intersects_box b box =
-  Box.dist2_to_point box b.center <= b.radius *. b.radius
+  Closed.in_ball ~radius:b.radius (Box.dist2_to_point box b.center)
 
 let pp ppf b = Format.fprintf ppf "B(%a, %g)" Point.pp b.center b.radius

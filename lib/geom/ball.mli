@@ -11,19 +11,14 @@ val unit : Point.t -> t
 val dim : t -> int
 
 val contains : t -> Point.t -> bool
-(** Closed containment: [dist p center <= radius] (with a tiny tolerance so
-    that points constructed to lie exactly on the boundary count as
-    inside, matching the paper's closed ranges). *)
-
-val contains_strict : t -> Point.t -> bool
-(** Open containment, no tolerance. *)
+(** Closed containment under the {!Closed} rule:
+    [dist p center <= radius + Closed.eps]. *)
 
 val intersects_ball : t -> t -> bool
+(** Whether the two closed balls touch: centers at most
+    [ra + rb + Closed.eps] apart. *)
 
 val intersects_box : t -> Box.t -> bool
-(** Whether the closed ball meets the closed box. *)
-
-val boundary_tolerance : float
-(** The absolute tolerance used by [contains]. *)
+(** Whether the closed ball reaches the closed box. *)
 
 val pp : Format.formatter -> t -> unit

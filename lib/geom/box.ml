@@ -11,12 +11,14 @@ let of_center_half_extent c h =
 
 let dim b = Point.dim b.lo
 let center b = Point.midpoint b.lo b.hi
-let side_lengths b = Array.init (dim b) (fun i -> b.hi.(i) -. b.lo.(i))
 let circumradius b = 0.5 *. Point.dist b.lo b.hi
 
 let contains b p =
   let rec go i =
-    i >= dim b || (b.lo.(i) <= p.(i) && p.(i) <= b.hi.(i) && go (i + 1))
+    i >= dim b
+    || b.lo.(i) -. Closed.eps <= p.(i)
+       && p.(i) <= b.hi.(i) +. Closed.eps
+       && go (i + 1)
   in
   Point.dim p = dim b && go 0
 
@@ -46,7 +48,10 @@ let dist2_to_point b p =
 
 let intersects_box a b =
   let rec go i =
-    i >= dim a || (a.lo.(i) <= b.hi.(i) && b.lo.(i) <= a.hi.(i) && go (i + 1))
+    i >= dim a
+    || a.lo.(i) <= b.hi.(i) +. Closed.eps
+       && b.lo.(i) <= a.hi.(i) +. Closed.eps
+       && go (i + 1)
   in
   go 0
 

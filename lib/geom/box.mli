@@ -12,15 +12,14 @@ val dim : t -> int
 
 val center : t -> Point.t
 
-val side_lengths : t -> float array
-
 val circumradius : t -> float
 (** Radius of the smallest ball centered at [center] covering the box
     (half the diagonal). For a cube of side [s] in [R^d] this is
     [s * sqrt d / 2]. *)
 
 val contains : t -> Point.t -> bool
-(** Closed containment. *)
+(** Closed containment under the {!Closed} rule: every coordinate within
+    [Closed.eps] of [\[lo_i, hi_i\]]. *)
 
 val corners : t -> Point.t list
 (** All [2^d] corners. *)
@@ -29,5 +28,6 @@ val dist2_to_point : t -> Point.t -> float
 (** Squared distance from a point to the closed box (0 if inside). *)
 
 val intersects_box : t -> t -> bool
+(** Whether the two closed boxes touch, within [Closed.eps] per axis. *)
 
 val pp : Format.formatter -> t -> unit

@@ -16,11 +16,13 @@ let cov_arc = 2
 let coverage_into c ~cx ~cy ~r out =
   let dx = cx -. c.cx and dy = cy -. c.cy in
   let dd = sqrt ((dx *. dx) +. (dy *. dy)) in
-  (* The disk is closed: at exact tangency (external, or internal from
-     inside the circle) it still holds the touching point, which the arc
-     branch yields as a zero-length span. *)
-  if dd +. c.r <= r then cov_covered
-  else if dd > r +. c.r || dd +. r < c.r then cov_disjoint
+  (* The [Closed] rule: the disk reaches [r + eps], read inline since
+     this runs once per disk pair of the quadratic sweeps. Tangency
+     within [eps] is touching: the arc branch, computed at the nominal
+     radius, clamps it to a zero-length span towards the disk. *)
+  let reach = r +. Closed.eps in
+  if dd +. c.r <= reach then cov_covered
+  else if dd > reach +. c.r || dd +. reach < c.r then cov_disjoint
   else if dd < 1e-15 then (* concentric, neither contained: numeric guard *)
     cov_disjoint
   else begin
@@ -52,7 +54,9 @@ let intersections c1 c2 =
   let d2 = (dx *. dx) +. (dy *. dy) in
   let d = sqrt d2 in
   if d < 1e-15 then []
-  else if d > c1.r +. c2.r || d < Float.abs (c1.r -. c2.r) then []
+  else if
+    d > c1.r +. c2.r +. Closed.eps || d +. Closed.eps < Float.abs (c1.r -. c2.r)
+  then []
   else
     (* Standard two-circle intersection: a = distance from c1 along the
        center line to the radical line, h = half chord length. *)
@@ -63,6 +67,3 @@ let intersections c1 c2 =
     let ox = -.dy *. h /. d and oy = dx *. h /. d in
     if h = 0. then [ (mx, my) ]
     else [ (mx +. ox, my +. oy); (mx -. ox, my -. oy) ]
-
-let intersection_angles c1 c2 =
-  List.map (fun (x, y) -> angle_of c1 x y) (intersections c1 c2)

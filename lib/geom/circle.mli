@@ -20,7 +20,10 @@ type coverage =
 
 val coverage_by_disk : t -> cx:float -> cy:float -> r:float -> coverage
 (** [coverage_by_disk c ~cx ~cy ~r] describes the set
-    [{theta | point_at c theta inside the closed disk (cx,cy,r)}]. *)
+    [{theta | point_at c theta inside the closed disk (cx,cy,r)}]. The
+    [Covered]/[Disjoint] tests follow the {!Closed} rule, so a disk
+    tangent within [Closed.eps] touches the circle in a zero-length
+    [Arc]; arc bounds are computed at the nominal radius. *)
 
 (** Allocation-free variant for the sweep hot loops: the classification
     comes back as an int code and arc bounds land in a caller-provided
@@ -38,9 +41,6 @@ val coverage_into : t -> cx:float -> cy:float -> r:float -> floatarray -> int
     returned). [out] must have at least 2 slots. *)
 
 val intersections : t -> t -> (float * float) list
-(** The 0, 1 or 2 intersection points of the two circles. Concentric or
-    (near-)identical circles yield []. *)
-
-val intersection_angles : t -> t -> float list
-(** Angles on the first circle of its intersection points with the
-    second. *)
+(** The 0, 1 or 2 intersection points of the two circles. Circles
+    tangent within [Closed.eps] meet in one point on the center line.
+    Concentric or (near-)identical circles yield []. *)

@@ -42,22 +42,6 @@ let fill (a : t) v = BA1.fill a v
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   BA1.blit (BA1.sub src src_pos len) (BA1.sub dst dst_pos len)
 
-let of_floatarray fa =
-  let n = Float.Array.length fa in
-  let a = create n in
-  for i = 0 to n - 1 do
-    unsafe_set a i (Float.Array.unsafe_get fa i)
-  done;
-  a
-
-let to_floatarray (a : t) =
-  let n = length a in
-  let fa = Float.Array.create n in
-  for i = 0 to n - 1 do
-    Float.Array.unsafe_set fa i (unsafe_get a i)
-  done;
-  fa
-
 let init n f =
   let a = create n in
   for i = 0 to n - 1 do

@@ -30,6 +30,4 @@ external unsafe_get : t -> int -> float = "%caml_ba_unsafe_ref_1"
 external unsafe_set : t -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 val fill : t -> float -> unit
 val blit : src:t -> src_pos:int -> dst:t -> dst_pos:int -> len:int -> unit
-val of_floatarray : floatarray -> t
-val to_floatarray : t -> floatarray
 val init : int -> (int -> float) -> t

@@ -27,10 +27,11 @@ let cell_circumradius g = g.side *. sqrt (float_of_int g.dim) /. 2.
    are caller-provided scratch (length >= dim), so a caller looping over
    many balls (the sample-space insert path) allocates nothing per call.
    The key passed to [f] is the [key] scratch buffer: copy it before
-   retaining. *)
+   retaining. The enumeration reaches [radius + Closed.eps], the closed
+   rule's reach, added here so that no caller boxes a reach per call. *)
 let iter_keys_intersecting_into g ~lo ~hi ~key ~center ~radius f =
   let d = g.dim in
-  let c = center and r = radius in
+  let c = center and r = radius +. Closed.eps in
   for i = 0 to d - 1 do
     lo.(i) <- int_of_float (Float.floor ((c.(i) -. r -. g.origin.(i)) /. g.side));
     hi.(i) <- int_of_float (Float.floor ((c.(i) +. r -. g.origin.(i)) /. g.side));

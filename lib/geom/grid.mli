@@ -23,7 +23,9 @@ val cell_circumradius : t -> float
 
 val iter_keys_intersecting_ball : t -> Ball.t -> (key -> unit) -> unit
 (** Enumerate the keys of all cells whose closed box meets the closed
-    ball. Cost is proportional to the bounding-box cell count,
+    ball out to its {!Closed.reach}, so every cell holding a point that
+    {!Ball.contains} accepts is visited. Cost is proportional to the
+    bounding-box cell count,
     [(2r/s + 2)^d], with per-axis distance pruning. The key passed to the
     callback is a scratch buffer reused across calls — copy it before
     retaining it. *)

@@ -98,7 +98,7 @@ let dist2_to t i q =
   !acc
 
 let iter_in_ball t ball f =
-  let r2 = (ball.Ball.radius +. Ball.boundary_tolerance) ** 2. in
+  let r2 = Closed.ball_r2 ball.Ball.radius in
   let center = ball.Ball.center in
   let rec go node =
     Obs.incr c_visits;

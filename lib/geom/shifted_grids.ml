@@ -56,10 +56,13 @@ let make ?cap ?rng ~dim ~side ~delta () =
 
 let count t = Array.length t.grids
 
+(* Δ-near means inside the closed Δ-ball about the cell center. *)
+let near t g key p =
+  Closed.in_ball ~radius:t.delta (Point.dist2 p (Grid.cell_center g key))
+
 let is_near t ~grid_index p =
   let g = t.grids.(grid_index) in
-  let key = Grid.key_of_point g p in
-  Point.dist p (Grid.cell_center g key) <= t.delta +. 1e-12
+  near t g (Grid.key_of_point g p) p
 
 let find_near t p =
   let n = count t in
@@ -68,8 +71,6 @@ let find_near t p =
     else
       let g = t.grids.(i) in
       let key = Grid.key_of_point g p in
-      if Point.dist p (Grid.cell_center g key) <= t.delta +. 1e-12 then
-        Some (i, key)
-      else go (i + 1)
+      if near t g key p then Some (i, key) else go (i + 1)
   in
   go 0

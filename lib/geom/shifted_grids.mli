@@ -32,7 +32,8 @@ val shifts_per_axis : side:float -> delta:float -> dim:int -> int
 val count : t -> int
 
 val is_near : t -> grid_index:int -> Point.t -> bool
-(** Whether the point is [delta]-near in the given grid. *)
+(** Whether the point is [delta]-near in the given grid: inside the
+    closed [delta]-ball about its cell's center ({!Closed} rule). *)
 
 val find_near : t -> Point.t -> (int * Grid.key) option
 (** Some grid of the collection in which the point is [delta]-near

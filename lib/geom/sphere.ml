@@ -22,9 +22,6 @@ let sample_on rng ~center ~radius =
       let u = direction rng d in
       Point.add center (Point.scale radius u)
 
-let sample_on_many rng ~center ~radius t =
-  Array.init t (fun _ -> sample_on rng ~center ~radius)
-
 (* Bulk variant of [sample_on] writing row-major into a flat column:
    sample [si]'s coordinates land at [buf.(si*d + k)]. Draw order and
    float expressions are exactly [sample_on]'s, applied for ascending

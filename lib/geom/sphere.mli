@@ -5,9 +5,6 @@ val sample_on : Rng.t -> center:Point.t -> radius:float -> Point.t
 (** A point distributed uniformly on the (d-1)-sphere of the given center
     and radius: sample d independent gaussians, normalize, scale. *)
 
-val sample_on_many : Rng.t -> center:Point.t -> radius:float -> int -> Point.t array
-(** [sample_on_many rng ~center ~radius t] draws [t] independent samples. *)
-
 val fill_on : Rng.t -> center:Point.t -> radius:float -> floatarray -> unit
 (** [fill_on rng ~center ~radius buf] fills [buf] with
     [Float.Array.length buf / dim] samples row-major (sample, axis),

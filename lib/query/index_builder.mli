@@ -4,9 +4,12 @@
     {!Maxrs_durable.Session}; this builder periodically captures a
     consistent state (or loads the newest durable snapshot), compiles
     an immutable index on its own domain, and publishes it through
-    {!Epoch}. Readers are never blocked by a build — they keep serving
-    from the previous epoch until the swap, and the swap is one atomic
-    store.
+    {!Epoch}. Readers keep serving the previous epoch until the swap,
+    and the swap is one atomic store; the compile blocks nobody. The
+    capture does: it runs inside the source's critical section, so
+    whoever shares that lock (the server's writers, and the seq read of
+    its indexed [Range_sum]) waits for one full state copy per
+    rebuild.
 
     Locking is the caller's: a {!source}'s closures must themselves be
     safe to call concurrently with writes (the server wraps them in its

@@ -30,12 +30,19 @@ type t = {
 type seg = { s_lo : int; s_hi : int; s_sum : float }
 
 (* Node values are P(r) -. P(l); the total order for "best" is value
-   descending, then l ascending, then r ascending — strict on distinct
-   (l, r) pairs, so every merge/fold order yields the same segment. *)
+   descending, then P(r) descending, P(l) ascending, l ascending, r
+   ascending — strict on distinct (l, r) pairs, so every merge/fold
+   order yields the same segment, and the leftmost argmin/argmax
+   shortcuts stay exact on rounding ties (DESIGN.md §13). *)
 let better p l1 r1 l2 r2 =
-  let v1 = Fvec.unsafe_get p r1 -. Fvec.unsafe_get p l1
-  and v2 = Fvec.unsafe_get p r2 -. Fvec.unsafe_get p l2 in
-  v1 > v2 || (v1 = v2 && (l1 < l2 || (l1 = l2 && r1 < r2)))
+  let pl1 = Fvec.unsafe_get p l1 and pr1 = Fvec.unsafe_get p r1 in
+  let pl2 = Fvec.unsafe_get p l2 and pr2 = Fvec.unsafe_get p r2 in
+  let v1 = pr1 -. pl1 and v2 = pr2 -. pl2 in
+  v1 > v2
+  || v1 = v2
+     && (pr1 > pr2
+        || pr1 = pr2
+           && (pl1 < pl2 || (pl1 = pl2 && (l1 < l2 || (l1 = l2 && r1 < r2)))))
 
 let of_batched ?(lens = [||]) (b : Interval1d.batched) =
   let n = b.n in

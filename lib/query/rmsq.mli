@@ -79,9 +79,12 @@ val top_segment : t -> seg option
 val max_sum_in_range : t -> lo:int -> hi:int -> seg option
 (** Best non-empty segment of the sorted order confined to element
     indices [[lo..hi]], inclusive; O(log n). [None] when the clamped
-    range is empty. Among equal-sum segments the answer is the one
-    with the smallest [s_lo], then smallest [s_hi] (a strict total
-    order, so the answer is independent of the tree decomposition). *)
+    range is empty. Among segments whose sums round to the same value
+    the answer has the largest prefix sum at its right end, then the
+    smallest at its left end, then the smallest [s_lo], then the
+    smallest [s_hi] (a strict total order, so the answer is independent
+    of the tree decomposition). With exact sums (integer weights) this
+    is the smallest [s_lo], then the smallest [s_hi]. *)
 
 val max_sum_in_coords : t -> lo:float -> hi:float -> seg option
 (** Same, over the points whose {e coordinate} lies in [[lo, hi]]

@@ -29,13 +29,6 @@ let of_env () =
 
 type fault = Tear | Flip | Oversize | Stall | Disconnect
 
-let fault_to_string = function
-  | Tear -> "tear"
-  | Flip -> "flip"
-  | Oversize -> "oversize"
-  | Stall -> "stall"
-  | Disconnect -> "disconnect"
-
 let splitmix64 x =
   let open Int64 in
   let z = add x 0x9E3779B97F4A7C15L in

@@ -17,8 +17,6 @@ val of_env : unit -> config option
 
 type fault = Tear | Flip | Oversize | Stall | Disconnect
 
-val fault_to_string : fault -> string
-
 val decide : config -> conn:int -> dir:int -> chunk:int -> fault option
 (** The pure fault schedule ([dir] 0 = client→server, 1 = reverse). *)
 

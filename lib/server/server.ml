@@ -755,7 +755,10 @@ let start cfg =
           in
           (* Read tier: compile indexes on a background domain from
              states captured under the session lock, swap them in
-             through the epoch cell. Writers never wait on a build. *)
+             through the epoch cell. Only the compile and the swap run
+             outside the lock: every rebuild first holds it for a full
+             [Session.state] capture, and writers, like the seq read of
+             an indexed [Range_sum], wait for that capture. *)
           (match session with
           | Some sess when cfg.index ->
               let locked f =

@@ -18,9 +18,10 @@ type result = {
 
 val max_sum : widths:float array -> (Maxrs_geom.Point.t * float) array -> result
 (** [max_sum ~widths pts]: place a box with side lengths [widths]
-    (closed) to cover maximum weight. Requires positive widths, points of
-    dimension [Array.length widths], non-negative weights, and a
-    non-empty input. *)
+    (closed under the {!Maxrs_geom.Closed} rule) to cover maximum
+    weight. Requires positive widths, points of dimension
+    [Array.length widths], non-negative weights, and a non-empty
+    input. *)
 
 val depth_at :
   widths:float array -> (Maxrs_geom.Point.t * float) array -> Maxrs_geom.Point.t -> float

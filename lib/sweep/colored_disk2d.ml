@@ -1,4 +1,5 @@
 module Circle = Maxrs_geom.Circle
+module Closed = Maxrs_geom.Closed
 module Angle = Maxrs_geom.Angle
 module Kern = Maxrs_geom.Kern
 module Pstore = Maxrs_geom.Pstore
@@ -17,7 +18,7 @@ let c_circles = Obs.counter "sweep.circles"
 type result = { x : float; y : float; value : int }
 
 let colored_depth_at ~radius centers ~colors qx qy =
-  let r2 = (radius +. 1e-9) ** 2. in
+  let r2 = Closed.ball_r2 radius in
   let seen = Hashtbl.create 16 in
   Array.iteri
     (fun i (x, y) ->
@@ -26,9 +27,10 @@ let colored_depth_at ~radius centers ~colors qx qy =
     centers;
   Hashtbl.length seen
 
-(* Columnar twin of [colored_depth_at]; cold path (once per solve). *)
+(* Columnar twin of [colored_depth_at]; cold path (once per solve). The
+   bound is spelled out as in [Disk2d.depth_at_cols]. *)
 let colored_depth_at_cols ~radius xs ys colors n qx qy =
-  let r2 = (radius +. 1e-9) ** 2. in
+  let r2 = (radius +. Closed.eps) *. (radius +. Closed.eps) in
   let seen = Hashtbl.create 16 in
   for i = 0 to n - 1 do
     let d2 =

@@ -1,11 +1,13 @@
+module Closed = Maxrs_geom.Closed
+
 type result = { x : float; y : float; value : int }
 
 let colored_depth_at ~width ~height centers ~colors qx qy =
-  let hw = (width /. 2.) +. 1e-12 and hh = (height /. 2.) +. 1e-12 in
+  let rw = Closed.reach (width /. 2.) and rh = Closed.reach (height /. 2.) in
   let seen = Hashtbl.create 16 in
   Array.iteri
     (fun i (x, y) ->
-      if Float.abs (x -. qx) <= hw && Float.abs (y -. qy) <= hh then
+      if Float.abs (x -. qx) <= rw && Float.abs (y -. qy) <= rh then
         Hashtbl.replace seen colors.(i) ())
     centers;
   Hashtbl.length seen
@@ -14,21 +16,21 @@ let max_colored ~width ~height centers ~colors =
   assert (width > 0. && height > 0.);
   let n = Array.length centers in
   assert (n > 0 && Array.length colors = n);
-  let hw = width /. 2. and hh = height /. 2. in
+  let rw = Closed.reach (width /. 2.) and rh = Closed.reach (height /. 2.) in
   let best = ref { x = 0.; y = 0.; value = 0 } in
-  (* Candidate x-centers: a maximum placement slides left until a covered
-     point binds at x = cx - width/2. *)
+  (* Candidate x-coordinates: a maximum-depth point slides left until
+     some dual box's left edge binds. *)
   let seen_cx = Hashtbl.create n in
   Array.iter
     (fun (px, _) ->
-      let cx = px +. hw in
+      let cx = px -. rw in
       if not (Hashtbl.mem seen_cx cx) then begin
         Hashtbl.add seen_cx cx ();
         let ivls = ref [] in
         Array.iteri
           (fun i (x, y) ->
-            if Float.abs (x -. cx) <= hw +. 1e-12 then
-              ivls := ((y -. hh, y +. hh), colors.(i)) :: !ivls)
+            if x -. rw <= cx && cx <= x +. rw then
+              ivls := ((y -. rh, y +. rh), colors.(i)) :: !ivls)
           centers;
         match !ivls with
         | [] -> ()
@@ -37,4 +39,10 @@ let max_colored ~width ~height centers ~colors =
             if depth > !best.value then best := { x = cx; y; value = depth }
       end)
     centers;
-  !best
+  let { x; y; value } = !best in
+  let x, y =
+    Rect2d.center_with_margin ~width ~height
+      (Array.map (fun (x, y) -> (x, y, 0.)) centers)
+      x y
+  in
+  { x; y; value }

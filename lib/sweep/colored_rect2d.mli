@@ -2,10 +2,11 @@
     [ZGH+22] cited in Section 1.3: place a [width x height] axis-aligned
     rectangle to cover the maximum number of distinctly colored points.
 
-    O(n^2 log n) algorithm: in the dual, a maximum-depth point can be
-    slid left until some dual box's left edge binds, giving n candidate
-    x-coordinates; for each, the active points' y-extents with colors
-    form a colored 1-D stabbing instance ({!Colored_interval1d}).
+    O(n^2 log n) algorithm: in the dual (boxes reaching
+    {!Maxrs_geom.Closed.reach} of the half-sides), a maximum-depth point
+    can be slid left until some dual box's left edge binds, giving n
+    candidate x-coordinates; for each, the active points' y-extents with
+    colors form a colored 1-D stabbing instance ({!Colored_interval1d}).
     ([ZGH+22] achieve O(n log n) with a specialised sweep; we keep the
     simpler quadratic exact algorithm as baseline and ground truth —
     see DESIGN.md.) *)

@@ -1,4 +1,5 @@
 module Circle = Maxrs_geom.Circle
+module Closed = Maxrs_geom.Closed
 module Angle = Maxrs_geom.Angle
 module Kern = Maxrs_geom.Kern
 module Pstore = Maxrs_geom.Pstore
@@ -18,16 +19,18 @@ let c_circles = Obs.counter "sweep.circles"
 type result = { x : float; y : float; value : float }
 
 let depth_at ~radius pts qx qy =
-  let r2 = (radius +. 1e-9) ** 2. in
+  let r2 = Closed.ball_r2 radius in
   Array.fold_left
     (fun acc (x, y, w) ->
       let d2 = ((x -. qx) ** 2.) +. ((y -. qy) ** 2.) in
       if d2 <= r2 then acc +. w else acc)
     0. pts
 
-(* Columnar twin of [depth_at]: same accumulation order, bit-identical. *)
+(* Columnar twin of [depth_at]: same accumulation order, bit-identical.
+   The bound is [Closed.ball_r2 radius] spelled out: a float returned
+   across modules is boxed when the call is not inlined (DESIGN.md §14). *)
 let depth_at_cols ~radius xs ys ws n qx qy =
-  let r2 = (radius +. 1e-9) ** 2. in
+  let r2 = (radius +. Closed.eps) *. (radius +. Closed.eps) in
   let acc = ref 0. in
   for i = 0 to n - 1 do
     let d2 =

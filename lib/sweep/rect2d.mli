@@ -16,10 +16,23 @@ type placement = {
 
 val max_sum : width:float -> height:float -> (float * float * float) array -> placement
 (** [max_sum ~width ~height pts] with [pts] an array of (x, y, weight).
-    Rectangles are closed. The empty placement (value 0) is allowed, so
-    [value >= 0]. Requires positive [width] and [height]. *)
+    Rectangles are closed under the {!Maxrs_geom.Closed} rule, so the
+    dual rectangles reach [Closed.eps] past the half-sides. The empty
+    placement (value 0) is allowed, so [value >= 0]. Requires positive
+    [width] and [height]. *)
+
+val center_with_margin :
+  width:float -> height:float -> (float * float * float) array -> float ->
+  float -> float * float
+(** [center_with_margin ~width ~height pts x0 y0]: a center found on dual
+    edges, at the slack of the {!Maxrs_geom.Closed} rule where two
+    roundings of one test can disagree, moved by
+    {!Maxrs_geom.Closed.slab_center} on each axis to keep a margin over
+    the points whose dual rectangles hold it ([(x0, y0)] when none
+    does). *)
 
 val max_sum_brute :
   width:float -> height:float -> (float * float * float) array -> placement
-(** O(n^3) reference: candidate centers are all (xi + width/2, yj +
-    height/2) corner alignments. *)
+(** O(n^3) reference: candidate centers are all corners
+    (xi ± reach, yj ± reach) of pairs of dual rectangles; the reported
+    center is placed as {!max_sum} places it. *)

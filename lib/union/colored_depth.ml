@@ -1,11 +1,13 @@
 module Circle = Maxrs_geom.Circle
 module Angle = Maxrs_geom.Angle
+module Closed = Maxrs_geom.Closed
 
 type stats = { union_arcs : int; circles_swept : int; events : int }
 type result = { x : float; y : float; depth : int; stats : stats }
 
-(* Spatial hash over disk centers with cell side 2r: only disks in the
-   3x3 cell neighborhood of a circle's center can intersect it. *)
+(* Spatial hash over disk centers with cell side twice the reach: only
+   disks in the 3x3 cell neighborhood of a circle's center can touch it
+   under the [Closed] rule. *)
 module Hash = struct
   type t = { side : float; tbl : (int * int, int list ref) Hashtbl.t }
 
@@ -111,7 +113,7 @@ let max_colored_depth ~radius centers ~colors =
         (fun a -> Hashtbl.replace contributing idxs.(a.Disk_union.disk) ())
         arcs)
     by_color;
-  let hash = Hash.create ~side:(2. *. radius) centers in
+  let hash = Hash.create ~side:(2. *. Closed.reach radius) centers in
   let best = ref { x = 0.; y = 0.; depth = min_int; stats = { union_arcs = 0; circles_swept = 0; events = 0 } } in
   let swept = ref 0 and total_events = ref 0 in
   Hashtbl.iter

@@ -1,5 +1,6 @@
 module Circle = Maxrs_geom.Circle
 module Angle = Maxrs_geom.Angle
+module Closed = Maxrs_geom.Closed
 
 type arc = { disk : int; circle : Circle.t; ivl : Angle.ivl }
 
@@ -39,14 +40,14 @@ let boundary_arcs ~radius centers =
     if not !buried then
       List.iter
         (fun ivl ->
-          if ivl.Angle.len > 1e-12 then
+          if ivl.Angle.len > Closed.angle_eps then
             arcs := { disk = idx; circle = c; ivl } :: !arcs)
         (Angle.complement !covered)
   done;
   !arcs
 
 let contains ~radius centers (qx, qy) =
-  let r2 = (radius +. 1e-9) ** 2. in
+  let r2 = Closed.ball_r2 radius in
   Array.exists
     (fun (x, y) -> ((x -. qx) ** 2.) +. ((y -. qy) ** 2.) <= r2)
     centers

@@ -1,12 +1,14 @@
 (* Tests for the extension modules: kd-tree substrate, exact d-box MaxRS,
    colored 1-D stabbing / colored rectangle MaxRS (the paper's open
-   problem #1 pipeline), batched 2-D drivers, verification helpers and
-   point-file IO. *)
+   problem #1 pipeline), batched 2-D drivers, verification helpers,
+   point-file IO, and the boundary rule's degenerate inputs. *)
 
 module Point = Maxrs_geom.Point
 module Rng = Maxrs_geom.Rng
 module Ball = Maxrs_geom.Ball
 module Box = Maxrs_geom.Box
+module Circle = Maxrs_geom.Circle
+module Closed = Maxrs_geom.Closed
 module Kdtree = Maxrs_geom.Kdtree
 module Interval1d = Maxrs_sweep.Interval1d
 module Rect2d = Maxrs_sweep.Rect2d
@@ -15,7 +17,9 @@ module Colored_interval1d = Maxrs_sweep.Colored_interval1d
 module Colored_rect2d = Maxrs_sweep.Colored_rect2d
 module Batched2d = Maxrs_sweep.Batched2d
 module Disk2d = Maxrs_sweep.Disk2d
+module Brute = Maxrs_sweep.Brute
 module Approx_colored_rect = Maxrs.Approx_colored_rect
+module Output_sensitive = Maxrs.Output_sensitive
 module Verify = Maxrs.Verify
 module Points_io = Maxrs.Points_io
 module Workload = Maxrs.Workload
@@ -1003,6 +1007,288 @@ let prop_colored_static_scaling_invariant =
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
+(* The boundary rule ([Closed]): on exact coincidences and on near
+   tangencies within the slack, every solver finds what its own scoring
+   and [Verify] accept. *)
+
+let weighted_points pts = Array.map (fun (x, y, w) -> ([| x; y |], w)) pts
+
+(* Two points [gap] apart along one axis, the other coordinate equal. *)
+let gap_pair ~axis gap =
+  if axis = 0 then [| (0.25, 0.5, 1.); (0.25 +. gap, 0.5, 1.) |]
+  else [| (0.5, 0.25, 1.); (0.5, 0.25 +. gap, 1.) |]
+
+let test_rect_gap_within_slack () =
+  List.iter
+    (fun axis ->
+      let pts = gap_pair ~axis (1. +. 5e-13) in
+      let label s = Printf.sprintf "%s, gap on axis %d" s axis in
+      let a = Rect2d.max_sum ~width:1. ~height:1. pts in
+      check_float (label "sweep") 2. a.Rect2d.value;
+      check_float (label "brute") 2.
+        (Rect2d.max_sum_brute ~width:1. ~height:1. pts).Rect2d.value;
+      check_float (label "sweep placement achieves it") 2.
+        (Boxd.depth_at ~widths:[| 1.; 1. |] (weighted_points pts)
+           [| a.Rect2d.x; a.Rect2d.y |]);
+      let b = Boxd.max_sum ~widths:[| 1.; 1. |] (weighted_points pts) in
+      check_float (label "boxd") 2. b.Boxd.value;
+      check_float (label "boxd placement achieves it") 2.
+        (Boxd.depth_at ~widths:[| 1.; 1. |] (weighted_points pts) b.Boxd.point);
+      let centers = Array.map (fun (x, y, _) -> (x, y)) pts in
+      let colors = [| 0; 1 |] in
+      let c = Colored_rect2d.max_colored ~width:1. ~height:1. centers ~colors in
+      Alcotest.(check int) (label "colored rect") 2 c.Colored_rect2d.value;
+      Alcotest.(check int)
+        (label "colored rect placement achieves it")
+        2
+        (Colored_rect2d.colored_depth_at ~width:1. ~height:1. centers ~colors
+           c.Colored_rect2d.x c.Colored_rect2d.y))
+    [ 0; 1 ]
+
+(* Two unit disks whose centers are 2 + 5e-10 apart: the closed rule
+   puts their midpoint in both. *)
+let test_disks_near_tangent () =
+  let d = 2. +. 5e-10 in
+  let x1 = d *. cos 1. and y1 = d *. sin 1. in
+  let pts = [| (0., 0., 1.); (x1, y1, 1.) |] in
+  let centers = [| (0., 0.); (x1, y1) |] and colors = [| 0; 1 |] in
+  check_float "verify at the midpoint" 2.
+    (Verify.weighted_depth (weighted_points pts) [| x1 /. 2.; y1 /. 2. |]);
+  check_float "disk2d" 2. (Disk2d.max_weight ~radius:1. pts).Disk2d.value;
+  check_float "brute" 2. (snd (Brute.max_weighted ~radius:1. pts));
+  Alcotest.(check int) "colored disk2d" 2
+    (Colored_disk2d.max_colored ~radius:1. centers ~colors)
+      .Colored_disk2d.value;
+  Alcotest.(check int) "output-sensitive" 2
+    (Output_sensitive.solve ~radius:1. centers ~colors).Output_sensitive.depth
+
+(* Degenerate planar inputs on the k/8 lattice: pairs exactly one side
+   apart (2 for unit disks) and a side ± eps/2 apart, duplicates,
+   cocircular quadruples around a lattice point, and zero weights. Each
+   item is (kind, lattice x, lattice y, weight). One input offsets its
+   near pairs all by +eps/2 or all by -eps/2, so two offsets never add up
+   to a spread of a side ± eps, where candidates slid to rest on a point
+   sit exactly at the slack and two roundings of one test may differ. *)
+let gen_degenerate =
+  QCheck.(
+    pair bool
+      (list_of_size
+         (Gen.int_range 1 6)
+         (quad (int_range 0 5) (int_range 0 32) (int_range 0 32)
+            (int_range 0 3))))
+  |> shrink_non_empty (fun (_, l) -> l <> [])
+
+(* Expand the items into weighted planar points; [side] is the pair
+   distance (2 for unit disks, a side for rectangles). *)
+let degenerate_points ~side (up, l) =
+  let off = if up then Closed.eps /. 2. else -.Closed.eps /. 2. in
+  List.concat_map
+    (fun (kind, kx, ky, w) ->
+      let x = dyadic kx and y = dyadic ky and w = float_of_int w in
+      match kind with
+      | 0 -> [ (x, y, w); (x +. side, y, w) ]
+      | 1 -> [ (x, y, w); (x, y +. side +. off, w) ]
+      | 2 -> [ (x, y, w); (x +. side +. off, y, w) ]
+      | 3 -> [ (x, y, w); (x, y, w) ]
+      | 4 ->
+          let r = side /. 2. in
+          [ (x +. r, y, w); (x -. r, y, w); (x, y +. r, w); (x, y -. r, w) ]
+      | _ -> [ (x, y, w) ])
+    l
+  |> Array.of_list
+
+(* Ground truth for unit disks: the best of Verify's kd-tree evaluator
+   over every center, pairwise circle crossing and touching midpoint. *)
+let disk_candidates pts =
+  let n = Array.length pts in
+  let acc = ref (Array.to_list (Array.map (fun (x, y, _) -> (x, y)) pts)) in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let xi, yi, _ = pts.(i) and xj, yj, _ = pts.(j) in
+      let ci = Circle.make ~cx:xi ~cy:yi ~r:1. in
+      let cj = Circle.make ~cx:xj ~cy:yj ~r:1. in
+      acc :=
+        (((xi +. xj) /. 2.), ((yi +. yj) /. 2.))
+        :: (Circle.intersections ci cj @ !acc)
+    done
+  done;
+  !acc
+
+let prop_degenerate_disks =
+  QCheck.Test.make ~count:150 ~long_factor:5
+    ~name:"degenerate disks: exact solvers = Verify ground truth"
+    gen_degenerate
+    (fun l ->
+      let pts = degenerate_points ~side:2. l in
+      let wpts = weighted_points pts in
+      let centers = Array.map (fun (x, y, _) -> (x, y)) pts in
+      let colors = Array.map (fun (_, _, w) -> int_of_float w) pts in
+      let cpts = Array.map (fun (x, y) -> [| x; y |]) centers in
+      let ev = Verify.evaluator wpts in
+      let cands = disk_candidates pts in
+      let truth =
+        List.fold_left
+          (fun acc (x, y) -> Float.max acc (Verify.eval ev [| x; y |]))
+          neg_infinity cands
+      in
+      let ctruth =
+        List.fold_left
+          (fun acc (x, y) ->
+            max acc (Verify.colored_depth cpts ~colors [| x; y |]))
+          0 cands
+      in
+      let rev a = Array.of_list (List.rev (Array.to_list a)) in
+      let weighted =
+        [
+          ("disk2d", (Disk2d.max_weight ~radius:1. pts).Disk2d.value);
+          ( "disk2d reversed",
+            (Disk2d.max_weight ~radius:1. (rev pts)).Disk2d.value );
+          ("brute", snd (Brute.max_weighted ~radius:1. pts));
+        ]
+      in
+      let colored =
+        [
+          ( "colored disk2d",
+            (Colored_disk2d.max_colored ~radius:1. centers ~colors)
+              .Colored_disk2d.value );
+          ( "colored disk2d reversed",
+            (Colored_disk2d.max_colored ~radius:1. (rev centers)
+               ~colors:(rev colors))
+              .Colored_disk2d.value );
+          ( "output-sensitive",
+            (Output_sensitive.solve ~radius:1. centers ~colors)
+              .Output_sensitive.depth );
+          ( "output-sensitive reversed",
+            (Output_sensitive.solve ~radius:1. (rev centers)
+               ~colors:(rev colors))
+              .Output_sensitive.depth );
+          ("brute colored", snd (Brute.max_colored ~radius:1. centers ~colors));
+        ]
+      in
+      List.iter
+        (fun (name, v) ->
+          if v <> truth then
+            QCheck.Test.fail_reportf "%s = %g, ground truth %g" name v truth)
+        weighted;
+      List.iter
+        (fun (name, v) ->
+          if v <> ctruth then
+            QCheck.Test.fail_reportf "%s = %d, ground truth %d" name v ctruth)
+        colored;
+      true)
+
+(* Rectangles of side 2 x 1.5 on the same degenerate families, built
+   for both sides, against the brute forces. *)
+let prop_degenerate_rects =
+  QCheck.Test.make ~count:150 ~long_factor:5
+    ~name:"degenerate rectangles: solvers = brute count, placements achieve"
+    gen_degenerate
+    (fun l ->
+      let w = 2. and h = 1.5 in
+      let pts =
+        Array.append (degenerate_points ~side:w l) (degenerate_points ~side:h l)
+      in
+      let rev a = Array.of_list (List.rev (Array.to_list a)) in
+      let wpts = weighted_points pts in
+      (* Brute count: every box slid to rest on a point along each axis,
+         scored by [Box.contains]. *)
+      let count =
+        Array.fold_left
+          (fun acc (x, _, _) ->
+            Array.fold_left
+              (fun acc (_, y, _) ->
+                let box = Box.make [| x; y |] [| x +. w; y +. h |] in
+                Float.max acc
+                  (Array.fold_left
+                     (fun s (p, wt) ->
+                       if Box.contains box p then s +. wt else s)
+                     0. wpts))
+              acc pts)
+          0. pts
+      in
+      let rect name (r : Rect2d.placement) = (name, r.value, [| r.x; r.y |]) in
+      let boxd name (r : Boxd.result) = (name, r.value, r.point) in
+      let got =
+        [
+          rect "max_sum_brute" (Rect2d.max_sum_brute ~width:w ~height:h pts);
+          rect "rect2d" (Rect2d.max_sum ~width:w ~height:h pts);
+          rect "rect2d reversed" (Rect2d.max_sum ~width:w ~height:h (rev pts));
+          boxd "boxd" (Boxd.max_sum ~widths:[| w; h |] wpts);
+          boxd "boxd reversed" (Boxd.max_sum ~widths:[| w; h |] (rev wpts));
+        ]
+      in
+      List.iter
+        (fun (name, v, p) ->
+          if v <> count then
+            QCheck.Test.fail_reportf "%s = %g, brute count %g" name v count;
+          let at = Boxd.depth_at ~widths:[| w; h |] wpts p in
+          if at <> v then
+            QCheck.Test.fail_reportf "%s placement covers %g, not %g" name at v)
+        got;
+      true)
+
+(* Rotation by 90 degrees and reflection in the diagonal map the k/8
+   lattice onto itself exactly (negation and coordinate swaps are exact
+   in IEEE-754), and both preserve every distance. *)
+let rotate (x, y) = (-.y, x)
+let reflect (x, y) = (y, x)
+
+let prop_disk2d_rotation_invariant =
+  QCheck.Test.make ~count:80 ~long_factor:5
+    ~name:"disk2d: 90-degree rotation preserves the optimum"
+    gen_weighted_lattice
+    (fun l ->
+      let pts = weighted_pts l in
+      let turned =
+        Array.map (fun (x, y, w) -> let x, y = rotate (x, y) in (x, y, w)) pts
+      in
+      (Disk2d.max_weight ~radius:1. pts).Disk2d.value
+      = (Disk2d.max_weight ~radius:1. turned).Disk2d.value)
+
+let prop_disk2d_reflection_invariant =
+  QCheck.Test.make ~count:80 ~long_factor:5
+    ~name:"disk2d: reflection preserves the optimum"
+    gen_weighted_lattice
+    (fun l ->
+      let pts = weighted_pts l in
+      let mirrored =
+        Array.map (fun (x, y, w) -> let x, y = reflect (x, y) in (x, y, w)) pts
+      in
+      (Disk2d.max_weight ~radius:1. pts).Disk2d.value
+      = (Disk2d.max_weight ~radius:1. mirrored).Disk2d.value)
+
+let prop_colored_disk2d_rotation_invariant =
+  QCheck.Test.make ~count:80 ~long_factor:5
+    ~name:"colored disk2d: 90-degree rotation preserves the optimum"
+    gen_colored_lattice
+    (fun l ->
+      let pts, colors = colored_pts l in
+      (Colored_disk2d.max_colored ~radius:1. pts ~colors).Colored_disk2d.value
+      = (Colored_disk2d.max_colored ~radius:1. (Array.map rotate pts) ~colors)
+          .Colored_disk2d.value)
+
+let prop_colored_disk2d_reflection_invariant =
+  QCheck.Test.make ~count:80 ~long_factor:5
+    ~name:"colored disk2d: reflection preserves the optimum"
+    gen_colored_lattice
+    (fun l ->
+      let pts, colors = colored_pts l in
+      (Colored_disk2d.max_colored ~radius:1. pts ~colors).Colored_disk2d.value
+      = (Colored_disk2d.max_colored ~radius:1. (Array.map reflect pts) ~colors)
+          .Colored_disk2d.value)
+
+let prop_interval1d_reflection_invariant =
+  QCheck.Test.make ~count:120 ~long_factor:5
+    ~name:"interval1d: reflection preserves the optimum"
+    gen_interval_lattice
+    (fun (l, len) ->
+      let pts = interval_pts l in
+      let len = dyadic len in
+      (Interval1d.max_sum ~len pts).Interval1d.value
+      = (Interval1d.max_sum ~len (Array.map (fun (x, w) -> (-.x, w)) pts))
+          .Interval1d.value)
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
@@ -1030,6 +1316,11 @@ let metamorphic_cases =
       prop_interval1d_translation_invariant;
       prop_interval1d_permutation_invariant;
       prop_interval1d_scaling_invariant;
+      prop_disk2d_rotation_invariant;
+      prop_disk2d_reflection_invariant;
+      prop_colored_disk2d_rotation_invariant;
+      prop_colored_disk2d_reflection_invariant;
+      prop_interval1d_reflection_invariant;
       prop_static_scaling_invariant;
       prop_colored_static_scaling_invariant;
     ]
@@ -1130,6 +1421,15 @@ let () =
           Alcotest.test_case "comments and blanks" `Quick
             test_io_comments_and_blanks;
         ] );
+      ( "boundary",
+        [
+          Alcotest.test_case "rectangles: gap of side + 5e-13" `Quick
+            test_rect_gap_within_slack;
+          Alcotest.test_case "disks: centers 2 + 5e-10 apart" `Quick
+            test_disks_near_tangent;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_degenerate_disks; prop_degenerate_rects ] );
       ("properties", qcheck_cases);
       ("metamorphic", metamorphic_cases);
     ]

@@ -238,9 +238,7 @@ let test_ball_contains () =
   Alcotest.(check bool) "boundary" true
     (Ball.contains b (Point.of_list [ 2.; 0. ]));
   Alcotest.(check bool) "outside" false
-    (Ball.contains b (Point.of_list [ 2.001; 0. ]));
-  Alcotest.(check bool) "strict boundary" false
-    (Ball.contains_strict b (Point.of_list [ 2.; 0. ]))
+    (Ball.contains b (Point.of_list [ 2.001; 0. ]))
 
 let test_ball_intersections () =
   let b1 = Ball.unit (Point.of_list [ 0.; 0. ]) in

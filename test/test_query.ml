@@ -179,6 +179,17 @@ let test_all_negative () =
     (Some { Rmsq.s_lo = 2; s_hi = 2; s_sum = -3. })
     (Rmsq.max_sum_in_range t ~lo:2 ~hi:2)
 
+(* Prefix sums 0.3, 0.9, 0.3 - 1 ulp, 9.3: over elements [1..3] the
+   segments [1..3] and [3..3] both round to 9.0. The reference scan only
+   tries the leftmost argmin of P as a left end, so the tree must break
+   the rounding tie the same way (the reduction of QCHECK_SEED=630386676
+   of the differential property). *)
+let test_rounding_tie () =
+  let t = Rmsq.build [| (0., 0.3); (1., 0.6); (2., -0.6); (3., 9.) |] in
+  let want = Some { Rmsq.s_lo = 3; s_hi = 3; s_sum = 9. } in
+  check_seg "reference scan" want (Rmsq.range_ref t ~lo:1 ~hi:3);
+  check_seg "indexed" want (Rmsq.max_sum_in_range t ~lo:1 ~hi:3)
+
 let test_all_zero () =
   let t = Rmsq.build (Array.init 8 (fun i -> (float_of_int i, 0.))) in
   (* every segment sums to 0; the total order picks the leftmost,
@@ -472,6 +483,8 @@ let () =
           Alcotest.test_case "single and empty" `Quick test_single_and_empty;
           Alcotest.test_case "NaN rejection" `Quick test_nan_rejection;
           Alcotest.test_case "size accounting" `Quick test_size_accounting;
+          Alcotest.test_case "rounding tie at the maximum" `Quick
+            test_rounding_tie;
         ] );
       ( "epoch",
         [
