@@ -163,6 +163,23 @@ end
    config, so sample positions — and hence the solver answer — match
    the columnar structure bit for bit. *)
 module Sample_space_seed = struct
+  (* The seed's cell-key table: polymorphic [=] and the library's FNV
+     hash. The same hash gives the same buckets and iteration order, so
+     the static tie-breaks match the live [Grid.Tbl]'s; the copy keeps
+     this column off the library's key-compare code. *)
+  module Tbl = Hashtbl.Make (struct
+    type t = Grid.key
+
+    let equal a b = a = b
+
+    let hash k =
+      let h = ref 0x811c9dc5 in
+      for i = 0 to Array.length k - 1 do
+        h := (!h lxor Array.unsafe_get k i) * 0x01000193
+      done;
+      !h land max_int
+  end)
+
   type sample = {
     id : int;
     pos : Point.t;
@@ -182,7 +199,7 @@ module Sample_space_seed = struct
   type t = {
     dim : int;
     grids : Shifted_grids.t;
-    tables : cell Grid.Tbl.t array;
+    tables : cell Tbl.t array;
     rngs : Rng.t array;
     t_samples : int;
     stride : int;
@@ -209,7 +226,7 @@ module Sample_space_seed = struct
     {
       dim;
       grids;
-      tables = Array.init count (fun _ -> Grid.Tbl.create 256);
+      tables = Array.init count (fun _ -> Tbl.create 256);
       rngs = Array.init count (fun gi -> Rng.split_at rng gi);
       t_samples = Config.samples_per_cell cfg ~n:expected_n;
       stride = count;
@@ -245,11 +262,11 @@ module Sample_space_seed = struct
     let grid = t.grids.Shifted_grids.grids.(gi) in
     Grid.iter_keys_intersecting_ball grid ball (fun key ->
         let cell =
-          match Grid.Tbl.find_opt table key with
+          match Tbl.find_opt table key with
           | Some c -> c
           | None ->
               let c = new_cell t gi grid key in
-              Grid.Tbl.add table (Array.copy key) c;
+              Tbl.add table (Array.copy key) c;
               c
         in
         f table key cell)
@@ -284,7 +301,7 @@ module Sample_space_seed = struct
 
   let best_cell_in_grid t gi =
     let best = ref None in
-    Grid.Tbl.iter
+    Tbl.iter
       (fun _ c ->
         match !best with
         | Some b when cell_max b >= c.max_depth -> ()

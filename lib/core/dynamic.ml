@@ -7,89 +7,22 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type handle = int
 
-(* A strict total order: depth first, then the cell's stable uid, then
-   the entry version (freshest first). With no ties between
-   distinguishable entries, a heap's top — and hence every query
-   answer — is independent of the heap's internal layout, so a
-   crash-recovered structure (whose heap is rebuilt by compaction)
-   answers exactly like one that never stopped. Exposed as a module so
-   the sharded store's per-shard heaps use the very same order and its
-   shard-index merge returns exactly this structure's answer. *)
-module Entry = struct
-  type t = { depth : float; version : int; cell : Sample_space.cell }
-
-  let cmp a b =
-    let c = Float.compare a.depth b.depth in
-    if c <> 0 then c
-    else
-      let c =
-        Int.compare
-          (Sample_space.cell_uid b.cell)
-          (Sample_space.cell_uid a.cell)
-      in
-      if c <> 0 then c else Int.compare a.version b.version
-
-  (* The current entry for a cell, [None] when the cell witnesses no
-     ball (such cells never enter a heap). *)
-  let of_cell c =
-    let depth = Sample_space.cell_max c in
-    if depth > 0. then
-      Some { depth; version = Sample_space.cell_version c; cell = c }
-    else None
-
-  let live e =
-    e.version = Sample_space.cell_version e.cell
-    && Sample_space.cell_max e.cell > 0.
-end
-
-type entry = Entry.t
-
 type t = {
   dim : int;
   cfg : Config.t;
   radius : float;
   balls : (handle, Point.t * float) Hashtbl.t;  (** scaled centers *)
   mutable space : Sample_space.t;
-  mutable heap : entry Heap.t;
+  mutable heap : Cell_heap.t;  (** the space's cells with a positive max *)
   mutable n0 : int;  (** live count at epoch start *)
   mutable next_handle : int;
   mutable epochs : int;
-  mutable pushes : int;  (** heap entries since the last compaction *)
 }
 
-let entry_cmp = Entry.cmp
-
-(* The heap is lazy: every cell-max change pushes a fresh entry and stale
-   ones are discarded at query time. Unchecked, that grows without bound,
-   so once the entry count exceeds a multiple of the live-cell count we
-   rebuild the heap from scratch — O(cells) work amortized over at least
-   as many pushes. *)
-let compact t =
-  Log.debug (fun m ->
-      m "compacting lazy heap: %d entries over %d cells" (Heap.length t.heap)
-        (Sample_space.cell_count t.space));
-  t.heap <- Heap.create ~cmp:entry_cmp;
-  t.pushes <- 0;
-  Sample_space.iter_live_cells t.space (fun c ->
-      match Entry.of_cell c with
-      | Some e -> Heap.push t.heap e
-      | None -> ())
-
+(* The hook re-seats every changed cell in the heap in place, so the
+   heap's top is always the deepest cell. *)
 let attach_hook t =
-  Sample_space.on_cell_change t.space (fun c ->
-      match Entry.of_cell c with
-      | Some e ->
-          Heap.push t.heap e;
-          t.pushes <- t.pushes + 1
-      | None -> ())
-
-(* Shared with the sharded store so both compaction policies amortize
-   identically (policy only — compaction never changes answers). *)
-let heap_budget ~cells = Int.max 50_000 (4 * cells)
-
-let maybe_compact t =
-  if t.pushes > heap_budget ~cells:(Sample_space.cell_count t.space) then
-    compact t
+  Sample_space.on_cell_change t.space (fun c -> Cell_heap.update t.heap c)
 
 let create ?(cfg = Config.default) ?(radius = 1.) ~dim () =
   Config.validate cfg;
@@ -101,11 +34,10 @@ let create ?(cfg = Config.default) ?(radius = 1.) ~dim () =
       radius;
       balls = Hashtbl.create 256;
       space = Sample_space.create ~dim ~cfg ~expected_n:16;
-      heap = Heap.create ~cmp:entry_cmp;
+      heap = Cell_heap.create ();
       n0 = 4;
       next_handle = 0;
       epochs = 0;
-      pushes = 0;
     }
   in
   attach_hook t;
@@ -129,8 +61,7 @@ let rebuild t =
         (Sample_space.sample_count t.space));
   t.n0 <- Int.max 4 (size t);
   t.space <- Sample_space.create ~dim:t.dim ~cfg:t.cfg ~expected_n:t.n0;
-  t.heap <- Heap.create ~cmp:entry_cmp;
-  t.pushes <- 0;
+  t.heap <- Cell_heap.create ();
   attach_hook t;
   (* Sorted handle order, not hash-table order: the sample positions an
      epoch draws depend on the insertion order, and a restored ball
@@ -161,7 +92,6 @@ let insert_checked t ?(weight = 1.) p =
       Hashtbl.replace t.balls h (center, weight);
       Sample_space.insert t.space ~center ~weight;
       maybe_rebuild t;
-      maybe_compact t;
       h)
     check
 
@@ -173,32 +103,22 @@ let delete t h =
   | Some (center, weight) ->
       Hashtbl.remove t.balls h;
       Sample_space.delete t.space ~center ~weight;
-      maybe_rebuild t;
-      maybe_compact t
+      maybe_rebuild t
 
 let best t =
-  (* Lazy-deletion pop: discard entries whose cell has changed since the
-     entry was pushed. *)
-  let rec go () =
-    match Heap.peek t.heap with
-    | None -> None
-    | Some e ->
-        if Entry.live e then
-          Some (unscale t (Sample_space.cell_best e.cell).Sample_space.pos, e.depth)
-        else begin
-          ignore (Heap.pop t.heap);
-          go ()
-        end
-  in
-  go ()
+  match Cell_heap.top t.heap with
+  | None -> None
+  | Some c ->
+      Some
+        ( unscale t (Sample_space.cell_best c).Sample_space.pos,
+          Sample_space.cell_max c )
 
 (* ------------------------------------------------------------------ *)
-(* Durable state capture. The lazy heap is not serialized: stale entries
-   never influence a query (they are discarded on sight) and, because
-   [entry_cmp] is a total order, a heap rebuilt by [compact] from the
-   restored cells returns exactly the answers the original heap would
-   have — so [restore st] continues bit-identically to the structure
-   [st] was captured from. *)
+(* Durable state capture. The heap is not serialized: its order is
+   total, so a heap seeded from the restored cells' cached maxima (which
+   [Sample_space.restore] checks against the depths) has the same top
+   as the original — and [restore st] continues bit-identically to the
+   structure [st] was captured from. *)
 
 module State = struct
   type t = {
@@ -251,13 +171,12 @@ let restore (s : State.t) =
       radius = s.State.radius;
       balls;
       space;
-      heap = Heap.create ~cmp:entry_cmp;
+      heap = Cell_heap.create ();
       n0 = s.State.n0;
       next_handle = s.State.next_handle;
       epochs = s.State.epochs;
-      pushes = 0;
     }
   in
   attach_hook t;
-  compact t;
+  Sample_space.iter_live_cells space (Cell_heap.update t.heap);
   t

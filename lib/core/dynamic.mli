@@ -7,11 +7,13 @@
 
     Works in the dual: each point becomes a unit ball (after scaling by
     the query radius) and the structure tracks the deepest of the
-    Technique-1 circumsphere samples via a lazy max-heap. Epochs double
-    or halve: when the live count leaves [n0/2, 2 n0] the sample space is
-    rebuilt from scratch with a per-cell sample count tuned to the new n,
-    and the rebuild cost amortizes over the epoch's updates (Lemma
-    3.4). *)
+    Technique-1 circumsphere samples with an indexed max-heap over the
+    cells ({!Cell_heap}): each cell caches its deepest sample, and the
+    cell-change hook re-seats a cell in place, so {!best} reads the top
+    in O(1). Epochs double or halve: when the live count leaves
+    [n0/2, 2 n0] the sample space is rebuilt from scratch with a
+    per-cell sample count tuned to the new n, and the rebuild cost
+    amortizes over the epoch's updates (Lemma 3.4). *)
 
 type t
 type handle
@@ -61,33 +63,6 @@ val handle_id : handle -> int
 
 val handle_of_id : int -> handle
 
-(** {2 Lazy-heap entries (shared with the sharded store)}
-
-    The versioned heap entry and its strict total order (depth, then
-    cell uid, then version). Because the order is total and cell uids
-    are globally unique across all grids, the maximum over {e any}
-    partition of the live cells — in particular the per-shard heaps of
-    {!Sharded} — equals the maximum of one global heap, which is what
-    makes the sharded store answer bit-identically to this reference
-    structure. *)
-module Entry : sig
-  type t = { depth : float; version : int; cell : Sample_space.cell }
-
-  val cmp : t -> t -> int
-  (** Strict total order over distinguishable entries. *)
-
-  val of_cell : Sample_space.cell -> t option
-  (** Current entry for a cell; [None] when no sample witnesses a ball. *)
-
-  val live : t -> bool
-  (** The entry still describes its cell (lazy-deletion staleness
-      check). *)
-end
-
-val heap_budget : cells:int -> int
-(** Push budget before a lazy heap over [cells] live cells is rebuilt
-    (compaction policy; never affects answers). *)
-
 (** {2 Durability: exact state capture}
 
     The building block of the [maxrs_durable] snapshots: an exact
@@ -96,7 +71,7 @@ val heap_budget : cells:int -> int
     counters, same answer to every future operation sequence — because
     all randomness flows through captured split-stream rng states and
     every order-sensitive internal iteration is canonical (sorted
-    handles on epoch rebuilds, a total-order heap comparator). The
+    handles on epoch rebuilds, a total heap order). The
     durable session journals through {!Sharded.on_op}; this structure
     stays the reference the sharded store is checked against. *)
 
@@ -115,8 +90,9 @@ module State : sig
 end
 
 val state : t -> State.t
-(** Canonical deep copy of the full structure state (the lazy heap is
-    excluded: it is rebuilt on {!restore} and never affects answers).
+(** Canonical deep copy of the full structure state (the heap is
+    excluded: {!restore} seeds it from the cells' cached maxima, and its
+    total order makes the top independent of how it was built).
     Capturing is non-destructive. *)
 
 val restore : State.t -> t

@@ -44,12 +44,15 @@ type cell = {
           {!Sphere.fill_on} draws straight into it, and the snapshot
           view materializes points from it on demand. *)
   depth : floatarray;
+      (** one slot per sample, then the cached max over them in the
+          trailing slot: a float field of this mixed record would be
+          boxed, so every refresh of the max would allocate *)
   flag : int array;
   sver : int array;
   mutable nballs : int;
-  mutable max_depth : float;  (** cached max over [depth] *)
-  mutable best : int;  (** index of a sample attaining [max_depth] *)
-  mutable cversion : int;  (** bumped whenever [max_depth]/[best] change *)
+  mutable best : int;  (** index of the first sample attaining the max *)
+  mutable cversion : int;  (** bumped whenever the max or [best] change *)
+  mutable slot : int;  (** the cell's slot in a {!Cell_heap}, -1 if none *)
 }
 
 (* Materialize the snapshot view of sample [si]: every field is a copy
@@ -139,9 +142,11 @@ let cell_count t = Array.fold_left ( + ) 0 t.n_cells
 let sample_count t = cell_count t * t.t_samples
 let on_cell_change t f = t.hook <- f
 
-let cell_max c = c.max_depth
+let cell_max c = FA.unsafe_get c.depth (Array.length c.ids)
+let cell_max_column c = c.depth
 let cell_best c = sample_of c c.best
-let cell_version c = c.cversion
+let cell_slot c = c.slot
+let set_cell_slot c i = c.slot <- i
 
 (* The first sample's id doubles as a cell identifier: ids are unique
    across the structure and assigned at materialization, so the uid is a
@@ -153,7 +158,6 @@ let cell_uid c = c.ids.(0)
    owning grid — the sharded dynamic store routes a changed cell to the
    heap of the shard that owns its grid with this. *)
 let grid_of_cell t c = cell_uid c mod t.stride
-let cell_count_in_grid t ~grid = t.n_cells.(grid)
 
 let new_cell t gi grid key =
   let center = Grid.cell_center grid key in
@@ -177,34 +181,35 @@ let new_cell t gi grid key =
   {
     ids;
     posf;
-    depth = FA.make m 0.;
+    depth = FA.make (m + 1) 0.;
     flag = Array.make m (-1);
     sver = Array.make m 0;
     nballs = 0;
-    max_depth = 0.;
     best = 0;
     cversion = 0;
+    slot = -1;
   }
 
+(* The cell of grid [gi] at [key] ([table]/[grid] are the grid's),
+   materialized if absent. The raising [Tbl.find] keeps the
+   already-materialized path allocation-free. *)
+let cell_at t gi table grid key =
+  match Grid.Tbl.find table key with
+  | c -> c
+  | exception Not_found ->
+      let c = new_cell t gi grid key in
+      Grid.Tbl.add table (Array.copy key) c;
+      c
+
 (* Visit every cell of grid [gi] intersected by the unit ball at
-   [center], materializing absent cells. Uses the grid's odometer
-   scratch and the raising [Tbl.find] so the already-materialized path
-   allocates nothing. *)
+   [center], materializing absent cells, with the grid's odometer
+   scratch. *)
 let iter_cells_in_grid t gi ~center f =
   let table = t.tables.(gi) in
   let grid = t.grids.Shifted_grids.grids.(gi) in
   let sc = t.scratch.(gi) in
   Grid.iter_keys_intersecting_into grid ~lo:sc.sc_lo ~hi:sc.sc_hi ~key:sc.sc_key
-    ~center ~radius:1. (fun key ->
-      let cell =
-        match Grid.Tbl.find table key with
-        | c -> c
-        | exception Not_found ->
-            let c = new_cell t gi grid key in
-            Grid.Tbl.add table (Array.copy key) c;
-            c
-      in
-      f table key cell)
+    ~center ~radius:1. (fun key -> f (cell_at t gi table grid key))
 
 let iter_cells t ~center f =
   for gi = 0 to grid_count t - 1 do
@@ -217,12 +222,18 @@ let iter_cells t ~center f =
    helper: the backend never inlines a function containing a loop, and
    a real call would box its float result once per sample visit, on the
    hottest path of the static solvers. The local float refs compile to
-   unboxed mutable registers. *)
+   unboxed mutable registers. Each scan also finds the cell's first
+   maximum (strict [>]) and hands its index to [refresh_cell]. *)
 
-(* Refresh the cached max/argmax after a sample scan marked changes. *)
-let refresh_cell t cell changed mx arg =
-  if changed && (mx <> cell.max_depth || arg <> cell.best) then begin
-    cell.max_depth <- mx;
+(* Refresh the cached max/argmax after a sample scan found the first
+   maximum at [arg]. The max is read back from the depth column rather
+   than passed in, since a float argument of a call would be boxed. *)
+let refresh_cell t cell ~changed ~arg =
+  let m = Array.length cell.ids in
+  let mx = FA.unsafe_get cell.depth arg in
+  if changed && (mx <> FA.unsafe_get cell.depth m || arg <> cell.best)
+  then begin
+    FA.unsafe_set cell.depth m mx;
     cell.best <- arg;
     cell.cversion <- cell.cversion + 1;
     t.hook cell
@@ -233,8 +244,7 @@ let refresh_cell t cell changed mx arg =
    and fire the hook if it moved. Generic (closure-driven) variant for
    custom depth notions — [update si] may rewrite [cell.depth.(si)] and
    reports whether it did; the weighted/colored hot paths below are
-   hand-specialized copies of the same loop. The argmax scan takes the
-   first maximum (strict [>]), matching the old record scan. *)
+   hand-specialized copies of the same loop. *)
 let update_cell t cell ~center update =
   let n = Array.length cell.ids in
   Obs.add c_visited n;
@@ -261,41 +271,7 @@ let update_cell t cell ~center update =
       arg := si
     end
   done;
-  refresh_cell t cell !changed !mx !arg
-
-(* [update_cell] specialized to an unconditional depth delta: no update
-   closure, no per-sample indirection, and — with the depth column
-   unboxed — no allocation. Deletion passes a negated weight
-   ([x +. (-.w)] and [x -. w] are the same IEEE operation, so the result
-   is bit-identical to the old subtracting closure). *)
-let update_cell_add t cell ~center ~delta =
-  let n = Array.length cell.ids in
-  Obs.add c_visited n;
-  let dim = t.dim in
-  let posf = cell.posf and depth = cell.depth and sver = cell.sver in
-  let changed = ref false in
-  let mx = ref Float.neg_infinity and arg = ref 0 in
-  let r2 = Closed.unit_r2 in
-  for si = 0 to n - 1 do
-    let d2 = ref 0. in
-    for k = 0 to dim - 1 do
-      let d =
-        FA.unsafe_get posf ((si * dim) + k) -. Array.unsafe_get center k
-      in
-      d2 := !d2 +. (d *. d)
-    done;
-    if !d2 <= r2 then begin
-      FA.unsafe_set depth si (FA.unsafe_get depth si +. delta);
-      Array.unsafe_set sver si (Array.unsafe_get sver si + 1);
-      changed := true
-    end;
-    let d = FA.unsafe_get depth si in
-    if d > !mx then begin
-      mx := d;
-      arg := si
-    end
-  done;
-  refresh_cell t cell !changed !mx !arg
+  refresh_cell t cell ~changed:!changed ~arg:!arg
 
 (* [update_cell] specialized to the colored flag test. *)
 let update_cell_color t cell ~center ~color =
@@ -329,17 +305,18 @@ let update_cell_color t cell ~center ~color =
       arg := si
     end
   done;
-  refresh_cell t cell !changed !mx !arg
+  refresh_cell t cell ~changed:!changed ~arg:!arg
 
-(* The insertion hot path, hand-fused: cell lookup/materialization and
-   the [update_cell_add] scan in one closure, no per-cell calls. The
-   generic composition ([iter_cells_in_grid] + [update_cell_add]) costs
-   two boxed floats per visited cell — the [~delta] argument and the
-   [refresh_cell] max — because the backend boxes float arguments of
-   non-inlined calls; at O(1) cells per grid per ball that was the
-   largest remaining per-insert allocation. Deletion and the generic/
-   colored updates keep the composable path. *)
-let insert_in_grid t ~grid:gi ~center ~weight =
+(* The weighted update, insertion ([count] = 1) and deletion ([count] =
+   -1) alike, hand-fused: cell lookup/materialization, the refcount and
+   the [update_cell] scan in one closure per grid, with nothing
+   allocated per visited cell. Deletion subtracts the weight, the IEEE
+   operation [x +. (-.w)], so the depths are bit-identical to adding
+   the negated weight. A cell whose refcount reaches zero is dropped:
+   its cached max becomes [neg_infinity] and the hook fires once more,
+   so a heap indexing it takes it out. Only insertion can meet a
+   missing cell — every cell a live ball intersects is materialized. *)
+let add_in_grid t gi ~center ~weight ~count =
   assert (Point.dim center = t.dim);
   let table = t.tables.(gi) in
   let grid = t.grids.Shifted_grids.grids.(gi) in
@@ -347,15 +324,10 @@ let insert_in_grid t ~grid:gi ~center ~weight =
   let dim = t.dim in
   Grid.iter_keys_intersecting_into grid ~lo:sc.sc_lo ~hi:sc.sc_hi
     ~key:sc.sc_key ~center ~radius:1. (fun key ->
-      let cell =
-        match Grid.Tbl.find table key with
-        | c -> c
-        | exception Not_found ->
-            let c = new_cell t gi grid key in
-            Grid.Tbl.add table (Array.copy key) c;
-            c
-      in
-      cell.nballs <- cell.nballs + 1;
+      let cell = cell_at t gi table grid key in
+      let nballs = cell.nballs + count in
+      assert (nballs >= 0);
+      cell.nballs <- nballs;
       let n = Array.length cell.ids in
       Obs.add c_visited n;
       let posf = cell.posf and depth = cell.depth and sver = cell.sver in
@@ -371,7 +343,9 @@ let insert_in_grid t ~grid:gi ~center ~weight =
           d2 := !d2 +. (d *. d)
         done;
         if !d2 <= r2 then begin
-          FA.unsafe_set depth si (FA.unsafe_get depth si +. weight);
+          let d = FA.unsafe_get depth si in
+          FA.unsafe_set depth si
+            (if count > 0 then d +. weight else d -. weight);
           Array.unsafe_set sver si (Array.unsafe_get sver si + 1);
           changed := true
         end;
@@ -381,41 +355,28 @@ let insert_in_grid t ~grid:gi ~center ~weight =
           arg := si
         end
       done;
-      if !changed && (!mx <> cell.max_depth || !arg <> cell.best) then begin
-        cell.max_depth <- !mx;
-        cell.best <- !arg;
-        cell.cversion <- cell.cversion + 1;
-        t.hook cell
-      end)
-
-let insert t ~center ~weight =
-  assert (Point.dim center = t.dim);
-  for gi = 0 to grid_count t - 1 do
-    insert_in_grid t ~grid:gi ~center ~weight
-  done
-
-let delete_in_grid t ~grid:gi ~center ~weight =
-  assert (Point.dim center = t.dim);
-  iter_cells_in_grid t gi ~center (fun table key cell ->
-      cell.nballs <- cell.nballs - 1;
-      assert (cell.nballs >= 0);
-      update_cell_add t cell ~center ~delta:(-.weight);
-      if cell.nballs = 0 then begin
-        (* Invalidate so stale heap entries are detectable. *)
-        cell.max_depth <- Float.neg_infinity;
-        cell.cversion <- cell.cversion + 1;
-        for si = 0 to Array.length cell.ids - 1 do
-          Array.unsafe_set cell.sver si (Array.unsafe_get cell.sver si + 1);
-          FA.unsafe_set cell.depth si Float.neg_infinity
-        done;
+      if nballs > 0 then refresh_cell t cell ~changed:!changed ~arg:!arg
+      else begin
+        FA.unsafe_set depth n Float.neg_infinity;
         t.hook cell;
         Grid.Tbl.remove table key;
         t.n_cells.(gi) <- t.n_cells.(gi) - 1
       end)
 
+let insert_in_grid t ~grid ~center ~weight =
+  add_in_grid t grid ~center ~weight ~count:1
+
+let insert t ~center ~weight =
+  for gi = 0 to grid_count t - 1 do
+    add_in_grid t gi ~center ~weight ~count:1
+  done
+
+let delete_in_grid t ~grid ~center ~weight =
+  add_in_grid t grid ~center ~weight ~count:(-1)
+
 let delete t ~center ~weight =
   for gi = 0 to grid_count t - 1 do
-    delete_in_grid t ~grid:gi ~center ~weight
+    add_in_grid t gi ~center ~weight ~count:(-1)
   done
 
 (* Generic insertion: [f] returns the depth delta for each sample of an
@@ -424,7 +385,7 @@ let delete t ~center ~weight =
    view of the sample (materialized per visited in-ball sample). *)
 let insert_with t ~center ~f =
   assert (Point.dim center = t.dim);
-  iter_cells t ~center (fun _table _key cell ->
+  iter_cells t ~center (fun cell ->
       cell.nballs <- cell.nballs + 1;
       update_cell t cell ~center (fun si ->
           let delta = f (sample_of cell si) in
@@ -438,7 +399,7 @@ let insert_with t ~center ~f =
 let touch_colored_in_grid t ~grid ~center ~color =
   assert (Point.dim center = t.dim);
   assert (color >= 0);
-  iter_cells_in_grid t grid ~center (fun _table _key cell ->
+  iter_cells_in_grid t grid ~center (fun cell ->
       cell.nballs <- cell.nballs + 1;
       update_cell_color t cell ~center ~color)
 
@@ -456,13 +417,25 @@ let iter_samples t f =
 let iter_live_cells t f =
   Array.iter (fun table -> Grid.Tbl.iter (fun _ cell -> f cell) table) t.tables
 
-let iter_live_cells_in_grid t ~grid f =
-  Grid.Tbl.iter (fun _ cell -> f cell) t.tables.(grid)
+(* Offset from [pos] of the first maximum of the [len] depths there:
+   the strict [>] scan of the update loops, so a cell's cached argmax
+   is exactly this index and its cached max the depth it names. *)
+let first_max depth ~pos ~len =
+  let mx = ref Float.neg_infinity and arg = ref 0 in
+  for si = 0 to len - 1 do
+    let d = FA.unsafe_get depth (pos + si) in
+    if d > !mx then begin
+      mx := d;
+      arg := si
+    end
+  done;
+  !arg
 
 (* Test support: check the structural invariants against the caller's
    record of live balls — every materialized cell is intersected by
    exactly [nballs] live balls, every cell intersected by some live ball
-   is materialized, and every cached cell max matches its samples. *)
+   is materialized, and every cached cell max and argmax is its samples'
+   first maximum. *)
 let validate t ~live =
   let ok = ref true in
   let expected : int Grid.Tbl.t array =
@@ -490,11 +463,9 @@ let validate t ~live =
           (match Grid.Tbl.find_opt exp key with
           | Some count when count = cell.nballs -> ()
           | _ -> ok := false);
-          let mx = ref Float.neg_infinity in
-          for si = 0 to Array.length cell.ids - 1 do
-            mx := Float.max !mx (FA.get cell.depth si)
-          done;
-          if Float.abs (!mx -. cell.max_depth) > 1e-9 then ok := false)
+          let arg = first_max cell.depth ~pos:0 ~len:(Array.length cell.ids) in
+          if arg <> cell.best || FA.get cell.depth arg <> cell_max cell then
+            ok := false)
         tbl)
     t.tables;
   !ok
@@ -507,7 +478,7 @@ let best_cell_in_grid t gi =
   Grid.Tbl.iter
     (fun _ c ->
       match !best with
-      | Some b when cell_max b >= c.max_depth -> ()
+      | Some b when cell_max b >= cell_max c -> ()
       | _ -> best := Some c)
     t.tables.(gi);
   !best
@@ -518,12 +489,12 @@ let best t =
     match best_cell_in_grid t gi with
     | Some c -> (
         match !best with
-        | Some b when cell_max b >= c.max_depth -> ()
+        | Some b when cell_max b >= cell_max c -> ()
         | _ -> best := Some c)
     | None -> ()
   done;
   match !best with
-  | Some c when c.max_depth > Float.neg_infinity -> Some (cell_best c)
+  | Some c when cell_max c > Float.neg_infinity -> Some (cell_best c)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -546,8 +517,8 @@ let best t =
    the config and slices every cell's columns back out of the grid's.
    The hash tables are repopulated in key order; no observable
    behaviour depends on their internal layout — the dynamic structure's
-   heap uses a total order over (depth, cell uid, version), and epoch
-   rebuilds iterate balls in sorted handle order. *)
+   heap uses a total order over (depth, cell uid), and epoch rebuilds
+   iterate balls in sorted handle order. *)
 module State = struct
   type grid = {
     rng : int64;
@@ -635,7 +606,7 @@ let capture_grid t gi =
       blit_ints key 0 g.State.keys (i * dim) dim;
       g.State.nballs.(i) <- c.nballs;
       g.State.cversion.(i) <- c.cversion;
-      FA.set g.State.cmax i c.max_depth;
+      FA.set g.State.cmax i (cell_max c);
       g.State.best.(i) <- c.best;
       blit_ints c.ids 0 g.State.ids (i * m) m;
       FA.blit c.posf 0 g.State.pos (i * m * dim) (m * dim);
@@ -681,20 +652,31 @@ let restore ~cfg (st : State.t) =
   Array.iteri
     (fun gi (g : State.grid) ->
       for i = 0 to State.cells g - 1 do
-        let best = g.State.best.(i) in
-        if best < 0 || best >= m then
-          invalid_arg "Sample_space.restore: best index out of range";
+        (* The cached max seeds the owner's heap, so it is recomputed,
+           not trusted: a live cell has a ball, and its max and argmax
+           are its samples' first maximum. *)
+        let best = first_max g.State.depth ~pos:(i * m) ~len:m in
+        let cmax = FA.get g.State.cmax i in
+        if g.State.nballs.(i) < 1 then
+          invalid_arg "Sample_space.restore: a live cell without a ball";
+        if
+          best <> g.State.best.(i)
+          || cmax <> FA.get g.State.depth ((i * m) + best)
+        then invalid_arg "Sample_space.restore: cached max is not the cell's";
+        let depth = FA.create (m + 1) in
+        FA.blit g.State.depth (i * m) depth 0 m;
+        FA.set depth m cmax;
         let cell =
           {
             ids = Array.sub g.State.ids (i * m) m;
             posf = FA.sub g.State.pos (i * m * dim) (m * dim);
-            depth = FA.sub g.State.depth (i * m) m;
+            depth;
             flag = Array.sub g.State.flag (i * m) m;
             sver = Array.sub g.State.sver (i * m) m;
             nballs = g.State.nballs.(i);
-            max_depth = FA.get g.State.cmax i;
             best;
             cversion = g.State.cversion.(i);
+            slot = -1;
           }
         in
         Grid.Tbl.add t.tables.(gi) (Array.sub g.State.keys (i * dim) dim) cell

@@ -17,7 +17,7 @@
 
     Each cell caches its max-depth sample (refreshed for free during the
     per-update sample scan); the dynamic structure indexes cells, not
-    samples, in its lazy heap.
+    samples, in a {!Cell_heap}.
 
     Parallel construction: every grid of the shifted collection owns
     disjoint state — its own hash table, its own rng stream (derived
@@ -55,12 +55,14 @@ val cell_max : cell -> float
 (** Cached maximum sample depth of the cell ([neg_infinity] once the cell
     has been dropped). *)
 
-val cell_best : cell -> sample
-(** A sample attaining {!cell_max}. *)
+val cell_max_column : cell -> floatarray
+(** A column whose last slot holds {!cell_max} (the cell's depth column:
+    one slot per sample, then the cached max). Read-only; it lets
+    another module read the max without the float being boxed on the
+    way. *)
 
-val cell_version : cell -> int
-(** Bumped whenever the cell's max/argmax changes or the cell is
-    dropped — lazy-heap staleness check. *)
+val cell_best : cell -> sample
+(** The first sample attaining {!cell_max}. *)
 
 val cell_uid : cell -> int
 (** A stable unique identifier (the first sample's id): a deterministic
@@ -68,17 +70,21 @@ val cell_uid : cell -> int
     {!state}/{!restore} round trips. Used as a total-order tie-breaking
     key by the dynamic structure's heap. *)
 
+val cell_slot : cell -> int
+val set_cell_slot : cell -> int -> unit
+(** The cell's slot in the {!Cell_heap} that holds it, [-1] when none
+    does (the heap's own bookkeeping; fresh and restored cells start at
+    [-1]). *)
+
 val grid_of_cell : t -> cell -> int
 (** Index of the grid the cell belongs to (recovered from its uid) —
     lets a sharded owner route a changed cell to the heap of the shard
     owning its grid. *)
 
-val cell_count_in_grid : t -> grid:int -> int
-(** Live cells materialized in one grid of the collection. *)
-
 val on_cell_change : t -> (cell -> unit) -> unit
-(** Register a hook invoked whenever a cell's cached max changes (or the
-    cell is dropped). *)
+(** Register a hook invoked whenever a cell's cached max or argmax
+    changes, and once more when the cell is dropped (its max is then
+    [neg_infinity]). *)
 
 val insert : t -> center:Maxrs_geom.Point.t -> weight:float -> unit
 (** Insert a unit ball: materialize missing cells (sampling their
@@ -123,15 +129,12 @@ val best : t -> sample option
 val iter_samples : t -> (sample -> unit) -> unit
 val iter_live_cells : t -> (cell -> unit) -> unit
 
-val iter_live_cells_in_grid : t -> grid:int -> (cell -> unit) -> unit
-(** {!iter_live_cells} restricted to one grid — per-shard lazy-heap
-    compaction walks only the cells of the grids the shard owns. *)
-
 val validate : t -> live:Maxrs_geom.Point.t list -> bool
 (** Test support: given the centers of the currently live balls, check
     the structural invariants — the materialized cells are exactly the
     cells intersected by a live ball, each with the correct reference
-    count, and every cached cell max matches its samples. *)
+    count, and every cached cell max and argmax is exactly its samples'
+    first maximum. *)
 
 (** Exact serializable state (durability layer), in flat columns. The
     capture is canonical — cells in ascending key order, every mutable
@@ -147,7 +150,8 @@ module State : sig
     next_id : int;  (** the grid's sample-id counter *)
     keys : int array;  (** [cells * dim] cell keys, ascending *)
     nballs : int array;  (** per cell: live balls intersecting it *)
-    cversion : int array;  (** per cell: {!cell_version} *)
+    cversion : int array;
+        (** per cell: bumped whenever its max or argmax changes *)
     cmax : floatarray;  (** per cell: {!cell_max} *)
     best : int array;  (** per cell: index of its best sample *)
     ids : int array;  (** [cells * samples_per_cell] sample ids *)
@@ -177,5 +181,7 @@ val restore : cfg:Config.t -> State.t -> t
     captured one's. The grid collection is re-derived from [cfg], which
     must be the config the captured structure was built with; raises
     [Invalid_argument] when the state is inconsistent with it or fails
-    {!State.check_shape}. No hook is registered on the restored
-    structure. *)
+    {!State.check_shape}, and when a cell has no ball or its [cmax] or
+    [best] is not its depths' first maximum (strict [>], as the update
+    loops take it) — an owner seeds its heap from those cached maxima.
+    No hook is registered on the restored structure. *)

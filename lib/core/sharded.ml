@@ -10,11 +10,12 @@
      update to its own grids concurrently with the others and the
      resulting sample space is bit-identical to the unsharded
      [Dynamic]'s for any shard/domain count. Each shard also owns a
-     private lazy heap fed only by its own grids' cells (the cell-change
-     hook routes on [Sample_space.grid_of_cell]), and [best] merges the
-     per-shard heap tops in shard-index order under the strict total
-     order [Dynamic.Entry.cmp] — because cell uids are globally unique,
-     that merge equals the top of one global heap.
+     private [Cell_heap] over its own grids' cells (the cell-change hook
+     routes on [Sample_space.grid_of_cell] and re-seats the cell in
+     place), and [best] merges the per-shard heap tops in shard-index
+     order under the heap's strict total order [Cell_heap.precedes] —
+     because cell uids are globally unique, that merge equals the top
+     of one global heap.
 
    - Storage ownership is by the ball's Lemma 2.1 spatial key: the cell
      of the (scaled) center in a canonical grid hashes to the shard
@@ -149,8 +150,7 @@ type t = {
   columns : columns array;  (** per-shard ball columns *)
   owned : int array array;  (** owned.(s) = grid indices of shard s *)
   mutable space : Sample_space.t;
-  heaps : Dynamic.Entry.t Heap.t array;  (** per-shard lazy heaps *)
-  pushes : int array;
+  heaps : Cell_heap.t array;  (** per shard: its grids' cells *)
   mutable n0 : int;
   mutable next_handle : int;
   mutable epochs : int;
@@ -173,16 +173,13 @@ let owner t center =
     let key = Grid.key_of_point t.key_grid center in
     Array.fold_left mix 0x27D4EB2F key land max_int mod t.nshards
 
-let attach_hook t =
-  Sample_space.on_cell_change t.space (fun c ->
-      match Dynamic.Entry.of_cell c with
-      | Some e ->
-          (* Only the participant applying the owning shard's grids can
-             fire this for [c], so the shard's heap needs no lock. *)
-          let s = Sample_space.grid_of_cell t.space c mod t.nshards in
-          Heap.push t.heaps.(s) e;
-          t.pushes.(s) <- t.pushes.(s) + 1
-      | None -> ())
+(* Re-seat a cell in the heap of the shard owning its grid. As the hook,
+   only the participant applying that shard's grids runs it for the
+   cell, so the shard's heap needs no lock. *)
+let reseat t c =
+  Cell_heap.update t.heaps.(Sample_space.grid_of_cell t.space c mod t.nshards) c
+
+let attach_hook t = Sample_space.on_cell_change t.space (reseat t)
 
 (* Fan one ball update out across the shard owners: chunk s of the job
    is exactly shard s, so every grid is touched by one participant.
@@ -228,8 +225,7 @@ let create ?(cfg = Config.default) ?(radius = 1.) ?domains ~dim ~shards () =
       columns = Array.init shards (fun _ -> cols_create ~dim);
       owned = owned_grids ~grids:(Sample_space.grid_count space) ~shards;
       space;
-      heaps = Array.init shards (fun _ -> Heap.create ~cmp:Dynamic.Entry.cmp);
-      pushes = Array.make shards 0;
+      heaps = Array.init shards (fun _ -> Cell_heap.create ());
       n0 = 4;
       next_handle = 0;
       epochs = 0;
@@ -266,27 +262,6 @@ let balls_sorted t =
     [] t.columns
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let compact_shard t s =
-  t.heaps.(s) <- Heap.create ~cmp:Dynamic.Entry.cmp;
-  t.pushes.(s) <- 0;
-  Array.iter
-    (fun gi ->
-      Sample_space.iter_live_cells_in_grid t.space ~grid:gi (fun c ->
-          match Dynamic.Entry.of_cell c with
-          | Some e -> Heap.push t.heaps.(s) e
-          | None -> ()))
-    t.owned.(s)
-
-let maybe_compact t =
-  for s = 0 to t.nshards - 1 do
-    let cells =
-      Array.fold_left
-        (fun acc gi -> acc + Sample_space.cell_count_in_grid t.space ~grid:gi)
-        0 t.owned.(s)
-    in
-    if t.pushes.(s) > Dynamic.heap_budget ~cells then compact_shard t s
-  done
-
 let rebuild t =
   t.epochs <- t.epochs + 1;
   Log.debug (fun m ->
@@ -295,8 +270,7 @@ let rebuild t =
   t.n0 <- Int.max 4 t.nlive;
   t.space <- Sample_space.create ~dim:t.dim ~cfg:t.cfg ~expected_n:t.n0;
   for s = 0 to t.nshards - 1 do
-    t.heaps.(s) <- Heap.create ~cmp:Dynamic.Entry.cmp;
-    t.pushes.(s) <- 0
+    t.heaps.(s) <- Cell_heap.create ()
   done;
   attach_hook t;
   (* Sorted handle order per grid — exactly the order the unsharded
@@ -336,7 +310,6 @@ let insert_checked t ?(weight = 1.) p =
       let handle = Dynamic.handle_of_id h in
       t.journal (Op_insert { shard = s; handle; point = p; weight });
       maybe_rebuild t;
-      maybe_compact t;
       handle)
     check
 
@@ -357,40 +330,25 @@ let delete t h =
       apply t (fun gi ->
           Sample_space.delete_in_grid t.space ~grid:gi ~center ~weight);
       t.journal (Op_delete { shard = s; handle = h });
-      maybe_rebuild t;
-      maybe_compact t
+      maybe_rebuild t
 
-(* Per-shard lazy-deletion top, then a deterministic merge in
-   shard-index order. [Entry.cmp] is a strict total order over
-   distinguishable entries and cell uids are globally unique, so this
+(* Per-shard tops, merged in shard-index order. [Cell_heap.precedes] is
+   a strict total order and cell uids are globally unique, so this
    equals the top of the unsharded structure's single heap. *)
 let best t =
   let cand = ref None in
-  for s = 0 to t.nshards - 1 do
-    let heap = t.heaps.(s) in
-    let rec top () =
-      match Heap.peek heap with
-      | None -> None
-      | Some e ->
-          if Dynamic.Entry.live e then Some e
-          else begin
-            ignore (Heap.pop heap);
-            top ()
-          end
-    in
-    match top () with
-    | None -> ()
-    | Some e -> (
-        match !cand with
-        | Some b when Dynamic.Entry.cmp b e >= 0 -> ()
-        | _ -> cand := Some e)
-  done;
-  match !cand with
-  | None -> None
-  | Some e ->
-      Some
-        ( unscale t (Sample_space.cell_best e.cell).Sample_space.pos,
-          e.depth )
+  Array.iter
+    (fun heap ->
+      match (Cell_heap.top heap, !cand) with
+      | Some c, Some b when not (Cell_heap.precedes c b) -> ()
+      | Some c, _ -> cand := Some c
+      | None, _ -> ())
+    t.heaps;
+  Option.map
+    (fun c ->
+      ( unscale t (Sample_space.cell_best c).Sample_space.pos,
+        Sample_space.cell_max c ))
+    !cand
 
 let state t : Dynamic.State.t =
   {
@@ -432,8 +390,7 @@ let restore ?domains ~shards (s : Dynamic.State.t) =
       columns = Array.init shards (fun _ -> cols_create ~dim);
       owned = owned_grids ~grids:(Sample_space.grid_count space) ~shards;
       space;
-      heaps = Array.init shards (fun _ -> Heap.create ~cmp:Dynamic.Entry.cmp);
-      pushes = Array.make shards 0;
+      heaps = Array.init shards (fun _ -> Cell_heap.create ());
       n0 = s.Dynamic.State.n0;
       next_handle = s.Dynamic.State.next_handle;
       epochs = s.Dynamic.State.epochs;
@@ -453,9 +410,7 @@ let restore ?domains ~shards (s : Dynamic.State.t) =
       t.nlive <- t.nlive + 1)
     s.Dynamic.State.balls;
   attach_hook t;
-  for sh = 0 to shards - 1 do
-    compact_shard t sh
-  done;
+  Sample_space.iter_live_cells space (reseat t);
   t
 
 let close t =

@@ -10,10 +10,10 @@
     storage partition: the ball lives in shard [s]'s flat columns and
     its ops are journaled (by the durable layer) to shard [s]'s WAL.
 
-    Every shard feeds a private lazy heap from its own grids' cells;
+    Every shard keeps a private {!Cell_heap} over its own grids' cells;
     {!best} merges the per-shard tops in shard-index order under the
-    strict total order {!Dynamic.Entry.cmp}, which equals the top of
-    one global heap because cell uids are globally unique.
+    heap's strict total order ({!Cell_heap.precedes}), which equals the
+    top of one global heap because cell uids are globally unique.
 
     The answer contract, checked by the differential suite: a sharded
     store and a {!Dynamic} fed the same operation sequence return

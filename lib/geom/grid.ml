@@ -80,7 +80,18 @@ let keys_intersecting_ball g b =
 module Tbl = Hashtbl.Make (struct
   type t = key
 
-  let equal a b = a = b
+  (* A typed int loop, not polymorphic [=]: every table lookup on the
+     update paths ends in one [equal], and [compare_val]'s generic walk
+     costs more than the few integer compares a key needs. *)
+  let equal (a : key) (b : key) =
+    let n = Array.length a in
+    n = Array.length b
+    &&
+    let i = ref 0 in
+    while !i < n && Array.unsafe_get a !i = Array.unsafe_get b !i do
+      incr i
+    done;
+    !i = n
 
   let hash k =
     (* FNV-style mix over coordinates; the polymorphic hash would also

@@ -6,7 +6,7 @@
 module Point = Maxrs_geom.Point
 module Rng = Maxrs_geom.Rng
 module Config = Maxrs.Config
-module Heap = Maxrs.Heap
+module Cell_heap = Maxrs.Cell_heap
 module Sample_space = Maxrs.Sample_space
 module Dynamic = Maxrs.Dynamic
 module Static = Maxrs.Static
@@ -58,26 +58,126 @@ let test_config_geometry () =
   Alcotest.(check (float 1e-9)) "delta = eps^2" 0.0625 (Config.grid_delta cfg)
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
+(* Cell_heap *)
 
-let test_heap_ordering () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 3; 1; 4; 1; 5; 9; 2; 6 ];
-  Alcotest.(check int) "length" 8 (Heap.length h);
-  Alcotest.(check (option int)) "peek max" (Some 9) (Heap.peek h);
-  let drained = List.init 8 (fun _ -> Option.get (Heap.pop h)) in
-  Alcotest.(check (list int)) "sorted drain" [ 9; 6; 5; 4; 3; 2; 1; 1 ] drained;
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h)
+(* One grid and a coarse epsilon: a unit ball touches a handful of
+   cells, and balls 10 apart touch disjoint ones. *)
+let heap_cfg = Config.make ~epsilon:0.45 ~max_grid_shifts:(Some 1) ~seed:3 ()
 
-let prop_heap_drains_sorted =
-  QCheck.Test.make ~count:300 ~name:"heap drains in sorted order"
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) xs;
-      let drained = List.init (List.length xs) (fun _ -> Option.get (Heap.pop h)) in
-      drained = List.sort (fun a b -> Int.compare b a) xs)
+(* What the hook saw happen to cells already in the heap, by kind. *)
+type heap_moves = {
+  mutable raised : int;
+  mutable lowered : int;
+  mutable removed_mid : int;
+  mutable removed_last : int;
+}
+
+(* Every slot points back at itself and every parent precedes its
+   children. *)
+let check_order what heap =
+  for i = 0 to Cell_heap.length heap - 1 do
+    let c = Cell_heap.cell_at heap i in
+    Alcotest.(check int) (what ^ ": slot back-pointer") i
+      (Sample_space.cell_slot c);
+    if i > 0 then
+      Alcotest.(check bool) (what ^ ": parent first") true
+        (Cell_heap.precedes (Cell_heap.cell_at heap ((i - 1) / 2)) c)
+  done
+
+(* A one-grid space whose hook feeds a heap, classifies each move before
+   it is made and checks the order after it. *)
+let heap_space () =
+  let space = Sample_space.create ~dim:2 ~cfg:heap_cfg ~expected_n:8 in
+  let heap = Cell_heap.create () in
+  let moves = { raised = 0; lowered = 0; removed_mid = 0; removed_last = 0 } in
+  let seen = Hashtbl.create 64 in
+  Sample_space.on_cell_change space (fun c ->
+      let uid = Sample_space.cell_uid c and d = Sample_space.cell_max c in
+      let slot = Sample_space.cell_slot c and len = Cell_heap.length heap in
+      (if slot >= 0 then
+         let before = Hashtbl.find seen uid in
+         if d <= 0. then begin
+           if slot = len - 1 then moves.removed_last <- moves.removed_last + 1
+           else if slot > 0 then moves.removed_mid <- moves.removed_mid + 1
+         end
+         else if d > before then moves.raised <- moves.raised + 1
+         else if d < before then moves.lowered <- moves.lowered + 1);
+      Hashtbl.replace seen uid d;
+      Cell_heap.update heap c;
+      check_order "after a move" heap);
+  (space, heap, moves)
+
+(* Between ops the heap holds exactly the live cells with a positive
+   max, and its top is the brute-force first cell: deepest, then
+   smallest uid. *)
+let check_heap what space heap =
+  check_order what heap;
+  let n = Cell_heap.length heap in
+  let positive = ref 0 and first = ref None in
+  Sample_space.iter_live_cells space (fun c ->
+      let d = Sample_space.cell_max c and slot = Sample_space.cell_slot c in
+      if d > 0. then begin
+        incr positive;
+        Alcotest.(check bool) (what ^ ": in the heap") true
+          (slot >= 0 && Cell_heap.cell_at heap slot == c);
+        match !first with
+        | Some b
+          when Sample_space.cell_max b > d
+               || (Sample_space.cell_max b = d
+                  && Sample_space.cell_uid b < Sample_space.cell_uid c) ->
+            ()
+        | _ -> first := Some c
+      end
+      else Alcotest.(check int) (what ^ ": out of the heap") (-1) slot);
+  Alcotest.(check int) (what ^ ": one slot per positive cell") !positive n;
+  Alcotest.(check bool) (what ^ ": top") true
+    (match (!first, Cell_heap.top heap) with
+    | None, None -> true
+    | Some a, Some b -> a == b
+    | _ -> false)
+
+let test_cell_heap_moves () =
+  let space, heap, moves = heap_space () in
+  let a = [| 0.; 0. |] and b = [| 10.; 0. |] and c = [| 20.; 0. |] in
+  let step what f =
+    f ();
+    check_heap what space heap
+  in
+  step "insert a" (fun () -> Sample_space.insert space ~center:a ~weight:1.);
+  step "insert b" (fun () -> Sample_space.insert space ~center:b ~weight:2.);
+  step "insert c" (fun () -> Sample_space.insert space ~center:c ~weight:3.);
+  (* The same center again: every positive cell of [a] is raised past
+     the cells of [b] and [c]. *)
+  step "raise a" (fun () -> Sample_space.insert space ~center:a ~weight:5.);
+  Alcotest.(check (float 0.)) "a on top" 6.
+    (Sample_space.cell_max (Option.get (Cell_heap.top heap)));
+  step "lower a" (fun () -> Sample_space.delete space ~center:a ~weight:5.);
+  Alcotest.(check (float 0.)) "c on top" 3.
+    (Sample_space.cell_max (Option.get (Cell_heap.top heap)));
+  step "drop b" (fun () -> Sample_space.delete space ~center:b ~weight:2.);
+  step "drop c" (fun () -> Sample_space.delete space ~center:c ~weight:3.);
+  step "drop a" (fun () -> Sample_space.delete space ~center:a ~weight:1.);
+  Alcotest.(check int) "empty" 0 (Cell_heap.length heap);
+  Alcotest.(check bool) "raised in place" true (moves.raised > 0);
+  Alcotest.(check bool) "lowered in place" true (moves.lowered > 0);
+  Alcotest.(check bool) "removed a middle slot" true (moves.removed_mid > 0);
+  Alcotest.(check bool) "removed the last slot" true (moves.removed_last > 0)
+
+let test_cell_heap_uid_ties () =
+  (* Two balls of one weight far apart: every positive cell has the
+     same max, so the uid alone orders them. *)
+  let space, heap, _ = heap_space () in
+  Sample_space.insert space ~center:[| 0.; 0. |] ~weight:2.;
+  Sample_space.insert space ~center:[| 10.; 0. |] ~weight:2.;
+  check_heap "equal depths" space heap;
+  let uids = ref [] in
+  Sample_space.iter_live_cells space (fun c ->
+      if Sample_space.cell_max c > 0. then
+        uids := Sample_space.cell_uid c :: !uids);
+  Alcotest.(check bool) "several tied cells" true (List.length !uids > 2);
+  Alcotest.(check int) "smallest uid on top"
+    (List.fold_left Int.min max_int !uids)
+    (Sample_space.cell_uid (Option.get (Cell_heap.top heap)))
 
 (* ------------------------------------------------------------------ *)
 (* Sample_space *)
@@ -535,7 +635,7 @@ let test_workload_uniform_bounds () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_heap_drains_sorted; prop_output_sensitive_exact ]
+    [ prop_output_sensitive_exact ]
 
 let () =
   Alcotest.run "core"
@@ -546,7 +646,13 @@ let () =
           Alcotest.test_case "sample scaling" `Quick test_config_samples_scale;
           Alcotest.test_case "grid geometry" `Quick test_config_geometry;
         ] );
-      ("heap", [ Alcotest.test_case "ordering" `Quick test_heap_ordering ]);
+      ( "cell-heap",
+        [
+          Alcotest.test_case "raise, lower and remove in place" `Quick
+            test_cell_heap_moves;
+          Alcotest.test_case "equal depths ordered by uid" `Quick
+            test_cell_heap_uid_ties;
+        ] );
       ( "sample-space",
         [
           Alcotest.test_case "insert/delete symmetry" `Quick

@@ -1145,6 +1145,88 @@ let qcheck_cases =
       qcheck_state_roundtrip;
     ]
 
+(* [st] with one cell field rewritten: [f] gets the first non-empty
+   grid of the space and returns its replacement. *)
+let with_first_grid (st : Dynamic.State.t) f =
+  let sp = st.Dynamic.State.space in
+  let grids = Array.copy sp.SS.grids in
+  let rec first gi = if SS.cells grids.(gi) > 0 then gi else first (gi + 1) in
+  let gi = first 0 in
+  grids.(gi) <- f grids.(gi);
+  { st with Dynamic.State.space = { sp with SS.grids } }
+
+let nudge_cmax (g : SS.grid) =
+  let cmax = Float.Array.copy g.SS.cmax in
+  Float.Array.set cmax 0 (Float.Array.get cmax 0 +. 0.5);
+  { g with SS.cmax }
+
+let test_restore_rejects_untrue_cache () =
+  let cfg = test_cfg 0.45 47 in
+  let dyn = Dynamic.create ~cfg ~radius:1. ~dim:2 () in
+  List.iter (apply_dyn dyn) (gen_ops ~n:30 ~seed:47 ~extent:4.);
+  let st = Dynamic.state dyn in
+  ignore (Dynamic.restore st);
+  let m = st.Dynamic.State.space.SS.samples_per_cell in
+  List.iter
+    (fun (what, f) ->
+      match Dynamic.restore (with_first_grid st f) with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: restored" what)
+    [
+      ("nudged cmax", nudge_cmax);
+      ( "another best",
+        fun g ->
+          let best = Array.copy g.SS.best in
+          best.(0) <- (best.(0) + 1) mod m;
+          { g with SS.best } );
+      ( "a cell without a ball",
+        fun g ->
+          let nballs = Array.copy g.SS.nballs in
+          nballs.(0) <- 0;
+          { g with SS.nballs } );
+    ]
+
+(* A checksummed newest snapshot whose one cached cell max was nudged:
+   it decodes, but the heap would be seeded from that max, so restore
+   rejects it. Recovery skips it, counts the skip and lands
+   bit-identically on the older snapshot plus the log. *)
+let test_recovery_skips_untrue_cached_max () =
+  let cfg = test_cfg 0.45 43 in
+  let ops = gen_ops ~n:50 ~seed:43 ~extent:4. in
+  let expected = baseline ~cfg ~radius:1. ops ~prefix:50 in
+  let wal = fresh_wal_path () in
+  Fun.protect
+    ~finally:(fun () -> cleanup wal)
+    (fun () ->
+      let s =
+        Result.get_ok (Session.open_ ~wal ~snapshot_every:20 ~cfg ())
+      in
+      List.iter (apply_session s) ops;
+      Session.close s;
+      let st40 =
+        List.find_map
+          (fun (seq, st, _) -> if seq = 40 then Some st else None)
+          (Snapshot.load_all ~wal)
+        |> Option.get
+      in
+      write_file
+        (Snapshot.path ~wal ~seq:40)
+        (snapshot_file ~seq:40
+           (Codec.encode_state (with_first_grid st40 nudge_cmax)));
+      let before = Obs.value skipped_corrupt in
+      let s2 =
+        Obs.with_enabled true (fun () -> Result.get_ok (Session.open_ ~wal ()))
+      in
+      Alcotest.(check int) "the skip is counted" 1
+        (Obs.value skipped_corrupt - before);
+      (match Session.recovery s2 with
+      | Some r ->
+          Alcotest.(check (option int)) "fell back to snapshot 20" (Some 20)
+            r.Session.snapshot_seq
+      | None -> Alcotest.fail "expected recovery");
+      check_fp "untrue cached max" expected (session_fingerprint s2);
+      Session.close s2)
+
 let () =
   Alcotest.run "durable"
     [
@@ -1191,6 +1273,10 @@ let () =
             test_snapshot_survives_corrupt_newest;
           Alcotest.test_case "malformed newest snapshot is skipped" `Quick
             test_recovery_skips_malformed_snapshot;
+          Alcotest.test_case "restore rejects an untrue cached max" `Quick
+            test_restore_rejects_untrue_cache;
+          Alcotest.test_case "untrue cached max in the newest snapshot" `Quick
+            test_recovery_skips_untrue_cached_max;
         ] );
       ( "recovery",
         [

@@ -13,6 +13,7 @@ module Dynamic = Maxrs.Dynamic
 module Sharded = Maxrs.Sharded
 module Parallel = Maxrs_parallel.Parallel
 module Codec = Maxrs_durable.Codec
+module SS = Maxrs.Sample_space.State
 
 let test_cfg = Config.make ~epsilon:0.25 ~seed:7 ()
 
@@ -273,6 +274,176 @@ let prop_sharded_matches_dynamic =
       ep = ep_ref && String.equal fp fp_ref
       && List.for_all2 answer_eq tr_ref tr)
 
+(* ------------------------------------------------------------------ *)
+(* Property: the cell heap's top is the brute-force deepest cell.
+
+   [best] reads the top of an indexed heap that the cell-change hook
+   keeps in place, so after every op it must equal a brute force over
+   the captured state: among the cells with a positive cached max, the
+   deepest, then the smallest uid (the cell's first sample id),
+   reported as the position of that cell's best sample. Scripts open
+   with a burst of inserts that forces an epoch rebuild, then mix
+   inserts and deletes around one state/restore. Weights are integers;
+   half the balls sit on a dense half-unit lattice (depth ties between
+   cells) and half on spots 4 apart, where a deletion drops the cells
+   of an isolated ball — often the top. *)
+
+let heap_cfg = Config.make ~epsilon:0.45 ~max_grid_shifts:(Some 4) ~seed:7 ()
+
+(* The ops before and after the restore, each followed by a [Query]. *)
+let gen_heap_script ~seed =
+  let rng = Rng.create seed in
+  let live = ref 0 in
+  let ins () =
+    incr live;
+    let step = if Rng.bernoulli rng 0.5 then 4. else 0.5 in
+    Ins
+      ( [|
+          step *. Float.of_int (Rng.int rng 6);
+          0.5 *. Float.of_int (Rng.int rng 6);
+        |],
+        Float.of_int (1 + Rng.int rng 3) )
+  in
+  let op () =
+    if !live > 0 && Rng.bernoulli rng 0.45 then begin
+      decr live;
+      Del (Rng.int rng (!live + 1))
+    end
+    else ins ()
+  in
+  let queried ops = List.concat_map (fun o -> [ o; Query ]) ops in
+  let burst = List.init 10 (fun _ -> ins ()) in
+  let before = burst @ List.init 25 (fun _ -> op ()) in
+  let after = List.init 24 (fun _ -> op ()) in
+  (queried before, queried after)
+
+let brute_best (st : Dynamic.State.t) =
+  let sp = st.Dynamic.State.space in
+  let m = sp.SS.samples_per_cell and dim = sp.SS.dim in
+  let best = ref None in
+  Array.iter
+    (fun (g : SS.grid) ->
+      for i = 0 to SS.cells g - 1 do
+        let d = Float.Array.get g.SS.cmax i and uid = g.SS.ids.(i * m) in
+        if d > 0. then
+          match !best with
+          | Some (bd, buid, _, _) when bd > d || (bd = d && buid < uid) -> ()
+          | _ -> best := Some (d, uid, g, i)
+      done)
+    sp.SS.grids;
+  Option.map
+    (fun (d, _, (g : SS.grid), i) ->
+      let si = (i * m) + g.SS.best.(i) in
+      let radius = st.Dynamic.State.radius in
+      ( Array.init dim (fun k ->
+            radius *. Float.Array.get g.SS.pos ((si * dim) + k)),
+        d ))
+    !best
+
+(* Replay both halves, [restore] swapping the structure for one restored
+   from its state in between; every [Query] checks [best] against the
+   brute force. *)
+let check_heap_script ~what ~insert ~delete ~best ~state ~restore
+    (before, after) =
+  let handles = ref [||] in
+  let checked () =
+    let b = best () in
+    if not (answer_eq b (brute_best (state ()))) then
+      Alcotest.failf "%s: best is not the brute-force deepest cell" what;
+    b
+  in
+  ignore (replay ~handles ~insert ~delete ~best:checked before);
+  restore ();
+  ignore (replay ~handles ~insert ~delete ~best:checked after)
+
+let prop_heap_matches_brute_force =
+  QCheck.Test.make ~count:50 ~name:"best == brute-force deepest cell"
+    QCheck.(pair (int_bound 10_000) (int_bound 3))
+    (fun (seed, si) ->
+      let shards = si + 1 in
+      let script = gen_heap_script ~seed:(seed + 1) in
+      let d = ref (Dynamic.create ~cfg:heap_cfg ~dim:2 ()) in
+      check_heap_script ~what:"dynamic"
+        ~insert:(fun ~weight p -> Dynamic.insert !d ~weight p)
+        ~delete:(fun h -> Dynamic.delete !d h)
+        ~best:(fun () -> Dynamic.best !d)
+        ~state:(fun () -> Dynamic.state !d)
+        ~restore:(fun () -> d := Dynamic.restore (Dynamic.state !d))
+        script;
+      let s = ref (Sharded.create ~cfg:heap_cfg ~dim:2 ~shards ()) in
+      Fun.protect
+        ~finally:(fun () -> Sharded.close !s)
+        (fun () ->
+          check_heap_script
+            ~what:(Printf.sprintf "shards=%d" shards)
+            ~insert:(fun ~weight p -> Sharded.insert !s ~weight p)
+            ~delete:(fun h -> Sharded.delete !s h)
+            ~best:(fun () -> Sharded.best !s)
+            ~state:(fun () -> Sharded.state !s)
+            ~restore:(fun () ->
+              let st = Sharded.state !s in
+              Sharded.close !s;
+              s := Sharded.restore ~shards st)
+            script);
+      Dynamic.epochs !d > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate.
+
+   Minor words are deterministic for a given binary and input, so the
+   write path's allocation is gated as a count, not a time: 1,000
+   alternating writes (an insert, then the delete of the oldest live
+   ball) on a structure warmed to 500 balls under [Config.default].
+   The update loop, the cell refresh and the heap re-seat allocate
+   nothing per visited cell; what is left is per op (the guard, the
+   scaled center, the ball tables, a closure per grid) and the cells a
+   write materializes. A one-shard [Sharded] runs no domain, so its
+   count holds under any [MAXRS_DOMAINS] and [MAXRS_FAULTS]. *)
+
+let alloc_live = 500
+let alloc_writes = 1_000
+
+let minor_words_per_write ~insert ~delete =
+  let rng = Rng.create 19 in
+  let point _ = [| Rng.uniform rng (-10.) 10.; Rng.uniform rng (-10.) 10. |] in
+  let warm = Array.init alloc_live point in
+  let fresh = Array.init (alloc_writes / 2) point in
+  let ring = Array.map insert warm in
+  let w0 = Gc.minor_words () in
+  for i = 0 to (alloc_writes / 2) - 1 do
+    let oldest = i mod alloc_live in
+    delete ring.(oldest);
+    ring.(oldest) <- insert fresh.(i)
+  done;
+  (Gc.minor_words () -. w0) /. Float.of_int alloc_writes
+
+let test_alloc_gate () =
+  let dynamic =
+    let d = Dynamic.create ~dim:2 () in
+    minor_words_per_write
+      ~insert:(fun p -> Dynamic.insert d p)
+      ~delete:(Dynamic.delete d)
+  in
+  let sharded =
+    let s = Sharded.create ~dim:2 ~shards:1 () in
+    Fun.protect
+      ~finally:(fun () -> Sharded.close s)
+      (fun () ->
+        minor_words_per_write
+          ~insert:(fun p -> Sharded.insert s p)
+          ~delete:(Sharded.delete s))
+  in
+  (* Bounds: 1.15x the measured 1,250.4 and 1,292.9 words per write
+     (OCaml 5.1, x86-64). *)
+  Printf.printf "minor words per write: dynamic %.1f, one-shard sharded %.1f\n"
+    dynamic sharded;
+  Alcotest.(check bool)
+    (Printf.sprintf "dynamic: %.1f words/write <= 1,440" dynamic)
+    true (dynamic <= 1_440.);
+  Alcotest.(check bool)
+    (Printf.sprintf "one-shard sharded: %.1f words/write <= 1,490" sharded)
+    true (sharded <= 1_490.)
+
 let () =
   Alcotest.run "maxrs sharded"
     [
@@ -284,6 +455,7 @@ let () =
           Alcotest.test_case "poisoned pool" `Quick
             test_differential_under_faults;
           QCheck_alcotest.to_alcotest prop_sharded_matches_dynamic;
+          QCheck_alcotest.to_alcotest prop_heap_matches_brute_force;
         ] );
       ( "lifecycle",
         [
@@ -292,4 +464,6 @@ let () =
           Alcotest.test_case "storage partition" `Quick test_storage_partition;
           Alcotest.test_case "closed store" `Quick test_closed_store_rejected;
         ] );
+      ( "allocation",
+        [ Alcotest.test_case "write path" `Quick test_alloc_gate ] );
     ]
