@@ -180,6 +180,45 @@ module Sample_space_seed = struct
       !h land max_int
   end)
 
+  (* The seed's cell enumeration: a recursive odometer behind a
+     callback, with fresh scratch and a fresh accumulator column per
+     ball. A copy, so this column does not follow the library's
+     allocation-free cursor. *)
+  let iter_keys_intersecting_ball (g : Grid.t) (b : Ball.t) f =
+    let d = g.Grid.dim in
+    let lo = Array.make d 0 and hi = Array.make d 0 and key = Array.make d 0 in
+    let c = b.Ball.center and r = b.Ball.radius +. Maxrs_geom.Closed.eps in
+    for i = 0 to d - 1 do
+      let o = g.Grid.origin.(i) in
+      lo.(i) <- int_of_float (Float.floor ((c.(i) -. r -. o) /. g.Grid.side));
+      hi.(i) <- int_of_float (Float.floor ((c.(i) +. r -. o) /. g.Grid.side));
+      key.(i) <- lo.(i)
+    done;
+    let r2 = r *. r in
+    let accs = Float.Array.create (d + 1) in
+    Float.Array.unsafe_set accs 0 0.;
+    let rec go i =
+      let acc = Float.Array.unsafe_get accs i in
+      if acc <= r2 then
+        if i = d then f key
+        else
+          for v = lo.(i) to hi.(i) do
+            key.(i) <- v;
+            let cell_lo =
+              g.Grid.origin.(i) +. (float_of_int v *. g.Grid.side)
+            in
+            let cell_hi = cell_lo +. g.Grid.side in
+            let dx =
+              if c.(i) < cell_lo then cell_lo -. c.(i)
+              else if c.(i) > cell_hi then c.(i) -. cell_hi
+              else 0.
+            in
+            Float.Array.unsafe_set accs (i + 1) (acc +. (dx *. dx));
+            go (i + 1)
+          done
+    in
+    go 0
+
   type sample = {
     id : int;
     pos : Point.t;
@@ -260,7 +299,7 @@ module Sample_space_seed = struct
     let ball = Ball.unit center in
     let table = t.tables.(gi) in
     let grid = t.grids.Shifted_grids.grids.(gi) in
-    Grid.iter_keys_intersecting_ball grid ball (fun key ->
+    iter_keys_intersecting_ball grid ball (fun key ->
         let cell =
           match Tbl.find_opt table key with
           | Some c -> c

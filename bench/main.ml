@@ -1126,6 +1126,7 @@ module Wal = Maxrs_durable.Wal
 type snapshot_phases = {
   sp_bytes : int;
   sp_samples : int;
+  sp_bytes_per_sample : float;  (** encoded bytes per captured sample *)
   sp_words_per_sample : float;
       (** words the capture allocates per captured sample *)
   sp_capture : float;
@@ -1148,7 +1149,7 @@ let snapshot_phases ~scratch sess =
   in
   let samples =
     Array.fold_left
-      (fun acc g -> acc + Array.length g.Maxrs.Sample_space.State.ids)
+      (fun acc g -> acc + Float.Array.length g.Maxrs.Sample_space.State.depth)
       0 st.Dynamic.State.space.Maxrs.Sample_space.State.grids
   in
   let data, encode =
@@ -1175,6 +1176,8 @@ let snapshot_phases ~scratch sess =
   {
     sp_bytes = Bytes.length data;
     sp_samples = samples;
+    sp_bytes_per_sample =
+      float_of_int (Bytes.length data) /. float_of_int (Int.max 1 samples);
     sp_words_per_sample = words /. float_of_int (Int.max 1 samples);
     sp_capture = capture;
     sp_encode = encode;
@@ -1366,17 +1369,20 @@ let e13 () =
       ladder
   in
   row "\n[snapshot phases] one snapshot of the session at each size, ms:\n";
-  row "%8s %10s %9s %8s %8s %8s %8s %8s %8s %11s\n" "log ops" "MB" "samples"
-    "capture" "encode" "crc" "write" "decode" "restore" "words/smp";
+  row "%8s %10s %9s %9s %8s %8s %8s %8s %8s %8s %11s\n" "log ops" "MB"
+    "samples" "bytes/smp" "capture" "encode" "crc" "write" "decode" "restore"
+    "words/smp";
   List.iter
     (fun (n, _, _, _, phases) ->
       Option.iter
         (fun p ->
-          row "%8d %10.1f %9d %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %11.3f\n" n
+          row
+            "%8d %10.1f %9d %9.2f %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %11.3f\n"
+            n
             (float_of_int p.sp_bytes /. 1048576.)
-            p.sp_samples (1e3 *. p.sp_capture) (1e3 *. p.sp_encode)
-            (1e3 *. p.sp_crc) (1e3 *. p.sp_write) (1e3 *. p.sp_decode)
-            (1e3 *. p.sp_restore) p.sp_words_per_sample)
+            p.sp_samples p.sp_bytes_per_sample (1e3 *. p.sp_capture)
+            (1e3 *. p.sp_encode) (1e3 *. p.sp_crc) (1e3 *. p.sp_write)
+            (1e3 *. p.sp_decode) (1e3 *. p.sp_restore) p.sp_words_per_sample)
         phases)
     recovery;
   (* Snapshot recovery against full replay at each size (the target is
@@ -1431,11 +1437,11 @@ let e13 () =
       if i > 0 then Buffer.add_string buf ",\n";
       Printf.bprintf buf
         "    { \"log_ops\": %d, \"bytes\": %d, \"samples\": %d, \
-         \"words_per_sample\": %.4f, \"capture_s\": %.6f, \"encode_s\": %.6f, \
-         \"crc_s\": %.6f, \"write_s\": %.6f, \"decode_s\": %.6f, \
-         \"restore_s\": %.6f }"
-        n p.sp_bytes p.sp_samples p.sp_words_per_sample p.sp_capture
-        p.sp_encode p.sp_crc p.sp_write p.sp_decode p.sp_restore)
+         \"bytes_per_sample\": %.4f, \"words_per_sample\": %.4f, \
+         \"capture_s\": %.6f, \"encode_s\": %.6f, \"crc_s\": %.6f, \
+         \"write_s\": %.6f, \"decode_s\": %.6f, \"restore_s\": %.6f }"
+        n p.sp_bytes p.sp_samples p.sp_bytes_per_sample p.sp_words_per_sample
+        p.sp_capture p.sp_encode p.sp_crc p.sp_write p.sp_decode p.sp_restore)
     (List.filter_map
        (fun (n, e, _, _, ph) -> Option.map (fun p -> (n, e, p)) ph)
        recovery);

@@ -110,13 +110,13 @@ let best t =
   | None -> None
   | Some c ->
       Some
-        ( unscale t (Sample_space.cell_best c).Sample_space.pos,
+        ( unscale t (Sample_space.cell_best t.space c).Sample_space.pos,
           Sample_space.cell_max c )
 
 (* ------------------------------------------------------------------ *)
 (* Durable state capture. The heap is not serialized: its order is
    total, so a heap seeded from the restored cells' cached maxima (which
-   [Sample_space.restore] checks against the depths) has the same top
+   [Sample_space.restore] computes from the depths) has the same top
    as the original — and [restore st] continues bit-identically to the
    structure [st] was captured from. *)
 

@@ -66,24 +66,26 @@ let solve_grid ~budget pts colors grid =
        flat index buffer; legacy consed the indices onto a list, so a
        bucket was read in descending index order — downstream consumers
        (the witness tie-breaks of the per-cell sweep) see that order, so
-       every bucket traversal below runs back-to-front. The odometer
-       scratch is shared across the n disks of this grid: zero
-       allocation per (disk, cell) pair. *)
+       every bucket traversal below runs back-to-front. One key cursor
+       serves the n disks of this grid: zero allocation per (disk,
+       cell) pair. *)
     let buckets : Kern.Ibuf.t Grid.Tbl.t = Grid.Tbl.create (4 * n) in
-    let klo = [| 0; 0 |] and khi = [| 0; 0 |] and kbuf = [| 0; 0 |] in
+    let cur = Grid.cursor grid in
     let cen = [| 0.; 0. |] in
     Array.iteri
       (fun i (x, y) ->
         cen.(0) <- x;
         cen.(1) <- y;
-        Grid.iter_keys_intersecting_into grid ~lo:klo ~hi:khi ~key:kbuf
-          ~center:cen ~radius:1. (fun key ->
-            match Grid.Tbl.find buckets key with
-            | b -> Kern.Ibuf.push b i
-            | exception Not_found ->
-                let b = Kern.Ibuf.create 8 in
-                Kern.Ibuf.push b i;
-                Grid.Tbl.add buckets (Array.copy key) b))
+        Grid.start cur ~center:cen ~radius:1.;
+        while Grid.next cur do
+          let key = Grid.cursor_key cur in
+          match Grid.Tbl.find buckets key with
+          | b -> Kern.Ibuf.push b i
+          | exception Not_found ->
+              let b = Kern.Ibuf.create 8 in
+              Kern.Ibuf.push b i;
+              Grid.Tbl.add buckets (Array.copy key) b
+        done)
       pts;
     let trim = Kern.Ibuf.create 64 in
     let acc = ref empty in

@@ -25,7 +25,6 @@ type sample = {
   pos : Point.t;
   mutable depth : float;
   mutable flag : int;
-  mutable version : int;
 }
 
 (* Struct-of-arrays cell: every per-sample field lives in its own flat
@@ -35,39 +34,33 @@ type sample = {
    solve and the columns are small, so minor-heap allocation beats a
    malloc per column. *)
 type cell = {
-  ids : int array;
+  base : int;
+      (** the first sample's id; sample [si]'s is [base + si * stride]
+          ([new_cell] numbers a cell's samples consecutively) *)
+  stamp : int64;
+      (** the grid's rng state just before this cell's positions were
+          drawn: {!draw_cell} redraws them from it bit for bit *)
   posf : floatarray;
       (** the samples' positions flattened row-major (sample, axis),
           immutable after creation: the per-update containment scan
           streams this unboxed column instead of chasing one [Point.t]
           block per sample. This is the only copy of the positions —
-          {!Sphere.fill_on} draws straight into it, and the snapshot
-          view materializes points from it on demand. *)
+          {!draw_cell} draws straight into it, and the snapshot view
+          materializes points from it on demand. *)
   depth : floatarray;
       (** one slot per sample, then the cached max over them in the
           trailing slot: a float field of this mixed record would be
           boxed, so every refresh of the max would allocate *)
-  flag : int array;
-  sver : int array;
+  mutable flag : int array;
+      (** colored MaxRS: the last color counted per sample; empty until
+          the cell's first colored touch, the only writer *)
   mutable nballs : int;
   mutable best : int;  (** index of the first sample attaining the max *)
-  mutable cversion : int;  (** bumped whenever the max or [best] change *)
   mutable slot : int;  (** the cell's slot in a {!Cell_heap}, -1 if none *)
 }
 
-(* Materialize the snapshot view of sample [si]: every field is a copy
-   ([pos] is rebuilt from the flat position column), so mutating the
-   view does not write back. *)
-let sample_of c si =
-  let n = Array.length c.ids in
-  let dim = FA.length c.posf / n in
-  {
-    id = Array.unsafe_get c.ids si;
-    pos = Array.init dim (fun k -> FA.unsafe_get c.posf ((si * dim) + k));
-    depth = FA.unsafe_get c.depth si;
-    flag = Array.unsafe_get c.flag si;
-    version = Array.unsafe_get c.sver si;
-  }
+(* Samples in the cell: the depth column has one more slot. *)
+let cell_samples c = FA.length c.depth - 1
 
 (* All per-grid state lives in per-grid array slots (table, rng stream,
    id counter, cell counter): work sharded by grid index touches disjoint
@@ -76,10 +69,6 @@ let sample_of c si =
    [Rng.split_at] keyed by the grid index — not by insertion order — so a
    grid's sample positions depend only on the operations applied to that
    grid, never on how work was interleaved across grids. *)
-(* Odometer scratch for the grid-key enumeration, one per grid so the
-   sharded [*_in_grid] operations keep touching disjoint state. *)
-type scratch = { sc_lo : int array; sc_hi : int array; sc_key : int array }
-
 type t = {
   dim : int;
   cfg : Config.t;
@@ -90,17 +79,11 @@ type t = {
   stride : int;  (** grid count; sample ids are [local * stride + grid] *)
   next_ids : int array;
   n_cells : int array;
-  scratch : scratch array;
+  cursors : Grid.cursor array;
+      (** one key enumeration per grid, so the sharded [*_in_grid]
+          operations keep touching disjoint state *)
   mutable hook : cell -> unit;
 }
-
-let make_scratch ~dim count =
-  Array.init count (fun _ ->
-      {
-        sc_lo = Array.make dim 0;
-        sc_hi = Array.make dim 0;
-        sc_key = Array.make dim 0;
-      })
 
 (* Grid collection and the rng the per-grid streams derive from; both
    are deterministic functions of (dim, cfg), which is what lets a
@@ -131,8 +114,20 @@ let create ~dim ~cfg ~expected_n =
     stride = count;
     next_ids = Array.make count 0;
     n_cells = Array.make count 0;
-    scratch = make_scratch ~dim count;
+    cursors = Array.map Grid.cursor grids.Shifted_grids.grids;
     hook = ignore;
+  }
+
+(* Materialize the snapshot view of sample [si]: every field is a copy
+   ([pos] is rebuilt from the flat position column), so mutating the
+   view does not write back. *)
+let sample_of t c si =
+  let dim = t.dim in
+  {
+    id = c.base + (si * t.stride);
+    pos = Array.init dim (fun k -> FA.unsafe_get c.posf ((si * dim) + k));
+    depth = FA.unsafe_get c.depth si;
+    flag = (if Array.length c.flag = 0 then -1 else c.flag.(si));
   }
 
 let dim t = t.dim
@@ -142,9 +137,9 @@ let cell_count t = Array.fold_left ( + ) 0 t.n_cells
 let sample_count t = cell_count t * t.t_samples
 let on_cell_change t f = t.hook <- f
 
-let cell_max c = FA.unsafe_get c.depth (Array.length c.ids)
+let cell_max c = FA.unsafe_get c.depth (cell_samples c)
 let cell_max_column c = c.depth
-let cell_best c = sample_of c c.best
+let cell_best t c = sample_of t c c.best
 let cell_slot c = c.slot
 let set_cell_slot c i = c.slot <- i
 
@@ -152,41 +147,42 @@ let set_cell_slot c i = c.slot <- i
    across the structure and assigned at materialization, so the uid is a
    deterministic function of the per-grid operation history — a stable
    tie-breaking key that survives serialization. *)
-let cell_uid c = c.ids.(0)
+let cell_uid c = c.base
 
 (* Sample ids are [local * stride + grid], so the uid folds back to the
    owning grid — the sharded dynamic store routes a changed cell to the
    heap of the shard that owns its grid with this. *)
 let grid_of_cell t c = cell_uid c mod t.stride
 
+(* The sampling step behind Lemma 3.1, and the only place positions are
+   drawn: the cell's samples, uniform on the circumsphere of the cell at
+   [key] of [grid], from [rng] standing at the cell's stamp. [fill_on]
+   draws ascending, one draw per sample, straight into the flat column.
+   [new_cell] draws from the grid's live stream; {!redraw} draws a
+   decoded state's positions again from each cell's stamp. *)
+let draw_cell rng grid key posf =
+  Sphere.fill_on rng ~center:(Grid.cell_center grid key)
+    ~radius:(Grid.cell_circumradius grid) posf
+
 let new_cell t gi grid key =
-  let center = Grid.cell_center grid key in
-  let radius = Grid.cell_circumradius grid in
   let rng = t.rngs.(gi) in
   let m = t.t_samples in
-  let ids = Array.make m 0 in
-  for si = 0 to m - 1 do
-    let local = t.next_ids.(gi) in
-    t.next_ids.(gi) <- local + 1;
-    Array.unsafe_set ids si ((local * t.stride) + gi)
-  done;
+  let local = t.next_ids.(gi) in
+  t.next_ids.(gi) <- local + m;
   t.n_cells.(gi) <- t.n_cells.(gi) + 1;
   Obs.incr c_cells;
   Obs.add c_drawn m;
-  (* [fill_on] draws ascending, one draw per sample — the exact stream
-     and coordinate bits of the old per-sample [Sphere.sample_on] loop,
-     written straight into the flat column. *)
+  let stamp = Rng.state rng in
   let posf = FA.create (m * t.dim) in
-  Sphere.fill_on rng ~center ~radius posf;
+  draw_cell rng grid key posf;
   {
-    ids;
+    base = (local * t.stride) + gi;
+    stamp;
     posf;
     depth = FA.make (m + 1) 0.;
-    flag = Array.make m (-1);
-    sver = Array.make m 0;
+    flag = [||];
     nballs = 0;
     best = 0;
-    cversion = 0;
     slot = -1;
   }
 
@@ -202,14 +198,15 @@ let cell_at t gi table grid key =
       c
 
 (* Visit every cell of grid [gi] intersected by the unit ball at
-   [center], materializing absent cells, with the grid's odometer
-   scratch. *)
+   [center], materializing absent cells, with the grid's cursor. *)
 let iter_cells_in_grid t gi ~center f =
   let table = t.tables.(gi) in
   let grid = t.grids.Shifted_grids.grids.(gi) in
-  let sc = t.scratch.(gi) in
-  Grid.iter_keys_intersecting_into grid ~lo:sc.sc_lo ~hi:sc.sc_hi ~key:sc.sc_key
-    ~center ~radius:1. (fun key -> f (cell_at t gi table grid key))
+  let cur = t.cursors.(gi) in
+  Grid.start cur ~center ~radius:1.;
+  while Grid.next cur do
+    f (cell_at t gi table grid (Grid.cursor_key cur))
+  done
 
 let iter_cells t ~center f =
   for gi = 0 to grid_count t - 1 do
@@ -229,13 +226,12 @@ let iter_cells t ~center f =
    maximum at [arg]. The max is read back from the depth column rather
    than passed in, since a float argument of a call would be boxed. *)
 let refresh_cell t cell ~changed ~arg =
-  let m = Array.length cell.ids in
+  let m = cell_samples cell in
   let mx = FA.unsafe_get cell.depth arg in
   if changed && (mx <> FA.unsafe_get cell.depth m || arg <> cell.best)
   then begin
     FA.unsafe_set cell.depth m mx;
     cell.best <- arg;
-    cell.cversion <- cell.cversion + 1;
     t.hook cell
   end
 
@@ -246,10 +242,10 @@ let refresh_cell t cell ~changed ~arg =
    reports whether it did; the weighted/colored hot paths below are
    hand-specialized copies of the same loop. *)
 let update_cell t cell ~center update =
-  let n = Array.length cell.ids in
+  let n = cell_samples cell in
   Obs.add c_visited n;
   let dim = t.dim in
-  let posf = cell.posf and depth = cell.depth and sver = cell.sver in
+  let posf = cell.posf and depth = cell.depth in
   let changed = ref false in
   let mx = ref Float.neg_infinity and arg = ref 0 in
   let r2 = Closed.unit_r2 in
@@ -261,10 +257,7 @@ let update_cell t cell ~center update =
       in
       d2 := !d2 +. (d *. d)
     done;
-    if !d2 <= r2 && update si then begin
-      Array.unsafe_set sver si (Array.unsafe_get sver si + 1);
-      changed := true
-    end;
+    if !d2 <= r2 && update si then changed := true;
     let d = FA.unsafe_get depth si in
     if d > !mx then begin
       mx := d;
@@ -273,15 +266,15 @@ let update_cell t cell ~center update =
   done;
   refresh_cell t cell ~changed:!changed ~arg:!arg
 
-(* [update_cell] specialized to the colored flag test. *)
+(* [update_cell] specialized to the colored flag test. The flag column
+   is allocated here, on the cell's first colored touch: weighted cells
+   never carry one. *)
 let update_cell_color t cell ~center ~color =
-  let n = Array.length cell.ids in
+  let n = cell_samples cell in
   Obs.add c_visited n;
+  if Array.length cell.flag = 0 then cell.flag <- Array.make n (-1);
   let dim = t.dim in
-  let posf = cell.posf
-  and depth = cell.depth
-  and sver = cell.sver
-  and flag = cell.flag in
+  let posf = cell.posf and depth = cell.depth and flag = cell.flag in
   let changed = ref false in
   let mx = ref Float.neg_infinity and arg = ref 0 in
   let r2 = Closed.unit_r2 in
@@ -296,7 +289,6 @@ let update_cell_color t cell ~center ~color =
     if !d2 <= r2 && Array.unsafe_get flag si <> color then begin
       Array.unsafe_set flag si color;
       FA.unsafe_set depth si (FA.unsafe_get depth si +. 1.);
-      Array.unsafe_set sver si (Array.unsafe_get sver si + 1);
       changed := true
     end;
     let d = FA.unsafe_get depth si in
@@ -308,60 +300,61 @@ let update_cell_color t cell ~center ~color =
   refresh_cell t cell ~changed:!changed ~arg:!arg
 
 (* The weighted update, insertion ([count] = 1) and deletion ([count] =
-   -1) alike, hand-fused: cell lookup/materialization, the refcount and
-   the [update_cell] scan in one closure per grid, with nothing
-   allocated per visited cell. Deletion subtracts the weight, the IEEE
-   operation [x +. (-.w)], so the depths are bit-identical to adding
-   the negated weight. A cell whose refcount reaches zero is dropped:
-   its cached max becomes [neg_infinity] and the hook fires once more,
-   so a heap indexing it takes it out. Only insertion can meet a
-   missing cell — every cell a live ball intersects is materialized. *)
+   -1) alike, hand-fused: the key enumeration, cell
+   lookup/materialization, the refcount and the [update_cell] scan in
+   one loop per grid, with nothing allocated per grid or per visited
+   cell. Deletion subtracts the weight, the IEEE operation
+   [x +. (-.w)], so the depths are bit-identical to adding the negated
+   weight. A cell whose refcount reaches zero is dropped: its cached
+   max becomes [neg_infinity] and the hook fires once more, so a heap
+   indexing it takes it out. Only insertion can meet a missing cell —
+   every cell a live ball intersects is materialized. *)
 let add_in_grid t gi ~center ~weight ~count =
   assert (Point.dim center = t.dim);
   let table = t.tables.(gi) in
   let grid = t.grids.Shifted_grids.grids.(gi) in
-  let sc = t.scratch.(gi) in
+  let cur = t.cursors.(gi) in
   let dim = t.dim in
-  Grid.iter_keys_intersecting_into grid ~lo:sc.sc_lo ~hi:sc.sc_hi
-    ~key:sc.sc_key ~center ~radius:1. (fun key ->
-      let cell = cell_at t gi table grid key in
-      let nballs = cell.nballs + count in
-      assert (nballs >= 0);
-      cell.nballs <- nballs;
-      let n = Array.length cell.ids in
-      Obs.add c_visited n;
-      let posf = cell.posf and depth = cell.depth and sver = cell.sver in
-      let changed = ref false in
-      let mx = ref Float.neg_infinity and arg = ref 0 in
-      let r2 = Closed.unit_r2 in
-      for si = 0 to n - 1 do
-        let d2 = ref 0. in
-        for k = 0 to dim - 1 do
-          let d =
-            FA.unsafe_get posf ((si * dim) + k) -. Array.unsafe_get center k
-          in
-          d2 := !d2 +. (d *. d)
-        done;
-        if !d2 <= r2 then begin
-          let d = FA.unsafe_get depth si in
-          FA.unsafe_set depth si
-            (if count > 0 then d +. weight else d -. weight);
-          Array.unsafe_set sver si (Array.unsafe_get sver si + 1);
-          changed := true
-        end;
-        let d = FA.unsafe_get depth si in
-        if d > !mx then begin
-          mx := d;
-          arg := si
-        end
+  Grid.start cur ~center ~radius:1.;
+  while Grid.next cur do
+    let key = Grid.cursor_key cur in
+    let cell = cell_at t gi table grid key in
+    let nballs = cell.nballs + count in
+    assert (nballs >= 0);
+    cell.nballs <- nballs;
+    let n = cell_samples cell in
+    Obs.add c_visited n;
+    let posf = cell.posf and depth = cell.depth in
+    let changed = ref false in
+    let mx = ref Float.neg_infinity and arg = ref 0 in
+    let r2 = Closed.unit_r2 in
+    for si = 0 to n - 1 do
+      let d2 = ref 0. in
+      for k = 0 to dim - 1 do
+        let d =
+          FA.unsafe_get posf ((si * dim) + k) -. Array.unsafe_get center k
+        in
+        d2 := !d2 +. (d *. d)
       done;
-      if nballs > 0 then refresh_cell t cell ~changed:!changed ~arg:!arg
-      else begin
-        FA.unsafe_set depth n Float.neg_infinity;
-        t.hook cell;
-        Grid.Tbl.remove table key;
-        t.n_cells.(gi) <- t.n_cells.(gi) - 1
-      end)
+      if !d2 <= r2 then begin
+        let d = FA.unsafe_get depth si in
+        FA.unsafe_set depth si (if count > 0 then d +. weight else d -. weight);
+        changed := true
+      end;
+      let d = FA.unsafe_get depth si in
+      if d > !mx then begin
+        mx := d;
+        arg := si
+      end
+    done;
+    if nballs > 0 then refresh_cell t cell ~changed:!changed ~arg:!arg
+    else begin
+      FA.unsafe_set depth n Float.neg_infinity;
+      t.hook cell;
+      Grid.Tbl.remove table key;
+      t.n_cells.(gi) <- t.n_cells.(gi) - 1
+    end
+  done
 
 let insert_in_grid t ~grid ~center ~weight =
   add_in_grid t grid ~center ~weight ~count:1
@@ -388,7 +381,7 @@ let insert_with t ~center ~f =
   iter_cells t ~center (fun cell ->
       cell.nballs <- cell.nballs + 1;
       update_cell t cell ~center (fun si ->
-          let delta = f (sample_of cell si) in
+          let delta = f (sample_of t cell si) in
           if delta <> 0. then begin
             FA.unsafe_set cell.depth si
               (FA.unsafe_get cell.depth si +. delta);
@@ -408,8 +401,8 @@ let iter_samples t f =
     (fun table ->
       Grid.Tbl.iter
         (fun _ cell ->
-          for si = 0 to Array.length cell.ids - 1 do
-            f (sample_of cell si)
+          for si = 0 to cell_samples cell - 1 do
+            f (sample_of t cell si)
           done)
         table)
     t.tables
@@ -463,7 +456,7 @@ let validate t ~live =
           (match Grid.Tbl.find_opt exp key with
           | Some count when count = cell.nballs -> ()
           | _ -> ok := false);
-          let arg = first_max cell.depth ~pos:0 ~len:(Array.length cell.ids) in
+          let arg = first_max cell.depth ~pos:0 ~len:(cell_samples cell) in
           if arg <> cell.best || FA.get cell.depth arg <> cell_max cell then
             ok := false)
         tbl)
@@ -494,24 +487,29 @@ let best t =
     | None -> ()
   done;
   match !best with
-  | Some c when cell_max c > Float.neg_infinity -> Some (cell_best c)
+  | Some c when cell_max c > Float.neg_infinity -> Some (cell_best t c)
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* Durable state capture.
 
    [state] is a canonical copy of everything mutable: per-grid rng
-   stream states, id counters, and every live cell with its samples'
-   exact float bit patterns. Balls are not part of this layer (the
-   dynamic structure owns them), so two structures that behave
-   identically capture identical states — the bit-for-bit comparison
-   the crash-recovery harness relies on.
+   stream states and id counters, and every live cell with its stamp,
+   its base id and its samples' exact depth bit patterns. Balls are not
+   part of this layer (the dynamic structure owns them), so two
+   structures that behave identically capture identical states — the
+   bit-for-bit comparison the crash-recovery harness relies on.
+
+   Nothing derivable is kept: a cell's sample ids follow from its base,
+   its cached max and argmax are its depths' first maximum, and its
+   positions are a function of (grid, key, stamp). The positions are
+   still captured, as a column the codec checksums; a decoder redraws
+   them with {!redraw} instead of reading them. Colored flags are not
+   captured, so a space a colored update touched has no state.
 
    The capture is columnar: per grid, one flat column per cell or
    sample field, cells in ascending key order. Taking it is a key sort
-   plus one copy of each cell's columns into the grid's; the codec
-   streams the columns straight into the wire format and decodes
-   straight back into them.
+   plus one copy of each cell's columns into the grid's.
 
    [restore] rebuilds the deterministic parts (the grid collection) from
    the config and slices every cell's columns back out of the grid's.
@@ -520,24 +518,24 @@ let best t =
    heap uses a total order over (depth, cell uid), and epoch rebuilds
    iterate balls in sorted handle order. *)
 module State = struct
+  type stamps = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
   type grid = {
     rng : int64;
     next_id : int;
-    keys : int array;  (** [cells * dim] cell keys, ascending *)
+    keys : int array;
     nballs : int array;
-    cversion : int array;
-    cmax : floatarray;
-    best : int array;
-    ids : int array;  (** [cells * samples_per_cell] *)
-    pos : floatarray;  (** [cells * samples_per_cell * dim] *)
+    stamps : stamps;
+    bases : int array;
+    pos : floatarray;
     depth : floatarray;
-    flag : int array;
-    sver : int array;
   }
 
   type t = { dim : int; samples_per_cell : int; grids : grid array }
 
   let cells g = Array.length g.nballs
+  let create_stamps n : stamps =
+    Bigarray.Array1.create Bigarray.Int64 Bigarray.c_layout n
 
   let check_shape st =
     let dim = st.dim and m = st.samples_per_cell in
@@ -546,14 +544,10 @@ module State = struct
         let n = cells g in
         if
           Array.length g.keys <> n * dim
-          || Array.length g.cversion <> n
-          || FA.length g.cmax <> n
-          || Array.length g.best <> n
-          || Array.length g.ids <> n * m
+          || Bigarray.Array1.dim g.stamps <> n
+          || Array.length g.bases <> n
           || FA.length g.pos <> n * m * dim
           || FA.length g.depth <> n * m
-          || Array.length g.flag <> n * m
-          || Array.length g.sver <> n * m
         then
           invalid_arg
             "Sample_space.State: column lengths disagree with dim and \
@@ -591,28 +585,22 @@ let capture_grid t gi =
       next_id = t.next_ids.(gi);
       keys = Array.make (n * dim) 0;
       nballs = Array.make n 0;
-      cversion = Array.make n 0;
-      cmax = FA.create n;
-      best = Array.make n 0;
-      ids = Array.make (n * m) 0;
+      stamps = State.create_stamps n;
+      bases = Array.make n 0;
       pos = FA.create (n * m * dim);
       depth = FA.create (n * m);
-      flag = Array.make (n * m) 0;
-      sver = Array.make (n * m) 0;
     }
   in
   Array.iteri
     (fun i (key, c) ->
+      if Array.length c.flag > 0 then
+        invalid_arg "Sample_space.state: a colored update touched the space";
       blit_ints key 0 g.State.keys (i * dim) dim;
       g.State.nballs.(i) <- c.nballs;
-      g.State.cversion.(i) <- c.cversion;
-      FA.set g.State.cmax i (cell_max c);
-      g.State.best.(i) <- c.best;
-      blit_ints c.ids 0 g.State.ids (i * m) m;
+      Bigarray.Array1.unsafe_set g.State.stamps i c.stamp;
+      g.State.bases.(i) <- c.base;
       FA.blit c.posf 0 g.State.pos (i * m * dim) (m * dim);
-      FA.blit c.depth 0 g.State.depth (i * m) m;
-      blit_ints c.flag 0 g.State.flag (i * m) m;
-      blit_ints c.sver 0 g.State.sver (i * m) m)
+      FA.blit c.depth 0 g.State.depth (i * m) m)
     cells;
   g
 
@@ -623,16 +611,53 @@ let state t =
     grids = Array.init (grid_count t) (capture_grid t);
   }
 
+(* The grid collection a state of this shape lives on, derived from the
+   config alone. The config is validated without its [stats] field,
+   whose validation switches recording on or off: a decoder calls this
+   too, and decoding must not change what is recorded. *)
+let grids_of ~cfg (st : State.t) =
+  Config.validate { cfg with Config.stats = None };
+  if st.State.dim < 1 then invalid_arg "Sample_space: dimension must be >= 1";
+  if st.State.samples_per_cell < 1 then
+    invalid_arg "Sample_space: samples_per_cell must be >= 1";
+  State.check_shape st;
+  let dim = st.State.dim in
+  (* Counted before anything is built, so a state claiming a huge
+     collection is refused without building it. *)
+  if
+    Shifted_grids.count_for ?cap:cfg.Config.max_grid_shifts ~dim
+      ~side:(Config.grid_side cfg ~dim) ~delta:(Config.grid_delta cfg) ()
+    <> float_of_int (Array.length st.State.grids)
+  then invalid_arg "Sample_space: grid count disagrees with the config";
+  fst (make_grids ~dim ~cfg)
+
+let redraw ~cfg (st : State.t) =
+  let grids = grids_of ~cfg st in
+  let dim = st.State.dim and m = st.State.samples_per_cell in
+  let key = Array.make dim 0 in
+  (* Sized only when a cell exists, whose bytes then back [m]. *)
+  let posf =
+    FA.create
+      (if Array.exists (fun g -> State.cells g > 0) st.State.grids then m * dim
+       else 0)
+  in
+  Array.iteri
+    (fun gi (g : State.grid) ->
+      let grid = grids.Shifted_grids.grids.(gi) in
+      for i = 0 to State.cells g - 1 do
+        blit_ints g.State.keys (i * dim) key 0 dim;
+        draw_cell
+          (Rng.of_state (Bigarray.Array1.unsafe_get g.State.stamps i))
+          grid key posf;
+        FA.blit posf 0 g.State.pos (i * m * dim) (m * dim)
+      done)
+    st.State.grids
+
 let restore ~cfg (st : State.t) =
   Config.validate cfg;
+  let grids = grids_of ~cfg st in
   let dim = st.State.dim and m = st.State.samples_per_cell in
-  if dim < 1 then invalid_arg "Sample_space.restore: dimension must be >= 1";
-  if m < 1 then
-    invalid_arg "Sample_space.restore: samples_per_cell must be >= 1";
-  let grids, _rng = make_grids ~dim ~cfg in
   let count = Shifted_grids.count grids in
-  if count <> Array.length st.State.grids then
-    invalid_arg "Sample_space.restore: grid count disagrees with the config";
   let t =
     {
       dim;
@@ -644,38 +669,33 @@ let restore ~cfg (st : State.t) =
       stride = count;
       next_ids = Array.map (fun g -> g.State.next_id) st.State.grids;
       n_cells = Array.map State.cells st.State.grids;
-      scratch = make_scratch ~dim count;
+      cursors = Array.map Grid.cursor grids.Shifted_grids.grids;
       hook = ignore;
     }
   in
-  State.check_shape st;
   Array.iteri
     (fun gi (g : State.grid) ->
       for i = 0 to State.cells g - 1 do
-        (* The cached max seeds the owner's heap, so it is recomputed,
-           not trusted: a live cell has a ball, and its max and argmax
-           are its samples' first maximum. *)
-        let best = first_max g.State.depth ~pos:(i * m) ~len:m in
-        let cmax = FA.get g.State.cmax i in
         if g.State.nballs.(i) < 1 then
           invalid_arg "Sample_space.restore: a live cell without a ball";
-        if
-          best <> g.State.best.(i)
-          || cmax <> FA.get g.State.depth ((i * m) + best)
-        then invalid_arg "Sample_space.restore: cached max is not the cell's";
+        let base = g.State.bases.(i) in
+        if base < 0 || base mod count <> gi then
+          invalid_arg "Sample_space.restore: a base id outside its grid";
+        (* The cached max and argmax seed the owner's heap: the depths'
+           first maximum, the strict [>] scan of the update loops. *)
+        let best = first_max g.State.depth ~pos:(i * m) ~len:m in
         let depth = FA.create (m + 1) in
         FA.blit g.State.depth (i * m) depth 0 m;
-        FA.set depth m cmax;
+        FA.set depth m (FA.get depth best);
         let cell =
           {
-            ids = Array.sub g.State.ids (i * m) m;
+            base;
+            stamp = Bigarray.Array1.unsafe_get g.State.stamps i;
             posf = FA.sub g.State.pos (i * m * dim) (m * dim);
             depth;
-            flag = Array.sub g.State.flag (i * m) m;
-            sver = Array.sub g.State.sver (i * m) m;
+            flag = [||];
             nballs = g.State.nballs.(i);
             best;
-            cversion = g.State.cversion.(i);
             slot = -1;
           }
         in

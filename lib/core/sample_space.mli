@@ -34,7 +34,6 @@ type sample = {
   pos : Maxrs_geom.Point.t;
   mutable depth : float;
   mutable flag : int;  (** colored MaxRS: last color counted; -1 initially *)
-  mutable version : int;  (** bumped on every depth change / cell removal *)
 }
 
 type cell
@@ -61,11 +60,12 @@ val cell_max_column : cell -> floatarray
     another module read the max without the float being boxed on the
     way. *)
 
-val cell_best : cell -> sample
+val cell_best : t -> cell -> sample
 (** The first sample attaining {!cell_max}. *)
 
 val cell_uid : cell -> int
-(** A stable unique identifier (the first sample's id): a deterministic
+(** A stable unique identifier (the first sample's id, the cell's base:
+    its samples' ids are [base + si * grid_count]): a deterministic
     function of the per-grid operation history, so it survives
     {!state}/{!restore} round trips. Used as a total-order tie-breaking
     key by the dynamic structure's heap. *)
@@ -141,30 +141,36 @@ val validate : t -> live:Maxrs_geom.Point.t list -> bool
     float copied bit-for-bit — so behaviourally identical structures
     produce structurally equal states. Per grid, cell [i]'s key is
     [keys.(i * dim) .. keys.(i * dim + dim - 1)], its per-cell fields
-    are slot [i] of [nballs]/[cversion]/[cmax]/[best], and its samples
-    are slots [i * samples_per_cell ..] of the sample columns ([pos]
-    holds [dim] coordinates per sample). *)
+    are slot [i] of [nballs]/[stamps]/[bases], and its samples are slots
+    [i * samples_per_cell ..] of [depth] ([pos] holds [dim] coordinates
+    per sample).
+
+    Nothing derivable is stored: sample ids follow from [bases], each
+    cell's max and argmax are its depths' first maximum, and [pos] is a
+    function of the cell's key and stamp, which {!redraw} evaluates. *)
 module State : sig
+  type stamps = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+
   type grid = {
     rng : int64;  (** the grid's rng stream state *)
     next_id : int;  (** the grid's sample-id counter *)
     keys : int array;  (** [cells * dim] cell keys, ascending *)
     nballs : int array;  (** per cell: live balls intersecting it *)
-    cversion : int array;
-        (** per cell: bumped whenever its max or argmax changes *)
-    cmax : floatarray;  (** per cell: {!cell_max} *)
-    best : int array;  (** per cell: index of its best sample *)
-    ids : int array;  (** [cells * samples_per_cell] sample ids *)
+    stamps : stamps;
+        (** per cell: the grid's rng state just before the cell's
+            positions were drawn *)
+    bases : int array;  (** per cell: its first sample's id *)
     pos : floatarray;  (** [cells * samples_per_cell * dim] positions *)
     depth : floatarray;  (** per sample *)
-    flag : int array;  (** per sample *)
-    sver : int array;  (** per sample: version *)
   }
 
   type t = { dim : int; samples_per_cell : int; grids : grid array }
 
   val cells : grid -> int
   (** Live cells captured in the grid ([Array.length nballs]). *)
+
+  val create_stamps : int -> stamps
+  (** A fresh, uninitialized stamp column of that many cells. *)
 
   val check_shape : t -> unit
   (** Raises [Invalid_argument] unless every column has the length
@@ -174,14 +180,26 @@ end
 val state : t -> State.t
 (** Canonical copy of all mutable state (rng streams, id counters,
     cells, samples): a key sort per grid plus one copy of each cell's
-    columns. The structure may continue evolving afterwards. *)
+    columns. The structure may continue evolving afterwards. Raises
+    [Invalid_argument] on a space a colored update touched: colored
+    flags are not part of the state. *)
+
+val redraw : cfg:Config.t -> State.t -> unit
+(** Overwrite every grid's [pos] column with the positions its cells'
+    keys and stamps draw, through the same sampling step that drew them
+    when the cells were created. On the host that took the state this
+    reproduces [pos] bit for bit; a libm that rounds [cos]/[sin]
+    differently draws other bits. Raises [Invalid_argument] when the
+    state fails {!State.check_shape}, when [dim] or [samples_per_cell]
+    is below 1, or when its grid count disagrees with the collection
+    [cfg] derives. *)
 
 val restore : cfg:Config.t -> State.t -> t
 (** Rebuild a structure whose future behaviour is identical to the
     captured one's. The grid collection is re-derived from [cfg], which
     must be the config the captured structure was built with; raises
-    [Invalid_argument] when the state is inconsistent with it or fails
-    {!State.check_shape}, and when a cell has no ball or its [cmax] or
-    [best] is not its depths' first maximum (strict [>], as the update
-    loops take it) — an owner seeds its heap from those cached maxima.
-    No hook is registered on the restored structure. *)
+    [Invalid_argument] when the state is inconsistent with it (as for
+    {!redraw}), when a cell has no ball, and when a cell's base id does
+    not belong to its grid. Each cell's cached max and argmax are
+    computed as its depths' first maximum (strict [>], as the update
+    loops take it). No hook is registered on the restored structure. *)

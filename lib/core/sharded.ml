@@ -346,7 +346,7 @@ let best t =
     t.heaps;
   Option.map
     (fun c ->
-      ( unscale t (Sample_space.cell_best c).Sample_space.pos,
+      ( unscale t (Sample_space.cell_best t.space c).Sample_space.pos,
         Sample_space.cell_max c ))
     !cand
 

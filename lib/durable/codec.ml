@@ -173,30 +173,38 @@ let r_config r : Config.t =
 
    The wire format, every field fixed-width little-endian:
    {v
-     space  := int dim | int samples_per_cell | int grids | grid*
-     grid   := i64 rng | int next_id | int cells | cell*   (ascending keys)
-     cell   := int dim | int key*dim | int nballs | int version | f64 max
-               | int best | int samples_per_cell | sample*
-     sample := int id | int dim | f64 pos*dim | f64 depth | int flag
-               | int version
+     space := int dim | int samples_per_cell | int grids | grid*
+     grid  := i64 rng | int next_id | int cells | int pos_crc | cell*
+                                                       (ascending keys)
+     cell  := int key*dim | int nballs | i64 stamp | int base | f64 depth*m
    v}
-   The in-cell lengths repeat the space header, and decoding rejects
-   any that disagree with it. So every cell encodes to the same number
-   of bytes and the exact size of a state is known before a byte is
-   written: the encoder fills one buffer of exactly that size straight
-   from the state's columns, and the decoder fills the columns straight
-   from the bytes. *)
+   A cell is 8 dim + 24 + 8 m bytes, so the exact size of a state is
+   known before a byte is written: the encoder fills one buffer of
+   exactly that size straight from the state's columns, and the decoder
+   fills the columns straight from the bytes.
+
+   Positions are not on the wire. The decoder redraws them from each
+   cell's key and stamp ({!Sample_space.redraw}) and checks them
+   against [pos_crc], the CRC-32 of the grid's positions (IEEE-754 bits,
+   little-endian, cells in key order) that the encoder took from the
+   state's [pos] column. A libm that rounds [cos]/[sin] differently
+   from the writer's redraws other bits and fails that check: the state
+   is then [Malformed], like any other corrupt one. *)
 
 module SS = Sample_space.State
 
-let sample_bytes ~dim = 8 * (dim + 5)
-let cell_bytes ~dim ~m = (8 * (dim + 6)) + (m * sample_bytes ~dim)
+let cell_bytes ~dim ~m = (8 * dim) + 24 + (8 * m)
+let grid_header_bytes = 32
 
 let space_bytes (s : SS.t) =
   let cell = cell_bytes ~dim:s.SS.dim ~m:s.SS.samples_per_cell in
-  Array.fold_left (fun acc g -> acc + 24 + (SS.cells g * cell)) 24 s.SS.grids
+  Array.fold_left
+    (fun acc g -> acc + grid_header_bytes + (SS.cells g * cell))
+    24 s.SS.grids
 
 let put_int b p v = Bytes.set_int64_le b p (Int64.of_int v)
+
+let put_f64 b p v = Bytes.set_int64_le b p (Int64.bits_of_float v)
 
 (* Write [s] at offset [p] of [b]; returns the offset past it. The
    shape check licenses the unchecked column reads. *)
@@ -213,41 +221,24 @@ let write_space b p (s : SS.t) =
       Bytes.set_int64_le b !p g.SS.rng;
       put_int b (!p + 8) g.SS.next_id;
       put_int b (!p + 16) n;
-      p := !p + 24;
+      put_int b (!p + 24) (Crc32.update_floats 0 g.SS.pos);
+      p := !p + grid_header_bytes;
       for i = 0 to n - 1 do
         let q = !p in
-        put_int b q dim;
         for k = 0 to dim - 1 do
-          put_int b
-            (q + 8 + (8 * k))
-            (Array.unsafe_get g.SS.keys ((i * dim) + k))
+          put_int b (q + (8 * k)) (Array.unsafe_get g.SS.keys ((i * dim) + k))
         done;
-        let q = q + 8 + (8 * dim) in
+        let q = q + (8 * dim) in
         put_int b q (Array.unsafe_get g.SS.nballs i);
-        put_int b (q + 8) (Array.unsafe_get g.SS.cversion i);
-        Bytes.set_int64_le b (q + 16)
-          (Int64.bits_of_float (Float.Array.unsafe_get g.SS.cmax i));
-        put_int b (q + 24) (Array.unsafe_get g.SS.best i);
-        put_int b (q + 32) m;
-        let q = ref (q + 40) in
-        for j = i * m to (i * m) + m - 1 do
-          let r = !q in
-          put_int b r (Array.unsafe_get g.SS.ids j);
-          put_int b (r + 8) dim;
-          for k = 0 to dim - 1 do
-            Bytes.set_int64_le b
-              (r + 16 + (8 * k))
-              (Int64.bits_of_float
-                 (Float.Array.unsafe_get g.SS.pos ((j * dim) + k)))
-          done;
-          let r = r + 16 + (8 * dim) in
-          Bytes.set_int64_le b r
-            (Int64.bits_of_float (Float.Array.unsafe_get g.SS.depth j));
-          put_int b (r + 8) (Array.unsafe_get g.SS.flag j);
-          put_int b (r + 16) (Array.unsafe_get g.SS.sver j);
-          q := r + 24
+        Bytes.set_int64_le b (q + 8) (Bigarray.Array1.unsafe_get g.SS.stamps i);
+        put_int b (q + 16) (Array.unsafe_get g.SS.bases i);
+        let q = q + 24 in
+        for j = 0 to m - 1 do
+          put_f64 b
+            (q + (8 * j))
+            (Float.Array.unsafe_get g.SS.depth ((i * m) + j))
         done;
-        p := !q
+        p := q + (8 * m)
       done)
     s.SS.grids;
   !p
@@ -259,17 +250,15 @@ let int_at s p =
     malformed "int out of native range at offset %d" p;
   i
 
-let expect_len s p ~want what =
-  let v = int_at s p in
-  if v <> want then malformed "%s length %d, expected %d" what v want
-
-(* Decode one grid straight into its columns. The cell count is checked
+(* Decode one grid straight into its columns, [pos] left for the
+   redraw; returns it with its position CRC. The cell count is checked
    against the bytes left before anything is allocated; after that
    every cell's bytes are known to be there. *)
-let r_grid ~dim ~m r : SS.grid =
+let r_grid ~dim ~m r =
   let rng = r_i64 r in
   let next_id = r_int r in
   let n = r_int r in
+  let pos_crc = r_int r in
   let cb = cell_bytes ~dim ~m in
   let remaining = String.length r.data - r.pos in
   if n < 0 || n > remaining / cb then
@@ -280,60 +269,51 @@ let r_grid ~dim ~m r : SS.grid =
       next_id;
       keys = Array.make (n * dim) 0;
       nballs = Array.make n 0;
-      cversion = Array.make n 0;
-      cmax = Float.Array.create n;
-      best = Array.make n 0;
-      ids = Array.make (n * m) 0;
+      stamps = SS.create_stamps n;
+      bases = Array.make n 0;
       pos = Float.Array.create (n * m * dim);
       depth = Float.Array.create (n * m);
-      flag = Array.make (n * m) 0;
-      sver = Array.make (n * m) 0;
     }
   in
   let s = r.data in
   let p = ref r.pos in
   for i = 0 to n - 1 do
     let q = !p in
-    expect_len s q ~want:dim "cell key";
     for k = 0 to dim - 1 do
-      Array.unsafe_set g.SS.keys ((i * dim) + k) (int_at s (q + 8 + (8 * k)))
+      Array.unsafe_set g.SS.keys ((i * dim) + k) (int_at s (q + (8 * k)))
     done;
-    let q = q + 8 + (8 * dim) in
+    let q = q + (8 * dim) in
     Array.unsafe_set g.SS.nballs i (int_at s q);
-    Array.unsafe_set g.SS.cversion i (int_at s (q + 8));
-    Float.Array.unsafe_set g.SS.cmax i
-      (Int64.float_of_bits (String.get_int64_le s (q + 16)));
-    Array.unsafe_set g.SS.best i (int_at s (q + 24));
-    expect_len s (q + 32) ~want:m "cell samples";
-    let q = ref (q + 40) in
-    for j = i * m to (i * m) + m - 1 do
-      let r = !q in
-      Array.unsafe_set g.SS.ids j (int_at s r);
-      expect_len s (r + 8) ~want:dim "sample pos";
-      for k = 0 to dim - 1 do
-        Float.Array.unsafe_set g.SS.pos
-          ((j * dim) + k)
-          (Int64.float_of_bits (String.get_int64_le s (r + 16 + (8 * k))))
-      done;
-      let r = r + 16 + (8 * dim) in
-      Float.Array.unsafe_set g.SS.depth j
-        (Int64.float_of_bits (String.get_int64_le s r));
-      Array.unsafe_set g.SS.flag j (int_at s (r + 8));
-      Array.unsafe_set g.SS.sver j (int_at s (r + 16));
-      q := r + 24
+    Bigarray.Array1.unsafe_set g.SS.stamps i (String.get_int64_le s (q + 8));
+    Array.unsafe_set g.SS.bases i (int_at s (q + 16));
+    let q = q + 24 in
+    for j = 0 to m - 1 do
+      Float.Array.unsafe_set g.SS.depth ((i * m) + j)
+        (Int64.float_of_bits (String.get_int64_le s (q + (8 * j))))
     done;
-    p := !q
+    p := q + (8 * m)
   done;
   r.pos <- !p;
-  g
+  (g, pos_crc)
 
-let r_space r : SS.t =
+let r_space ~cfg r : SS.t =
   let dim = r_int r in
   let m = r_int r in
-  if dim < 0 || dim > max_seq_len then malformed "bad state dimension %d" dim;
-  if m < 0 || m > max_seq_len then malformed "bad samples per cell %d" m;
-  let grids = r_array ~elem_bytes:24 (r_grid ~dim ~m) r "grids" in
-  { SS.dim; samples_per_cell = m; grids }
+  if dim < 1 || dim > max_seq_len then malformed "bad state dimension %d" dim;
+  if m < 1 || m > max_seq_len then malformed "bad samples per cell %d" m;
+  let grids =
+    r_array ~elem_bytes:grid_header_bytes (r_grid ~dim ~m) r "grids"
+  in
+  let s = { SS.dim; samples_per_cell = m; grids = Array.map fst grids } in
+  (match Sample_space.redraw ~cfg s with
+  | () -> ()
+  | exception Invalid_argument msg -> malformed "%s" msg);
+  Array.iteri
+    (fun gi ((g : SS.grid), crc) ->
+      if Crc32.update_floats 0 g.SS.pos <> crc then
+        malformed "grid %d: redrawn positions fail their CRC" gi)
+    grids;
+  s
 
 (* {1 Dynamic state} *)
 
@@ -351,7 +331,7 @@ let r_ball r =
 (* The fields ahead of the sample space — a few hundred bytes plus the
    balls — go through a small [Buffer]; the space, nearly all of the
    state, is written in place. *)
-let encode_state_bytes ?(reserve = 0) (s : Dynamic.State.t) =
+let encode_state_bytes ?(reserve = 0) ?(trailer = 0) (s : Dynamic.State.t) =
   let head = Buffer.create 4096 in
   int_ head s.Dynamic.State.dim;
   f64 head s.Dynamic.State.radius;
@@ -361,10 +341,11 @@ let encode_state_bytes ?(reserve = 0) (s : Dynamic.State.t) =
   int_ head s.Dynamic.State.next_handle;
   int_ head s.Dynamic.State.epochs;
   let hl = Buffer.length head in
-  let b = Bytes.create (reserve + hl + space_bytes s.Dynamic.State.space) in
+  let size = hl + space_bytes s.Dynamic.State.space in
+  let b = Bytes.create (reserve + size + trailer) in
   Buffer.blit head 0 b reserve hl;
   let stop = write_space b (reserve + hl) s.Dynamic.State.space in
-  assert (stop = Bytes.length b);
+  assert (stop = reserve + size);
   b
 
 let r_state r : Dynamic.State.t =
@@ -375,7 +356,7 @@ let r_state r : Dynamic.State.t =
   let n0 = r_int r in
   let next_handle = r_int r in
   let epochs = r_int r in
-  let space = r_space r in
+  let space = r_space ~cfg r in
   { Dynamic.State.dim; radius; cfg; balls; n0; next_handle; epochs; space }
 
 let encode_state s = Bytes.unsafe_to_string (encode_state_bytes s)

@@ -57,19 +57,25 @@ val r_len : ?elem_bytes:int -> reader -> string -> int
 
 val config : Buffer.t -> Maxrs.Config.t -> unit
 val r_config : reader -> Maxrs.Config.t
-val encode_state_bytes : ?reserve:int -> Maxrs.Dynamic.State.t -> bytes
+val encode_state_bytes :
+  ?reserve:int -> ?trailer:int -> Maxrs.Dynamic.State.t -> bytes
 (** The state's encoding in one pass, at offset [reserve] (default 0) of
-    a fresh buffer of exactly [reserve] plus its encoded size: the
-    sample space is written straight from its columns, with no growth
-    and no copy. The first [reserve] bytes are left unset for the
-    caller's own header. Raises [Invalid_argument] when the space's
-    column lengths disagree with its [dim] and [samples_per_cell]. *)
+    a fresh buffer of exactly [reserve] plus its encoded size plus
+    [trailer] (default 0): the sample space is written straight from
+    its columns, with no growth and no copy. The first [reserve] and
+    the last [trailer] bytes are left unset for the caller's own header
+    and trailer. Positions are not written, only each grid's position
+    CRC. Raises [Invalid_argument] when the space's column lengths
+    disagree with its [dim] and [samples_per_cell]. *)
 
 val r_state : reader -> Maxrs.Dynamic.State.t
-(** Decode a state, the sample space straight into its columns. Beyond
-    truncation and bad tags, raises {!Malformed} when a cell key, a
-    cell's sample count or a sample position has a length other than
-    the one the space header gives. *)
+(** Decode a state, the sample space straight into its columns, then
+    redraw every cell's positions from its key and stamp
+    ({!Maxrs.Sample_space.redraw}). Beyond truncation and bad tags,
+    raises {!Malformed} when the space's grid count disagrees with the
+    collection its config derives, and when a grid's redrawn positions
+    fail its position CRC — the case of a state written on a host whose
+    libm rounds [cos]/[sin] differently. *)
 
 val encode_state : Maxrs.Dynamic.State.t -> string
 (** {!encode_state_bytes} as a string. Because {!Maxrs.Dynamic.state}

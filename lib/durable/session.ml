@@ -18,13 +18,16 @@
      contiguous prefix, and cross-checks the [Check] state fingerprints
      stamped at creation, at every snapshot and at every clean close.
 
-   The single log remains the default because a fingerprint costs a
-   full state capture, encoding and CRC at every snapshot and close:
-   ~0.18 s for a 50 MB state (n = 2,500 balls at the default config;
-   capture 59-84 ms, encode 21-64 ms, CRC 66-77 ms on a shared 2-CPU
-   x86-64 host), against 0.67-0.77 s before the state was captured in
-   columns. It is the layout of every session not opened with
-   [~shards].
+   The single log is the layout of every session not opened with
+   [~shards]. A manifest stamps a fingerprint at creation, at every
+   snapshot and at every clean close. A snapshot's stamp is free: the
+   snapshot's own checksum pass yields the state's CRC, and a close
+   with no op since that snapshot reuses it. Any other stamp costs a
+   state capture, encoding and CRC: 70-120 ms for the 8.8 MB state of
+   n = 2,500 balls at the default config (capture 36-76 ms, encode
+   25-33 ms, CRC 10-13 ms on a shared 2-CPU x86-64 host), against
+   ~0.18 s for the 50 MB encoding that stored every sample's position
+   and 0.67-0.77 s before the state was captured in columns.
 
    Because restore-from-state continues bit-identically (captured rng
    streams, canonical iteration orders, exact float bit patterns), the
@@ -71,6 +74,9 @@ type t = {
   snapshot_every : int;
   mutable seq : int;
   mutable last_snapshot_seq : int;
+  mutable snapshot_crc : int option;
+      (** the state CRC of the snapshot at [last_snapshot_seq], when
+          this session wrote it *)
   mutable closed : bool;
   recovery : recovery option;
 }
@@ -93,10 +99,9 @@ let params_of store ~base_seq =
     base_seq;
   }
 
-(* Stamp the fingerprint of [st], the state after op [seq], into every
-   shard log: recovery verifies the merged replay against it. *)
-let stamp writers ~seq st =
-  let crc = Codec.state_crc st in
+(* Stamp [crc], the fingerprint of the state after op [seq], into
+   every shard log: recovery verifies the merged replay against it. *)
+let stamp writers ~seq crc =
   Array.iter
     (fun w -> Wal.append w (Wal.Check { seq; state_crc = crc }))
     writers
@@ -112,7 +117,7 @@ let create_logs ~wal ~fsync ~manifest store ~base_seq =
         Wal.create (log_path ~wal ~manifest k) params ~fsync)
   in
   if manifest then begin
-    stamp writers ~seq:base_seq (Sharded.state store);
+    stamp writers ~seq:base_seq (Codec.state_crc (Sharded.state store));
     Array.iter Wal.flush writers;
     Shard_wal.write_manifest wal
       { Shard_wal.shards = Array.length writers; params }
@@ -418,6 +423,7 @@ let open_ ~wal ?shards ?domains ?(snapshot_every = 1000)
         snapshot_every;
         seq;
         last_snapshot_seq = seq;
+        snapshot_crc = None;
         closed = false;
         recovery;
       }
@@ -524,11 +530,13 @@ let snapshot_now t =
      otherwise every crash right after a snapshot would force a log
      rewrite on recovery. *)
   Array.iter Wal.flush t.writers;
-  let st = state t in
-  ignore (Snapshot.write ~wal:t.wal ~seq:t.seq st);
+  (* The snapshot's checksum pass yields the state's fingerprint, so a
+     manifest stamps it without capturing or encoding a second time. *)
+  let _, crc = Snapshot.write_crc ~wal:t.wal ~seq:t.seq (state t) in
   Snapshot.prune ~wal:t.wal ~keep:2;
-  if t.manifest then stamp t.writers ~seq:t.seq st;
-  t.last_snapshot_seq <- t.seq
+  if t.manifest then stamp t.writers ~seq:t.seq crc;
+  t.last_snapshot_seq <- t.seq;
+  t.snapshot_crc <- Some crc
 
 let maybe_snapshot t =
   if t.snapshot_every > 0 && t.seq - t.last_snapshot_seq >= t.snapshot_every
@@ -552,8 +560,13 @@ let flush t = if not t.closed then Array.iter Wal.flush t.writers
 let close t =
   if not t.closed then begin
     (* A final fingerprint anchor: a clean close leaves every shard log
-       attesting to the same state. *)
-    if t.manifest then stamp t.writers ~seq:t.seq (state t);
+       attesting to the same state. With no op since this session's
+       last snapshot, that snapshot's fingerprint is the state's. *)
+    if t.manifest then
+      stamp t.writers ~seq:t.seq
+        (match t.snapshot_crc with
+        | Some crc when t.last_snapshot_seq = t.seq -> crc
+        | _ -> Codec.state_crc (state t));
     Array.iter Wal.close t.writers;
     Sharded.close t.store;
     t.closed <- true

@@ -21,56 +21,106 @@ let cell_center g k =
 
 let cell_circumradius g = g.side *. sqrt (float_of_int g.dim) /. 2.
 
-(* Odometer over the integer bounding box, accumulating the squared
-   distance from the ball center to the partial cell box per axis —
-   prunes whole subtrees and allocates nothing per cell. [lo]/[hi]/[key]
-   are caller-provided scratch (length >= dim), so a caller looping over
-   many balls (the sample-space insert path) allocates nothing per call.
-   The key passed to [f] is the [key] scratch buffer: copy it before
-   retaining. The enumeration reaches [radius + Closed.eps], the closed
-   rule's reach, added here so that no caller boxes a reach per call. *)
-let iter_keys_intersecting_into g ~lo ~hi ~key ~center ~radius f =
+(* A resumable odometer over the integer bounding box of a ball,
+   accumulating the squared distance from the ball center to the
+   partial cell box per axis so that whole subtrees are pruned. The
+   caller owns the cursor and steps it in its own loop, so an
+   enumeration allocates nothing: no callback closure, no recursion
+   closure, no boxed float. Keys come out in lexicographic order (axis
+   0 outermost), the order of the recursive odometer it replaces; the
+   sample space creates cells, and so draws from each grid's rng
+   stream, in that order.
+
+   [accs.(i)] is the partial sum over axes [0..i-1] of the path to the
+   current key, and slot [dim + 1] holds the squared reach. [axis] is
+   the axis whose [key] slot is to be tried next, [dim] right after a
+   key was produced (resume one past it on axis [dim - 1]), and [-1]
+   once the enumeration is over. The enumeration reaches
+   [radius + Closed.eps], the closed rule's reach. *)
+type cursor = {
+  grid : t;
+  mutable center : Point.t;
+  lo : int array;
+  hi : int array;
+  key : int array;
+  accs : floatarray;
+  mutable axis : int;
+}
+
+let cursor g =
   let d = g.dim in
+  assert (d >= 1);
+  {
+    grid = g;
+    center = g.origin;
+    lo = Array.make d 0;
+    hi = Array.make d 0;
+    key = Array.make d 0;
+    accs = Float.Array.make (d + 2) 0.;
+    axis = -1;
+  }
+
+let cursor_key cur = cur.key
+
+let start cur ~center ~radius =
+  let g = cur.grid in
   let c = center and r = radius +. Closed.eps in
-  for i = 0 to d - 1 do
-    lo.(i) <- int_of_float (Float.floor ((c.(i) -. r -. g.origin.(i)) /. g.side));
-    hi.(i) <- int_of_float (Float.floor ((c.(i) +. r -. g.origin.(i)) /. g.side));
-    key.(i) <- lo.(i)
+  for i = 0 to g.dim - 1 do
+    let o = g.origin.(i) in
+    cur.lo.(i) <- int_of_float (Float.floor ((c.(i) -. r -. o) /. g.side));
+    cur.hi.(i) <- int_of_float (Float.floor ((c.(i) +. r -. o) /. g.side))
   done;
-  let r2 = r *. r in
-  (* The accumulated squared distance at each odometer depth lives in a
-     small flat column instead of being a float parameter of [go]: a
-     float argument to the (never-inlined) local recursion would be
-     boxed at every call, on a path the insert loops hit per ball per
-     grid. [accs.(i)] is the partial sum over axes [0..i-1]; the prune
-     test and the per-axis [dx] math are unchanged. *)
-  let accs = Float.Array.create (d + 1) in
-  Float.Array.unsafe_set accs 0 0.;
-  let rec go i =
-    let acc = Float.Array.unsafe_get accs i in
-    if acc <= r2 then
-      if i = d then f key
-      else
-        for v = lo.(i) to hi.(i) do
-          key.(i) <- v;
-          let cell_lo = g.origin.(i) +. (float_of_int v *. g.side) in
-          let cell_hi = cell_lo +. g.side in
-          let dx =
-            if c.(i) < cell_lo then cell_lo -. c.(i)
-            else if c.(i) > cell_hi then c.(i) -. cell_hi
-            else 0.
-          in
-          Float.Array.unsafe_set accs (i + 1) (acc +. (dx *. dx));
-          go (i + 1)
-        done
-  in
-  go 0
+  cur.key.(0) <- cur.lo.(0);
+  Float.Array.unsafe_set cur.accs 0 0.;
+  Float.Array.unsafe_set cur.accs (g.dim + 1) (r *. r);
+  cur.center <- center;
+  cur.axis <- 0
+
+let next cur =
+  let g = cur.grid in
+  let d = g.dim and c = cur.center in
+  let lo = cur.lo and hi = cur.hi and key = cur.key and accs = cur.accs in
+  let r2 = Float.Array.unsafe_get accs (d + 1) in
+  let i = ref cur.axis in
+  if !i = d then begin
+    i := d - 1;
+    key.(d - 1) <- key.(d - 1) + 1
+  end;
+  while !i >= 0 && !i < d do
+    let a = !i in
+    let v = key.(a) in
+    if v > hi.(a) then begin
+      (* axis [a] exhausted: back up to the next value on axis [a - 1] *)
+      i := a - 1;
+      if a > 0 then key.(a - 1) <- key.(a - 1) + 1
+    end
+    else begin
+      let cell_lo = g.origin.(a) +. (float_of_int v *. g.side) in
+      let cell_hi = cell_lo +. g.side in
+      let dx =
+        if c.(a) < cell_lo then cell_lo -. c.(a)
+        else if c.(a) > cell_hi then c.(a) -. cell_hi
+        else 0.
+      in
+      let acc = Float.Array.unsafe_get accs a +. (dx *. dx) in
+      if not (acc <= r2) then key.(a) <- v + 1
+      else if a = d - 1 then i := d
+      else begin
+        Float.Array.unsafe_set accs (a + 1) acc;
+        key.(a + 1) <- lo.(a + 1);
+        i := a + 1
+      end
+    end
+  done;
+  cur.axis <- !i;
+  !i = d
 
 let iter_keys_intersecting_ball g b f =
-  let d = g.dim in
-  let lo = Array.make d 0 and hi = Array.make d 0 and key = Array.make d 0 in
-  iter_keys_intersecting_into g ~lo ~hi ~key ~center:b.Ball.center
-    ~radius:b.Ball.radius f
+  let cur = cursor g in
+  start cur ~center:b.Ball.center ~radius:b.Ball.radius;
+  while next cur do
+    f cur.key
+  done
 
 let keys_intersecting_ball g b =
   let acc = ref [] in

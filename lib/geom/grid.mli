@@ -30,19 +30,28 @@ val iter_keys_intersecting_ball : t -> Ball.t -> (key -> unit) -> unit
     callback is a scratch buffer reused across calls — copy it before
     retaining it. *)
 
-val iter_keys_intersecting_into :
-  t ->
-  lo:int array ->
-  hi:int array ->
-  key:int array ->
-  center:Point.t ->
-  radius:float ->
-  (key -> unit) ->
-  unit
-(** {!iter_keys_intersecting_ball} with caller-provided odometer scratch
-    ([lo], [hi], [key], each of length >= dim) and the ball passed as
-    center/radius — zero allocation per call, for tight insert loops.
-    The callback receives the [key] scratch buffer. *)
+type cursor
+(** A resumable enumeration of the cells a ball meets, over scratch the
+    caller owns: one cursor per grid serves any number of balls, and
+    {!start} and {!next} allocate nothing. *)
+
+val cursor : t -> cursor
+(** A cursor over the cells of this grid (the grid's dimension must be
+    at least 1). Not usable until {!start}. *)
+
+val start : cursor -> center:Point.t -> radius:float -> unit
+(** Begin enumerating the cells that {!iter_keys_intersecting_ball}
+    visits for the ball at [center] with [radius], in the same order.
+    The cursor keeps a reference to [center]: do not mutate it before
+    the enumeration is over. *)
+
+val next : cursor -> bool
+(** Advance to the next cell; [false] once there is none. After [true],
+    {!cursor_key} holds the cell's key. *)
+
+val cursor_key : cursor -> key
+(** The key {!next} stopped at: the cursor's scratch buffer, rewritten
+    by the next {!next} — copy it before retaining it. *)
 
 val keys_intersecting_ball : t -> Ball.t -> key list
 

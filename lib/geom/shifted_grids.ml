@@ -30,10 +30,21 @@ let faithful_origins ~dim ~side ~delta =
   assert (List.length !origins = total);
   List.rev !origins
 
+(* The faithful collection's size, as a float: it can exceed every
+   int, and [count_for] is asked before anything is built. Inlined, so
+   the float is not boxed on its way out. *)
+let[@inline] faithful_count ~dim ~side ~delta =
+  float_of_int (shifts_per_axis ~side ~delta ~dim) ** float_of_int dim
+
+let count_for ?cap ~dim ~side ~delta () =
+  let faithful = faithful_count ~dim ~side ~delta in
+  match cap with
+  | Some c when faithful > float_of_int c -> float_of_int c
+  | _ -> faithful
+
 let make ?cap ?rng ~dim ~side ~delta () =
   assert (dim > 0 && side > 0. && delta > 0.);
-  let per_axis = shifts_per_axis ~side ~delta ~dim in
-  let faithful_count = float_of_int per_axis ** float_of_int dim in
+  let faithful_count = faithful_count ~dim ~side ~delta in
   let use_cap =
     match cap with Some c -> faithful_count > float_of_int c | None -> false
   in

@@ -29,6 +29,12 @@ val shifts_per_axis : side:float -> delta:float -> dim:int -> int
 (** [ceil (side * sqrt dim / delta)] — the per-axis shift count of the
     faithful collection. *)
 
+val count_for :
+  ?cap:int -> dim:int -> side:float -> delta:float -> unit -> float
+(** The number of grids {!make} builds for these arguments, computed
+    without building them — as a float, since a faithful collection's
+    size can exceed every int. *)
+
 val count : t -> int
 
 val is_near : t -> grid_index:int -> Point.t -> bool

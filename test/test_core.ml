@@ -227,7 +227,8 @@ let test_sample_space_hook_fires () =
       Alcotest.(check bool) "cell max positive" true
         (Sample_space.cell_max c > 0.);
       Alcotest.(check bool) "best sample consistent" true
-        ((Sample_space.cell_best c).Sample_space.depth = Sample_space.cell_max c));
+        ((Sample_space.cell_best space c).Sample_space.depth
+         = Sample_space.cell_max c));
   Sample_space.insert space ~center:[| 0.; 0. |] ~weight:1.;
   Alcotest.(check bool) "hook fired on insert" true (!fired > 0)
 

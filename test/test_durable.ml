@@ -169,6 +169,30 @@ let test_crc_every_alignment () =
     (crc_reference big ~pos:5 ~len:(1 lsl 20))
     (Crc32.of_substring big ~pos:5 ~len:(1 lsl 20))
 
+(* The resumable entry points: a CRC continued across any split equals
+   the CRC of the whole, and a float column checksums as its
+   little-endian bit patterns would. *)
+let test_crc_resumable () =
+  let s = random_string (Rng.create 10) 100 in
+  for cut = 0 to 100 do
+    Alcotest.(check int)
+      (Printf.sprintf "split at %d" cut)
+      (Crc32.of_string s)
+      (Crc32.update (Crc32.of_substring s ~pos:0 ~len:cut) s ~pos:cut
+         ~len:(100 - cut))
+  done;
+  let rng = Rng.create 11 in
+  let a = Float.Array.init 37 (fun _ -> Rng.uniform rng (-1e3) 1e3) in
+  Float.Array.set a 3 Float.nan;
+  Float.Array.set a 4 (-0.);
+  let le = Bytes.create (8 * 37) in
+  Float.Array.iteri
+    (fun i x -> Bytes.set_int64_le le (8 * i) (Int64.bits_of_float x))
+    a;
+  Alcotest.(check int) "floats = their bytes"
+    (Crc32.update 7 (Bytes.to_string le) ~pos:0 ~len:(8 * 37))
+    (Crc32.update_floats 7 a)
+
 let qcheck_crc_matches_reference =
   QCheck.Test.make ~count:500
     ~name:"crc32: sliced = bit-at-a-time on random substrings"
@@ -262,40 +286,57 @@ let qcheck_wal_roundtrip =
 (* Snapshot + state codec round trip, and bit-identical continuation:
    restore a decoded snapshot and drive both structures forward with
    identical ops — every future answer must match bit for bit. *)
+(* [gen_ops] in [dim] dimensions. *)
+let gen_ops_dim ~dim ~n ~seed ~extent =
+  let rng = Rng.create seed in
+  let nlive = ref 0 in
+  List.init n (fun _ ->
+      if !nlive > 1 && Rng.bernoulli rng 0.3 then begin
+        decr nlive;
+        Del (Rng.int rng (!nlive + 1))
+      end
+      else begin
+        incr nlive;
+        let p = Array.init dim (fun _ -> Rng.float rng extent) in
+        Ins (p, 1. +. Rng.float rng 2.)
+      end)
+
+(* The decoder redraws every position from its cell's stamp, so the
+   decoded state equals the captured one field for field, positions
+   included, in every dimension the sampling step treats apart
+   (d = 1, 2, and the general case). *)
 let qcheck_state_roundtrip =
   QCheck.Test.make ~count:12 ~name:"codec: state round trip continues bit-identically"
     QCheck.(int_range 0 1000)
     (fun seed ->
+      let dim = 1 + (seed mod 3) in
       let cfg = test_cfg 0.45 (seed + 1) in
-      let ops = gen_ops ~n:80 ~seed ~extent:4. in
-      let more = gen_ops ~n:30 ~seed:(seed + 999) ~extent:4. in
-      let dyn = Dynamic.create ~cfg ~radius:1. ~dim:2 () in
-      List.iter (apply_dyn dyn) ops;
+      let ops = gen_ops_dim ~dim ~n:80 ~seed ~extent:4. in
+      let more = gen_ops_dim ~dim ~n:30 ~seed:(seed + 999) ~extent:4. in
+      let dyn = Dynamic.create ~cfg ~radius:1. ~dim () in
+      let live = ref [] and next = ref 0 in
+      (* Deletes name a live handle by its rank in [live]. *)
+      let apply dyns = function
+        | Ins (p, w) ->
+            List.iter
+              (fun d -> ignore (Dynamic.insert d ~weight:w p : Dynamic.handle))
+              dyns;
+            live := !next :: !live;
+            incr next
+        | Del k ->
+            let h = List.nth !live (k mod List.length !live) in
+            live := List.filter (( <> ) h) !live;
+            List.iter (fun d -> Dynamic.delete d (Dynamic.handle_of_id h)) dyns
+      in
+      List.iter (apply [ dyn ]) ops;
       let st = Dynamic.state dyn in
       let decoded = Codec.decode_state (Codec.encode_state st) in
       let dyn' = Dynamic.restore decoded in
-      (* [more] was generated against a fresh handle space; remap its
-         inserts/deletes onto the live handles of [dyn]. *)
-      let next = ref (List.length (List.filter (function Ins _ -> true | _ -> false) ops)) in
-      let live = ref [] in
-      List.iter
-        (function
-          | Ins (p, w) ->
-              ignore (Dynamic.insert dyn ~weight:w p : Dynamic.handle);
-              ignore (Dynamic.insert dyn' ~weight:w p : Dynamic.handle);
-              live := !next :: !live;
-              incr next
-          | Del _ -> (
-              match !live with
-              | h :: rest ->
-                  Dynamic.delete dyn (Dynamic.handle_of_id h);
-                  Dynamic.delete dyn' (Dynamic.handle_of_id h);
-                  live := rest
-              | [] -> ()))
-        more;
-      String.equal
-        (Codec.encode_state (Dynamic.state dyn))
-        (Codec.encode_state (Dynamic.state dyn'))
+      List.iter (apply [ dyn; dyn' ]) more;
+      decoded = st
+      && String.equal
+           (Codec.encode_state (Dynamic.state dyn))
+           (Codec.encode_state (Dynamic.state dyn'))
       && Dynamic.best dyn = Dynamic.best dyn')
 
 let test_codec_rejects_garbage () =
@@ -708,6 +749,45 @@ let test_sharded_logs_lost () =
         (session_fingerprint s);
       Session.close s)
 
+(* A manifest stamps every snapshot with the state's fingerprint. The
+   snapshot's own checksum pass yields it, so a manifest snapshot
+   captures and encodes the state once, like a single-log one: on the
+   same ops their allocations agree within 10%. A close right after the
+   snapshot reuses the fingerprint, and recovery verifies it. *)
+let test_manifest_snapshot_cost () =
+  let cfg = test_cfg 0.45 99 in
+  let ops = gen_ops ~n:120 ~seed:99 ~extent:4. in
+  let snapshot_bytes shards =
+    let wal = fresh_wal_path () in
+    Fun.protect
+      ~finally:(fun () -> cleanup wal)
+      (fun () ->
+        let s =
+          Result.get_ok
+            (Session.open_ ~wal ?shards ~snapshot_every:0 ~fsync:Wal.Never
+               ~cfg ())
+        in
+        List.iter (apply_session s) ops;
+        Session.snapshot_now s;
+        Gc.full_major ();
+        let b0 = Gc.allocated_bytes () in
+        Session.snapshot_now s;
+        let bytes = Gc.allocated_bytes () -. b0 in
+        Session.close s;
+        let s2 = Result.get_ok (Session.open_ ~wal ()) in
+        check_fp "reopened"
+          (baseline ~cfg ~radius:1. ops ~prefix:(List.length ops))
+          (session_fingerprint s2);
+        Session.close s2;
+        bytes)
+  in
+  let single = snapshot_bytes None and manifest = snapshot_bytes (Some 3) in
+  Alcotest.(check bool)
+    (Printf.sprintf "manifest %.0f B within 10%% of single log %.0f B" manifest
+       single)
+    true
+    (manifest <= 1.1 *. single)
+
 (* Crash storm over the sharded layout: each trial damages a random
    nonempty subset of the shard logs (truncation anywhere, a bit flip
    anywhere — including the magic — or deleting the file outright),
@@ -979,11 +1059,13 @@ let test_codec_huge_length () =
 (* State encodings that pass a CRC but are malformed. [wire_state]
    writes the state wire format field by field from the columns with
    the codec's [Buffer] primitives — a second implementation of the
-   format — and can misstate the first cell's key length, sample count
-   or first sample's position length, repeating or dropping trailing
-   values to match so the bytes stay otherwise well formed. *)
+   format. It can add an empty grid or drop the last one (a grid count
+   the config disagrees with), and offset the first non-empty grid's
+   position CRC: what a snapshot redrawn under another libm looks
+   like to the decoder. *)
 
-let wire_state ?key_len ?samples ?pos_len (st : Dynamic.State.t) =
+let wire_state ?(grids_delta = 0) ?(pos_crc_delta = 0) (st : Dynamic.State.t)
+    =
   let b = Buffer.create 4096 in
   let sp = st.Dynamic.State.space in
   let dim = sp.SS.dim and m = sp.SS.samples_per_cell in
@@ -1002,54 +1084,55 @@ let wire_state ?key_len ?samples ?pos_len (st : Dynamic.State.t) =
   Codec.int_ b st.Dynamic.State.epochs;
   Codec.int_ b dim;
   Codec.int_ b m;
-  Codec.int_ b (Array.length sp.SS.grids);
-  let first = ref true in
-  Array.iter
-    (fun (g : SS.grid) ->
-      Codec.i64 b g.SS.rng;
-      Codec.int_ b g.SS.next_id;
-      Codec.int_ b (SS.cells g);
-      for i = 0 to SS.cells g - 1 do
-        let over v default =
-          if !first then Option.value v ~default else default
-        in
-        let kl = over key_len dim and ns = over samples m in
-        Codec.int_ b kl;
-        for k = 0 to kl - 1 do
-          Codec.int_ b g.SS.keys.((i * dim) + min k (dim - 1))
+  let ngrids = Array.length sp.SS.grids + grids_delta in
+  Codec.int_ b ngrids;
+  let offset = ref pos_crc_delta in
+  Array.iteri
+    (fun gi (g : SS.grid) ->
+      if gi < ngrids then begin
+        Codec.i64 b g.SS.rng;
+        Codec.int_ b g.SS.next_id;
+        Codec.int_ b (SS.cells g);
+        let pos_crc = ref 0 in
+        for j = 0 to Float.Array.length g.SS.pos - 1 do
+          let le = Bytes.create 8 in
+          Bytes.set_int64_le le 0
+            (Int64.bits_of_float (Float.Array.get g.SS.pos j));
+          pos_crc := Crc32.update !pos_crc (Bytes.to_string le) ~pos:0 ~len:8
         done;
-        Codec.int_ b g.SS.nballs.(i);
-        Codec.int_ b g.SS.cversion.(i);
-        Codec.f64 b (Float.Array.get g.SS.cmax i);
-        Codec.int_ b g.SS.best.(i);
-        Codec.int_ b ns;
-        for si = 0 to ns - 1 do
-          let j = (i * m) + min si (m - 1) in
-          let pl = if si = 0 then over pos_len dim else dim in
-          Codec.int_ b g.SS.ids.(j);
-          Codec.int_ b pl;
-          for k = 0 to pl - 1 do
-            Codec.f64 b (Float.Array.get g.SS.pos ((j * dim) + min k (dim - 1)))
+        let off = if SS.cells g > 0 then !offset else 0 in
+        if SS.cells g > 0 then offset := 0;
+        Codec.int_ b ((!pos_crc + off) land 0xFFFFFFFF);
+        for i = 0 to SS.cells g - 1 do
+          for k = 0 to dim - 1 do
+            Codec.int_ b g.SS.keys.((i * dim) + k)
           done;
-          Codec.f64 b (Float.Array.get g.SS.depth j);
-          Codec.int_ b g.SS.flag.(j);
-          Codec.int_ b g.SS.sver.(j)
-        done;
-        first := false
-      done)
+          Codec.int_ b g.SS.nballs.(i);
+          Codec.i64 b (Bigarray.Array1.get g.SS.stamps i);
+          Codec.int_ b g.SS.bases.(i);
+          for j = 0 to m - 1 do
+            Codec.f64 b (Float.Array.get g.SS.depth ((i * m) + j))
+          done
+        done
+      end)
     sp.SS.grids;
+  for _ = 1 to grids_delta do
+    (* an empty grid: rng, next_id, no cells, the CRC of no positions *)
+    Codec.i64 b 0L;
+    Codec.int_ b 0;
+    Codec.int_ b 0;
+    Codec.int_ b 0
+  done;
   Buffer.contents b
 
-let malformed_variants (st : Dynamic.State.t) =
-  let dim = st.Dynamic.State.space.SS.dim
-  and m = st.Dynamic.State.space.SS.samples_per_cell in
+let grid_count_variants st =
   [
-    ("key length dim + 1", wire_state ~key_len:(dim + 1) st);
-    ("key length dim - 1", wire_state ~key_len:(dim - 1) st);
-    ("sample count + 1", wire_state ~samples:(m + 1) st);
-    ("sample count - 1", wire_state ~samples:(m - 1) st);
-    ("pos length dim + 1", wire_state ~pos_len:(dim + 1) st);
+    ("one grid more than the config's", wire_state ~grids_delta:1 st);
+    ("one grid fewer than the config's", wire_state ~grids_delta:(-1) st);
   ]
+
+let guard_variant st =
+  ("a position CRC off by one", wire_state ~pos_crc_delta:1 st)
 
 let test_codec_rejects_malformed_state () =
   let cfg = test_cfg 0.45 41 in
@@ -1067,23 +1150,57 @@ let test_codec_rejects_malformed_state () =
       match Codec.decode_state data with
       | exception Codec.Malformed _ -> ()
       | _ -> Alcotest.failf "%s: decode_state did not raise Malformed" what)
-    (malformed_variants st)
+    (guard_variant st :: grid_count_variants st)
 
-(* A checksummed snapshot file holding [payload]. *)
-let snapshot_file ~seq payload =
-  let body = Buffer.create (String.length payload + 8) in
-  Codec.int_ body seq;
-  Buffer.add_string body payload;
-  let body = Buffer.contents body in
+(* A colored update writes per-sample flags, which the state does not
+   carry: capturing such a space must fail rather than lose them. *)
+let test_state_refuses_colored_space () =
+  let space =
+    Maxrs.Sample_space.create ~dim:2 ~cfg:(test_cfg 0.45 3) ~expected_n:10
+  in
+  Maxrs.Sample_space.insert space ~center:[| 0.; 0. |] ~weight:1.;
+  ignore (Maxrs.Sample_space.state space : SS.t);
+  Maxrs.Sample_space.touch_colored_in_grid space ~grid:0 ~center:[| 0.5; 0. |]
+    ~color:0;
+  match Maxrs.Sample_space.state space with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "state of a colored space was captured"
+
+(* A checksummed snapshot file holding [payload], the state encoding:
+   the current layout, or the retired one ([MXSNAP01], seq ahead of
+   the state) that this build no longer reads. *)
+let snapshot_file ?(v1 = false) ~seq payload =
+  let seq_bytes =
+    let b = Buffer.create 8 in
+    Codec.int_ b seq;
+    Buffer.contents b
+  in
+  let body = if v1 then seq_bytes ^ payload else payload ^ seq_bytes in
   let b = Buffer.create (String.length body + 12) in
-  Buffer.add_string b "MXSNAP01";
+  Buffer.add_string b (if v1 then "MXSNAP01" else "MXSNAP02");
   Buffer.add_int32_le b (Int32.of_int (Crc32.of_string body));
   Buffer.add_string b body;
   Buffer.contents b
 
-(* Each malformed encoding, checksummed correctly, as the newest
-   snapshot: recovery skips it, counts the skip, and lands on the older
-   snapshot plus the log. *)
+(* [st] with one cell field rewritten: [f] gets the first non-empty
+   grid of the space and returns its replacement. *)
+let with_first_grid (st : Dynamic.State.t) f =
+  let sp = st.Dynamic.State.space in
+  let grids = Array.copy sp.SS.grids in
+  let rec first gi = if SS.cells grids.(gi) > 0 then gi else first (gi + 1) in
+  let gi = first 0 in
+  grids.(gi) <- f grids.(gi);
+  { st with Dynamic.State.space = { sp with SS.grids } }
+
+let without_ball (g : SS.grid) =
+  let nballs = Array.copy g.SS.nballs in
+  nballs.(0) <- 0;
+  { g with SS.nballs }
+
+(* Checksummed newest snapshots the decoder or the restore rejects — a
+   position CRC that the redraw misses (as under another libm) and a
+   cell without a ball: recovery skips each, counts the skip, and lands
+   bit-identically on the older snapshot plus the log. *)
 let test_recovery_skips_malformed_snapshot () =
   let cfg = test_cfg 0.45 43 in
   let ops = gen_ops ~n:50 ~seed:43 ~extent:4. in
@@ -1131,7 +1248,70 @@ let test_recovery_skips_malformed_snapshot () =
           | None -> Alcotest.fail "expected recovery");
           check_fp what expected (session_fingerprint s2);
           Session.close s2))
-    (malformed_variants st40)
+    [
+      guard_variant st40;
+      ( "a cell without a ball",
+        Codec.encode_state (with_first_grid st40 without_ball) );
+    ]
+
+(* A snapshot in the retired layout fails the magic check. Beside a log
+   that starts at op 0 it is skipped, counted, and the log replayed;
+   beside a log that starts later, nothing covers the gap and open
+   refuses. *)
+let test_retired_snapshot_layout () =
+  let cfg = test_cfg 0.45 45 in
+  let ops = gen_ops ~n:50 ~seed:45 ~extent:4. in
+  let expected = baseline ~cfg ~radius:1. ops ~prefix:50 in
+  let wal = fresh_wal_path () in
+  Fun.protect
+    ~finally:(fun () -> cleanup wal)
+    (fun () ->
+      let s = Result.get_ok (Session.open_ ~wal ~snapshot_every:0 ~cfg ()) in
+      List.iter (apply_session s) ops;
+      let payload = Codec.encode_state (Session.state s) in
+      Session.close s;
+      write_file (Snapshot.path ~wal ~seq:50)
+        (snapshot_file ~v1:true ~seq:50 payload);
+      let before = Obs.value skipped_corrupt in
+      let s2 =
+        Obs.with_enabled true (fun () -> Result.get_ok (Session.open_ ~wal ()))
+      in
+      Alcotest.(check int) "base 0: the skip is counted" 1
+        (Obs.value skipped_corrupt - before);
+      (match Session.recovery s2 with
+      | Some r ->
+          Alcotest.(check (option int)) "base 0: no snapshot used" None
+            r.Session.snapshot_seq;
+          Alcotest.(check int) "base 0: the whole log replayed" 50
+            r.Session.replayed
+      | None -> Alcotest.fail "expected recovery");
+      check_fp "base 0" expected (session_fingerprint s2);
+      Session.close s2);
+  let wal = fresh_wal_path () in
+  Fun.protect
+    ~finally:(fun () -> cleanup wal)
+    (fun () ->
+      let s = Result.get_ok (Session.open_ ~wal ~snapshot_every:20 ~cfg ()) in
+      List.iter (apply_session s) ops;
+      Session.close s;
+      (* With the log gone, recovery adopts snapshot 40 and rewrites the
+         log from there: it now starts at op 40. *)
+      Sys.remove wal;
+      let s = Result.get_ok (Session.open_ ~wal ()) in
+      let payload = Codec.encode_state (Session.state s) in
+      Session.close s;
+      List.iter (fun (_, _, file) -> Sys.remove file) (Snapshot.load_all ~wal);
+      write_file (Snapshot.path ~wal ~seq:40)
+        (snapshot_file ~v1:true ~seq:40 payload);
+      match Session.open_ ~wal () with
+      | Ok _ -> Alcotest.fail "base 40: opened without a usable snapshot"
+      | Error msg ->
+          let needle = "no usable snapshot covers the gap" in
+          let n = String.length needle and m = String.length msg in
+          let rec has i =
+            i + n <= m && (String.sub msg i n = needle || has (i + 1))
+          in
+          if not (has 0) then Alcotest.failf "base 40: unexpected error %S" msg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1145,87 +1325,25 @@ let qcheck_cases =
       qcheck_state_roundtrip;
     ]
 
-(* [st] with one cell field rewritten: [f] gets the first non-empty
-   grid of the space and returns its replacement. *)
-let with_first_grid (st : Dynamic.State.t) f =
-  let sp = st.Dynamic.State.space in
-  let grids = Array.copy sp.SS.grids in
-  let rec first gi = if SS.cells grids.(gi) > 0 then gi else first (gi + 1) in
-  let gi = first 0 in
-  grids.(gi) <- f grids.(gi);
-  { st with Dynamic.State.space = { sp with SS.grids } }
-
-let nudge_cmax (g : SS.grid) =
-  let cmax = Float.Array.copy g.SS.cmax in
-  Float.Array.set cmax 0 (Float.Array.get cmax 0 +. 0.5);
-  { g with SS.cmax }
-
-let test_restore_rejects_untrue_cache () =
+let test_restore_rejects_unsound_cells () =
   let cfg = test_cfg 0.45 47 in
   let dyn = Dynamic.create ~cfg ~radius:1. ~dim:2 () in
   List.iter (apply_dyn dyn) (gen_ops ~n:30 ~seed:47 ~extent:4.);
   let st = Dynamic.state dyn in
   ignore (Dynamic.restore st);
-  let m = st.Dynamic.State.space.SS.samples_per_cell in
   List.iter
     (fun (what, f) ->
       match Dynamic.restore (with_first_grid st f) with
       | exception Invalid_argument _ -> ()
       | _ -> Alcotest.failf "%s: restored" what)
     [
-      ("nudged cmax", nudge_cmax);
-      ( "another best",
+      ("a cell without a ball", without_ball);
+      ( "a base id of another grid",
         fun g ->
-          let best = Array.copy g.SS.best in
-          best.(0) <- (best.(0) + 1) mod m;
-          { g with SS.best } );
-      ( "a cell without a ball",
-        fun g ->
-          let nballs = Array.copy g.SS.nballs in
-          nballs.(0) <- 0;
-          { g with SS.nballs } );
+          let bases = Array.copy g.SS.bases in
+          bases.(0) <- bases.(0) + 1;
+          { g with SS.bases } );
     ]
-
-(* A checksummed newest snapshot whose one cached cell max was nudged:
-   it decodes, but the heap would be seeded from that max, so restore
-   rejects it. Recovery skips it, counts the skip and lands
-   bit-identically on the older snapshot plus the log. *)
-let test_recovery_skips_untrue_cached_max () =
-  let cfg = test_cfg 0.45 43 in
-  let ops = gen_ops ~n:50 ~seed:43 ~extent:4. in
-  let expected = baseline ~cfg ~radius:1. ops ~prefix:50 in
-  let wal = fresh_wal_path () in
-  Fun.protect
-    ~finally:(fun () -> cleanup wal)
-    (fun () ->
-      let s =
-        Result.get_ok (Session.open_ ~wal ~snapshot_every:20 ~cfg ())
-      in
-      List.iter (apply_session s) ops;
-      Session.close s;
-      let st40 =
-        List.find_map
-          (fun (seq, st, _) -> if seq = 40 then Some st else None)
-          (Snapshot.load_all ~wal)
-        |> Option.get
-      in
-      write_file
-        (Snapshot.path ~wal ~seq:40)
-        (snapshot_file ~seq:40
-           (Codec.encode_state (with_first_grid st40 nudge_cmax)));
-      let before = Obs.value skipped_corrupt in
-      let s2 =
-        Obs.with_enabled true (fun () -> Result.get_ok (Session.open_ ~wal ()))
-      in
-      Alcotest.(check int) "the skip is counted" 1
-        (Obs.value skipped_corrupt - before);
-      (match Session.recovery s2 with
-      | Some r ->
-          Alcotest.(check (option int)) "fell back to snapshot 20" (Some 20)
-            r.Session.snapshot_seq
-      | None -> Alcotest.fail "expected recovery");
-      check_fp "untrue cached max" expected (session_fingerprint s2);
-      Session.close s2)
 
 let () =
   Alcotest.run "durable"
@@ -1237,6 +1355,8 @@ let () =
             test_crc_detects_single_bit_flips;
           Alcotest.test_case "every alignment and 1 MiB match the reference"
             `Quick test_crc_every_alignment;
+          Alcotest.test_case "resumable update and float columns" `Quick
+            test_crc_resumable;
           QCheck_alcotest.to_alcotest qcheck_crc_matches_reference;
         ] );
       ( "codec",
@@ -1246,6 +1366,8 @@ let () =
              `Quick test_codec_huge_length
         :: Alcotest.test_case "malformed lengths under a valid CRC fail"
              `Quick test_codec_rejects_malformed_state
+        :: Alcotest.test_case "state refuses a colored space" `Quick
+             test_state_refuses_colored_space
         :: qcheck_cases
         @ List.map QCheck_alcotest.to_alcotest
             [
@@ -1273,10 +1395,10 @@ let () =
             test_snapshot_survives_corrupt_newest;
           Alcotest.test_case "malformed newest snapshot is skipped" `Quick
             test_recovery_skips_malformed_snapshot;
-          Alcotest.test_case "restore rejects an untrue cached max" `Quick
-            test_restore_rejects_untrue_cache;
-          Alcotest.test_case "untrue cached max in the newest snapshot" `Quick
-            test_recovery_skips_untrue_cached_max;
+          Alcotest.test_case "restore rejects unsound cells" `Quick
+            test_restore_rejects_unsound_cells;
+          Alcotest.test_case "retired snapshot layout is skipped" `Quick
+            test_retired_snapshot_layout;
         ] );
       ( "recovery",
         [
@@ -1297,6 +1419,8 @@ let () =
             test_sharded_refuses_layout_conflicts;
           Alcotest.test_case "all logs lost, snapshot survives" `Quick
             test_sharded_logs_lost;
+          Alcotest.test_case "a snapshot costs one capture" `Quick
+            test_manifest_snapshot_cost;
           Alcotest.test_case "multi-shard crash storm" `Slow
             test_sharded_crash_storm;
         ] );

@@ -289,6 +289,64 @@ let test_grid_ball_cells () =
     (fun k -> Alcotest.(check bool) "neighbor present" true (List.mem k keys))
     [ [| 1; 0 |]; [| -1; 0 |]; [| 0; 1 |]; [| 0; -1 |] ]
 
+(* The cursor against the recursive odometer it replaced: the same
+   keys in the same order (cell creation order fixes every grid's rng
+   stream), on random grids and balls in 1-4 dimensions, including
+   radii that cover a single cell and balls that start a cursor over
+   again before it ran out. *)
+let odometer_keys (g : Grid.t) ~center ~radius =
+  let d = g.Grid.dim in
+  let c = center and r = radius +. Maxrs_geom.Closed.eps in
+  let cell i x =
+    int_of_float (Float.floor ((x -. g.Grid.origin.(i)) /. g.Grid.side))
+  in
+  let lo = Array.init d (fun i -> cell i (c.(i) -. r))
+  and hi = Array.init d (fun i -> cell i (c.(i) +. r)) in
+  let key = Array.make d 0 and out = ref [] in
+  let rec go i acc =
+    if acc <= r *. r then
+      if i = d then out := Array.copy key :: !out
+      else
+        for v = lo.(i) to hi.(i) do
+          key.(i) <- v;
+          let cell_lo = g.Grid.origin.(i) +. (float_of_int v *. g.Grid.side) in
+          let cell_hi = cell_lo +. g.Grid.side in
+          let dx =
+            if c.(i) < cell_lo then cell_lo -. c.(i)
+            else if c.(i) > cell_hi then c.(i) -. cell_hi
+            else 0.
+          in
+          go (i + 1) (acc +. (dx *. dx))
+        done
+  in
+  go 0 0.;
+  List.rev !out
+
+let test_grid_cursor_order () =
+  let rng = Rng.create 31 in
+  for trial = 1 to 400 do
+    let d = 1 + (trial mod 4) in
+    let origin = Array.init d (fun _ -> Rng.uniform rng (-1.) 1.) in
+    let g = Grid.make ~side:(Rng.uniform rng 0.1 1.5) ~origin in
+    let cur = Grid.cursor g in
+    let center = Array.init d (fun _ -> Rng.uniform rng (-5.) 5.) in
+    let radius = if trial mod 7 = 0 then 0. else Rng.uniform rng 0. 2. in
+    (* an abandoned enumeration must not leak into the next one *)
+    Grid.start cur ~center:(Array.make d 0.) ~radius:1.;
+    ignore (Grid.next cur);
+    Grid.start cur ~center ~radius;
+    let got = ref [] in
+    while Grid.next cur do
+      got := Array.copy (Grid.cursor_key cur) :: !got
+    done;
+    Alcotest.(check bool) "exhausted cursor stays exhausted" false
+      (Grid.next cur);
+    Alcotest.(check (list (array int)))
+      (Printf.sprintf "trial %d, d = %d" trial d)
+      (odometer_keys g ~center ~radius)
+      (List.rev !got)
+  done
+
 let test_grid_tbl () =
   let tbl = Grid.Tbl.create 16 in
   Grid.Tbl.replace tbl [| 1; 2; 3 |] "a";
@@ -549,6 +607,8 @@ let () =
           Alcotest.test_case "circumradius" `Quick test_grid_circumradius;
           Alcotest.test_case "cells meeting a ball" `Quick test_grid_ball_cells;
           Alcotest.test_case "key hashtable" `Quick test_grid_tbl;
+          Alcotest.test_case "cursor keeps the odometer's order" `Quick
+            test_grid_cursor_order;
         ] );
       ( "shifted-grids",
         [

@@ -279,14 +279,14 @@ let prop_sharded_matches_dynamic =
 
    [best] reads the top of an indexed heap that the cell-change hook
    keeps in place, so after every op it must equal a brute force over
-   the captured state: among the cells with a positive cached max, the
-   deepest, then the smallest uid (the cell's first sample id),
-   reported as the position of that cell's best sample. Scripts open
-   with a burst of inserts that forces an epoch rebuild, then mix
-   inserts and deletes around one state/restore. Weights are integers;
-   half the balls sit on a dense half-unit lattice (depth ties between
-   cells) and half on spots 4 apart, where a deletion drops the cells
-   of an isolated ball — often the top. *)
+   the captured state: among the cells whose depths' first maximum is
+   positive, the deepest, then the smallest uid (the cell's base, its
+   first sample id), reported as the position of that first maximum.
+   Scripts open with a burst of inserts that forces an epoch rebuild,
+   then mix inserts and deletes around one state/restore. Weights are
+   integers; half the balls sit on a dense half-unit lattice (depth
+   ties between cells) and half on spots 4 apart, where a deletion
+   drops the cells of an isolated ball — often the top. *)
 
 let heap_cfg = Config.make ~epsilon:0.45 ~max_grid_shifts:(Some 4) ~seed:7 ()
 
@@ -317,6 +317,18 @@ let gen_heap_script ~seed =
   let after = List.init 24 (fun _ -> op ()) in
   (queried before, queried after)
 
+(* A cell's max and its argmax: the first maximum of its depths, as the
+   update loops take it (strict [>]). *)
+let first_max (g : SS.grid) ~m i =
+  let arg = ref 0 in
+  for si = 1 to m - 1 do
+    if
+      Float.Array.get g.SS.depth ((i * m) + si)
+      > Float.Array.get g.SS.depth ((i * m) + !arg)
+    then arg := si
+  done;
+  (Float.Array.get g.SS.depth ((i * m) + !arg), !arg)
+
 let brute_best (st : Dynamic.State.t) =
   let sp = st.Dynamic.State.space in
   let m = sp.SS.samples_per_cell and dim = sp.SS.dim in
@@ -324,16 +336,15 @@ let brute_best (st : Dynamic.State.t) =
   Array.iter
     (fun (g : SS.grid) ->
       for i = 0 to SS.cells g - 1 do
-        let d = Float.Array.get g.SS.cmax i and uid = g.SS.ids.(i * m) in
+        let d, arg = first_max g ~m i and uid = g.SS.bases.(i) in
         if d > 0. then
           match !best with
-          | Some (bd, buid, _, _) when bd > d || (bd = d && buid < uid) -> ()
-          | _ -> best := Some (d, uid, g, i)
+          | Some (bd, buid, _) when bd > d || (bd = d && buid < uid) -> ()
+          | _ -> best := Some (d, uid, (g, (i * m) + arg))
       done)
     sp.SS.grids;
   Option.map
-    (fun (d, _, (g : SS.grid), i) ->
-      let si = (i * m) + g.SS.best.(i) in
+    (fun (d, _, ((g : SS.grid), si)) ->
       let radius = st.Dynamic.State.radius in
       ( Array.init dim (fun k ->
             radius *. Float.Array.get g.SS.pos ((si * dim) + k)),
@@ -394,10 +405,10 @@ let prop_heap_matches_brute_force =
    write path's allocation is gated as a count, not a time: 1,000
    alternating writes (an insert, then the delete of the oldest live
    ball) on a structure warmed to 500 balls under [Config.default].
-   The update loop, the cell refresh and the heap re-seat allocate
-   nothing per visited cell; what is left is per op (the guard, the
-   scaled center, the ball tables, a closure per grid) and the cells a
-   write materializes. A one-shard [Sharded] runs no domain, so its
+   The key enumeration, the update loop, the cell refresh and the heap
+   re-seat allocate nothing per grid or per visited cell; what is left
+   is per op (the guard, the scaled center, the ball tables) and the
+   cells a write materializes. A one-shard [Sharded] runs no domain, so its
    count holds under any [MAXRS_DOMAINS] and [MAXRS_FAULTS]. *)
 
 let alloc_live = 500
@@ -433,16 +444,16 @@ let test_alloc_gate () =
           ~insert:(fun p -> Sharded.insert s p)
           ~delete:(Sharded.delete s))
   in
-  (* Bounds: 1.15x the measured 1,250.4 and 1,292.9 words per write
+  (* Bounds: 1.15x the measured 398.6 and 441.1 words per write
      (OCaml 5.1, x86-64). *)
   Printf.printf "minor words per write: dynamic %.1f, one-shard sharded %.1f\n"
     dynamic sharded;
   Alcotest.(check bool)
-    (Printf.sprintf "dynamic: %.1f words/write <= 1,440" dynamic)
-    true (dynamic <= 1_440.);
+    (Printf.sprintf "dynamic: %.1f words/write <= 460" dynamic)
+    true (dynamic <= 460.);
   Alcotest.(check bool)
-    (Printf.sprintf "one-shard sharded: %.1f words/write <= 1,490" sharded)
-    true (sharded <= 1_490.)
+    (Printf.sprintf "one-shard sharded: %.1f words/write <= 507" sharded)
+    true (sharded <= 507.)
 
 let () =
   Alcotest.run "maxrs sharded"
