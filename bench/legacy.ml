@@ -338,26 +338,20 @@ module Sample_space_seed = struct
             s.depth <- s.depth +. weight;
             true))
 
-  let best_cell_in_grid t gi =
-    let best = ref None in
-    Tbl.iter
-      (fun _ c ->
-        match !best with
-        | Some b when cell_max b >= c.max_depth -> ()
-        | _ -> best := Some c)
-      t.tables.(gi);
-    !best
-
+  (* The current solver's tie rule: the larger max, ties to the smaller
+     cell uid (its first sample's id), so both sides report one cell. *)
   let best t =
     let best = ref None in
-    for gi = 0 to grid_count t - 1 do
-      match best_cell_in_grid t gi with
-      | Some c -> (
-          match !best with
-          | Some b when cell_max b >= c.max_depth -> ()
-          | _ -> best := Some c)
-      | None -> ()
-    done;
+    Array.iter
+      (Tbl.iter (fun _ c ->
+           match !best with
+           | Some b
+             when cell_max b > c.max_depth
+                  || cell_max b = c.max_depth
+                     && b.samples.(0).id < c.samples.(0).id ->
+               ()
+           | _ -> best := Some c))
+      t.tables;
     match !best with
     | Some c when c.max_depth > Float.neg_infinity -> Some c.best
     | _ -> None

@@ -463,29 +463,21 @@ let validate t ~live =
     t.tables;
   !ok
 
-(* Per-grid argmax, then a merge in grid-index order, both keeping the
-   earlier candidate on ties — the same answer as one scan over all
-   cells, but computable shard-by-shard. *)
-let best_cell_in_grid t gi =
-  let best = ref None in
-  Grid.Tbl.iter
-    (fun _ c ->
-      match !best with
-      | Some b when cell_max b >= cell_max c -> ()
-      | _ -> best := Some c)
-    t.tables.(gi);
-  !best
-
+(* The deepest cell under the dynamic heap's order ([Cell_heap]): the
+   larger cached max, ties to the smaller uid. The order is strict and
+   total, so the answer is a function of the cells alone, never of the
+   order the tables are walked in. *)
 let best t =
   let best = ref None in
-  for gi = 0 to grid_count t - 1 do
-    match best_cell_in_grid t gi with
-    | Some c -> (
-        match !best with
-        | Some b when cell_max b >= cell_max c -> ()
-        | _ -> best := Some c)
-    | None -> ()
-  done;
+  Array.iter
+    (Grid.Tbl.iter (fun _ c ->
+         match !best with
+         | Some b
+           when cell_max b > cell_max c
+                || (cell_max b = cell_max c && b.base < c.base) ->
+             ()
+         | _ -> best := Some c))
+    t.tables;
   match !best with
   | Some c when cell_max c > Float.neg_infinity -> Some (cell_best t c)
   | _ -> None

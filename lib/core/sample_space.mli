@@ -124,7 +124,10 @@ val insert_with : t -> center:Maxrs_geom.Point.t -> f:(sample -> float) -> unit
 
 val best : t -> sample option
 (** Linear scan over cells for a sample of maximum depth (static
-    algorithms). *)
+    algorithms): the cached best sample of the first cell in
+    {!Cell_heap}'s order — the deepest, ties to the smallest
+    {!cell_uid} — so a static solve and the dynamic structure's heap
+    report the same cell. *)
 
 val iter_samples : t -> (sample -> unit) -> unit
 val iter_live_cells : t -> (cell -> unit) -> unit

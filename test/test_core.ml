@@ -232,6 +232,29 @@ let test_sample_space_hook_fires () =
   Sample_space.insert space ~center:[| 0.; 0. |] ~weight:1.;
   Alcotest.(check bool) "hook fired on insert" true (!fired > 0)
 
+(* The static scan and the dynamic heap share one tie rule: on a space
+   full of equal maxima (unit weights on a lattice), [Sample_space.best]
+   names the sample the heap's top names, bit for bit. *)
+let test_sample_space_best_is_heap_top () =
+  let cfg = Config.make ~epsilon:0.3 ~max_grid_shifts:(Some 4) ~seed:11 () in
+  let d = Dynamic.create ~cfg ~dim:2 () in
+  let hs =
+    List.init 40 (fun i ->
+        Dynamic.insert d [| Float.of_int (i mod 8); Float.of_int (i / 8) |])
+  in
+  List.iteri (fun i h -> if i mod 3 = 0 then Dynamic.delete d h) hs;
+  let space =
+    Sample_space.restore ~cfg (Dynamic.state d).Dynamic.State.space
+  in
+  let bits p = Array.map Int64.bits_of_float p in
+  match (Sample_space.best space, Dynamic.best d) with
+  | Some s, Some (p, v) ->
+      Alcotest.(check (array int64)) "same witness" (bits p)
+        (bits s.Sample_space.pos);
+      Alcotest.(check int64) "same value" (Int64.bits_of_float v)
+        (Int64.bits_of_float s.Sample_space.depth)
+  | _ -> Alcotest.fail "expected a best sample on both sides"
+
 (* ------------------------------------------------------------------ *)
 (* Dynamic MaxRS (Theorem 1.1) *)
 
@@ -661,6 +684,8 @@ let () =
           Alcotest.test_case "maintained depth never overcounts" `Quick
             test_sample_space_depth_undercounts_never_over;
           Alcotest.test_case "depth-change hook" `Quick test_sample_space_hook_fires;
+          Alcotest.test_case "best is the heap's top" `Quick
+            test_sample_space_best_is_heap_top;
         ] );
       ( "dynamic",
         [
