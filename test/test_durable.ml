@@ -1345,6 +1345,66 @@ let test_restore_rejects_unsound_cells () =
           { g with SS.bases } );
     ]
 
+(* Known answers beyond the golden's config: a fixed insert/delete script
+   that crosses at least two epoch rebuilds, at three settings — the
+   faithful 25-grid collection of [Config.default] at d = 2, d = 1, and
+   d = 3 under a six-shift cap. Each pins the encoded state's CRC and
+   the bits of [best], so any change to the cells, their depths, their
+   stamps or uids, or to the draw order moves a pin. *)
+let known_answer_script ~cfg ~dim =
+  let rng = Rng.create (40 + dim) in
+  let d = Dynamic.create ~cfg ~dim () in
+  let point () = Array.init dim (fun _ -> Rng.uniform rng 0. 6.) in
+  let weight () = Float.of_int (1 + Rng.int rng 3) in
+  let hs =
+    Array.init 30 (fun _ -> Dynamic.insert d ~weight:(weight ()) (point ()))
+  in
+  Array.iteri (fun i h -> if i < 24 && i mod 2 = 0 then Dynamic.delete d h) hs;
+  for _ = 1 to 6 do
+    ignore (Dynamic.insert d ~weight:(weight ()) (point ()) : Dynamic.handle)
+  done;
+  d
+
+let test_known_answers () =
+  List.iter
+    (fun (what, cfg, dim, crc, best) ->
+      let d = known_answer_script ~cfg ~dim in
+      Alcotest.(check bool)
+        (what ^ ": two epoch rebuilds")
+        true
+        (Dynamic.epochs d >= 2);
+      Alcotest.(check int)
+        (what ^ ": state CRC")
+        crc
+        (Codec.state_crc (Dynamic.state d));
+      let p, v = Option.get (Dynamic.best d) in
+      Alcotest.(check (list int64))
+        (what ^ ": best bits")
+        best
+        (List.map Int64.bits_of_float (Array.to_list p @ [ v ])))
+    [
+      ( "d=2 default",
+        Config.default,
+        2,
+        0x35cc50d1,
+        [ 0x4010453106b28644L; 0x4000873fedd4d7e2L; 0x4028000000000000L ] );
+      ( "d=1 default",
+        Config.default,
+        1,
+        0x4a18b177,
+        [ 0x3ff1eb851eb851ecL; 0x4035000000000000L ] );
+      ( "d=3 six shifts",
+        Config.make ~max_grid_shifts:(Some 6) (),
+        3,
+        0x52947bdb,
+        [
+          0x3fed47c1d91406b2L;
+          0x3ff2cef454e9c978L;
+          0x3fe59066803fc551L;
+          0x4020000000000000L;
+        ] );
+    ]
+
 let () =
   Alcotest.run "durable"
     [
@@ -1384,6 +1444,8 @@ let () =
         [
           Alcotest.test_case "layout bytes match the golden" `Quick
             test_layout_golden;
+          Alcotest.test_case "known answers at three configs" `Quick
+            test_known_answers;
         ] );
       ( "session",
         [
