@@ -1,33 +1,30 @@
 module SS = Sample_space
 module FA = Float.Array
 
-(* Slot [i] holds [cells.(i)], whose cached max and uid are copied into
-   [depth.(i)] and [uid.(i)]: the sifts compare two flat columns and
-   never follow a cell pointer. Every move also rewrites the moved
-   cell's own slot index. The helpers take slot indices, never a float,
-   since a float argument of a call is boxed. *)
+(* Slot [i] holds cell [cells.(i)], whose cached max and uid are copied
+   into [depth.(i)] and [uid.(i)]: the sifts compare two flat columns
+   and never read the space. Cells are ints, so the heap holds no
+   pointer. Every move also rewrites the moved cell's slot, which lives
+   in a column of the cell's grid. The helpers take slot indices, never
+   a float, since a float argument of a call is boxed. *)
 type t = {
+  space : SS.t;
   mutable cells : SS.cell array;
   mutable depth : floatarray;
   mutable uid : int array;
   mutable len : int;
 }
 
-let create () = { cells = [||]; depth = FA.create 0; uid = [||]; len = 0 }
+let create space =
+  { space; cells = [||]; depth = FA.create 0; uid = [||]; len = 0 }
+
 let length h = h.len
 let top h = if h.len = 0 then None else Some (Array.unsafe_get h.cells 0)
 
 let cell_at h i =
   if i < h.len then h.cells.(i) else invalid_arg "Cell_heap.cell_at"
 
-(* The cached max, read from the trailing slot of the cell's column. *)
-let max_of c =
-  let col = SS.cell_max_column c in
-  FA.unsafe_get col (FA.length col - 1)
-
-let precedes a b =
-  let da = max_of a and db = max_of b in
-  da > db || (da = db && SS.cell_uid a < SS.cell_uid b)
+let precedes = SS.precedes
 
 (* Slot [i] comes before slot [j]. *)
 let above h i j =
@@ -44,8 +41,8 @@ let swap h i j =
   let u = h.uid.(i) in
   h.uid.(i) <- h.uid.(j);
   h.uid.(j) <- u;
-  SS.set_cell_slot cj i;
-  SS.set_cell_slot ci j
+  SS.set_cell_slot h.space cj i;
+  SS.set_cell_slot h.space ci j
 
 let rec sift_up h i =
   if i > 0 then begin
@@ -71,6 +68,7 @@ let rec sift_down h i =
 let reseat h i =
   if i > 0 && above h i ((i - 1) / 2) then sift_up h i else sift_down h i
 
+(* Room for one more slot. *)
 let grow h c =
   let cap = Array.length h.cells in
   if h.len = cap then begin
@@ -86,11 +84,9 @@ let grow h c =
     h.uid <- uid
   end
 
-(* Move the last slot into the hole at [i]. The vacated slot is pointed
-   at the top (or the emptied heap drops its cells), so the heap keeps
-   no removed cell alive. *)
+(* Move the last slot into the hole at [i]. *)
 let remove h i =
-  SS.set_cell_slot h.cells.(i) (-1);
+  SS.set_cell_slot h.space h.cells.(i) (-1);
   let last = h.len - 1 in
   h.len <- last;
   if i < last then begin
@@ -98,29 +94,24 @@ let remove h i =
     h.cells.(i) <- c;
     FA.unsafe_set h.depth i (FA.unsafe_get h.depth last);
     h.uid.(i) <- h.uid.(last);
-    SS.set_cell_slot c i;
+    SS.set_cell_slot h.space c i;
     reseat h i
-  end;
-  if last > 0 then h.cells.(last) <- h.cells.(0) else h.cells <- [||]
+  end
 
+(* The cell's new max is staged in its own slot, or in the first free
+   one when it has none, so it is read as an unboxed float. *)
 let update h c =
-  (* [max_of] inlined by hand: its float result would be boxed. *)
-  let col = SS.cell_max_column c in
-  let d = FA.unsafe_get col (FA.length col - 1) in
-  let i = SS.cell_slot c in
-  if d > 0. then
-    if i >= 0 then begin
-      FA.unsafe_set h.depth i d;
-      reseat h i
-    end
+  let i = SS.cell_slot h.space c in
+  grow h c;
+  let j = if i >= 0 then i else h.len in
+  SS.cell_max_into h.space c h.depth j;
+  if FA.unsafe_get h.depth j > 0. then
+    if i >= 0 then reseat h i
     else begin
-      grow h c;
-      let i = h.len in
-      h.len <- i + 1;
-      h.cells.(i) <- c;
-      FA.unsafe_set h.depth i d;
-      h.uid.(i) <- SS.cell_uid c;
-      SS.set_cell_slot c i;
-      sift_up h i
+      h.len <- j + 1;
+      h.cells.(j) <- c;
+      h.uid.(j) <- SS.cell_uid h.space c;
+      SS.set_cell_slot h.space c j;
+      sift_up h j
     end
   else if i >= 0 then remove h i

@@ -7,13 +7,15 @@
     order, since uids are unique across all grids, so the top is a
     function of the cells alone, never of the heap's layout or of the
     order the cells came in. Each cell records its own slot
-    ({!Sample_space.cell_slot}), and the max and uid of every slot sit in
-    flat columns, so re-seating a cell after its max moved is a sift in
-    place that allocates nothing. *)
+    ({!Sample_space.cell_slot}, a column of the cell's grid), and the
+    cell, max and uid of every slot sit in flat columns, so re-seating a
+    cell after its max moved is a sift in place that allocates nothing
+    and follows no pointer. *)
 
 type t
 
-val create : unit -> t
+val create : Sample_space.t -> t
+(** An empty heap over the cells of that space. *)
 
 val length : t -> int
 
@@ -27,10 +29,11 @@ val update : t -> Sample_space.cell -> unit
 val top : t -> Sample_space.cell option
 (** The first cell in the order. O(1). *)
 
-val precedes : Sample_space.cell -> Sample_space.cell -> bool
-(** The heap's order: [precedes a b] when [a]'s cached max is greater,
-    or equal with a smaller uid. Merging the tops of heaps over
-    disjoint cells under it gives the top of one heap over them all. *)
+val precedes : Sample_space.t -> Sample_space.cell -> Sample_space.cell -> bool
+(** The heap's order ({!Sample_space.precedes}): [precedes space a b]
+    when [a]'s cached max is greater, or equal with a smaller uid.
+    Merging the tops of heaps over disjoint cells under it gives the top
+    of one heap over them all. *)
 
 val cell_at : t -> int -> Sample_space.cell
 (** Test support: the cell in slot [i] ([0 <= i < length]). Slot [0] is

@@ -1,9 +1,15 @@
 module Point = Maxrs_geom.Point
 module Guard = Maxrs_resilience.Guard
+module Obs = Maxrs_obs.Obs
 
 let src = Logs.Src.create "maxrs.dynamic" ~doc:"Dynamic MaxRS (Theorem 1.1)"
 
 module Log = (val Logs.src_log src : Logs.LOG)
+
+(* Ball updates applied and epoch rebuilds run, counted alike by the
+   sharded store. *)
+let c_updates = Obs.counter "dynamic.updates"
+let c_rebuilds = Obs.counter "dynamic.rebuilds"
 
 type handle = int
 
@@ -27,14 +33,15 @@ let attach_hook t =
 let create ?(cfg = Config.default) ?(radius = 1.) ~dim () =
   Config.validate cfg;
   if radius <= 0. then invalid_arg "Dynamic.create: radius must be positive";
+  let space = Sample_space.create ~dim ~cfg ~expected_n:16 in
   let t =
     {
       dim;
       cfg;
       radius;
       balls = Hashtbl.create 256;
-      space = Sample_space.create ~dim ~cfg ~expected_n:16;
-      heap = Cell_heap.create ();
+      space;
+      heap = Cell_heap.create space;
       n0 = 4;
       next_handle = 0;
       epochs = 0;
@@ -54,6 +61,7 @@ let handle_of_id (i : int) : handle = i
 
 let rebuild t =
   t.epochs <- t.epochs + 1;
+  Obs.incr c_rebuilds;
   Log.debug (fun m ->
       m "epoch %d: rebuilding sample space at n=%d (%d cells, %d samples)"
         t.epochs (size t)
@@ -61,7 +69,7 @@ let rebuild t =
         (Sample_space.sample_count t.space));
   t.n0 <- Int.max 4 (size t);
   t.space <- Sample_space.create ~dim:t.dim ~cfg:t.cfg ~expected_n:t.n0;
-  t.heap <- Cell_heap.create ();
+  t.heap <- Cell_heap.create t.space;
   attach_hook t;
   (* Sorted handle order, not hash-table order: the sample positions an
      epoch draws depend on the insertion order, and a restored ball
@@ -90,6 +98,7 @@ let insert_checked t ?(weight = 1.) p =
       let h = t.next_handle in
       t.next_handle <- h + 1;
       Hashtbl.replace t.balls h (center, weight);
+      Obs.incr c_updates;
       Sample_space.insert t.space ~center ~weight;
       maybe_rebuild t;
       h)
@@ -102,6 +111,7 @@ let delete t h =
   | None -> raise Not_found
   | Some (center, weight) ->
       Hashtbl.remove t.balls h;
+      Obs.incr c_updates;
       Sample_space.delete t.space ~center ~weight;
       maybe_rebuild t
 
@@ -111,7 +121,7 @@ let best t =
   | Some c ->
       Some
         ( unscale t (Sample_space.cell_best t.space c).Sample_space.pos,
-          Sample_space.cell_max c )
+          Sample_space.cell_max t.space c )
 
 (* ------------------------------------------------------------------ *)
 (* Durable state capture. The heap is not serialized: its order is
@@ -171,7 +181,7 @@ let restore (s : State.t) =
       radius = s.State.radius;
       balls;
       space;
-      heap = Cell_heap.create ();
+      heap = Cell_heap.create space;
       n0 = s.State.n0;
       next_handle = s.State.next_handle;
       epochs = s.State.epochs;

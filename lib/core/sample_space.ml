@@ -7,6 +7,7 @@ module Sphere = Maxrs_geom.Sphere
 module Rng = Maxrs_geom.Rng
 module Obs = Maxrs_obs.Obs
 module FA = Float.Array
+module BA1 = Bigarray.Array1
 
 (* Cells materialized and samples drawn/visited are the primitive
    operations behind Theorems 1.2/1.5: O(n) cells per grid, O(ε⁻²log n)
@@ -16,10 +17,7 @@ let c_drawn = Obs.counter "samples.drawn"
 let c_visited = Obs.counter "samples.visited"
 
 (* The public [sample] record is a materialized snapshot view; the
-   working representation is columnar (below). A mixed int/float record
-   stores its float field boxed, so the old per-sample records made
-   every [depth <- depth +. delta] on the update path allocate a fresh
-   boxed float — the dominant allocation of the static solvers. *)
+   working representation is columnar (below). *)
 type sample = {
   id : int;
   pos : Point.t;
@@ -27,63 +25,134 @@ type sample = {
   mutable flag : int;
 }
 
-(* Struct-of-arrays cell: every per-sample field lives in its own flat
-   column, so the per-update scan reads and writes unboxed floats and
-   machine ints only — zero allocation per ball update. Per-cell columns
-   are [floatarray] (not Bigarray): cells are created in bulk during a
-   solve and the columns are small, so minor-heap allocation beats a
-   malloc per column. *)
-type cell = {
-  base : int;
+type stamps = (int64, Bigarray.int64_elt, Bigarray.c_layout) BA1.t
+
+(* Cells as rows. Every per-cell field of a grid lives in a flat column
+   indexed by the cell's row, and every per-sample field in a column
+   with [samples_per_cell] slots per row, so the per-update scan streams
+   unboxed floats and machine ints and no cell is a heap block of its
+   own. The columns come in pages: page 0 holds the rows a restore
+   adopted (none for a fresh grid), every later page [1 lsl shift]
+   rows. A grid grows by one page at a time and never copies a column,
+   so it never holds two copies of its rows. *)
+type page = {
+  keys : int array;  (** [dim] per row: the cell's grid key *)
+  nballs : int array;  (** live balls meeting the cell; 0 on a free row *)
+  stamps : stamps;
+      (** the grid's rng state just before the row's positions were
+          drawn: {!draw_cell} redraws them from it bit for bit *)
+  bases : int array;
       (** the first sample's id; sample [si]'s is [base + si * stride]
           ([new_cell] numbers a cell's samples consecutively) *)
-  stamp : int64;
-      (** the grid's rng state just before this cell's positions were
-          drawn: {!draw_cell} redraws them from it bit for bit *)
-  posf : floatarray;
-      (** the samples' positions flattened row-major (sample, axis),
-          immutable after creation: the per-update containment scan
-          streams this unboxed column instead of chasing one [Point.t]
-          block per sample. This is the only copy of the positions —
-          {!draw_cell} draws straight into it, and the snapshot view
-          materializes points from it on demand. *)
-  depth : floatarray;
-      (** one slot per sample, then the cached max over them in the
-          trailing slot: a float field of this mixed record would be
-          boxed, so every refresh of the max would allocate *)
+  best : int array;  (** index of the first sample attaining the max *)
+  slot : int array;  (** the row's slot in a {!Cell_heap}, -1 if none *)
+  maxd : floatarray;  (** the cached max over the row's depths *)
+  depth : floatarray;  (** [m] per row *)
+  pos : floatarray;
+      (** [m * dim] per row, row-major (sample, axis), immutable while
+          the row is live: the only copy of the positions *)
   mutable flag : int array;
-      (** colored MaxRS: the last color counted per sample; empty until
-          the cell's first colored touch, the only writer *)
-  mutable nballs : int;
-  mutable best : int;  (** index of the first sample attaining the max *)
-  mutable slot : int;  (** the cell's slot in a {!Cell_heap}, -1 if none *)
+      (** colored MaxRS: [m] per row, the last color counted per sample;
+          empty until the page's first colored touch, the only writer *)
 }
 
-(* Samples in the cell: the depth column has one more slot. *)
-let cell_samples c = FA.length c.depth - 1
+(* One grid's rows, its key index and its sampling stream. All of it is
+   the grid's own, so work sharded by grid index touches disjoint state
+   and grids can be built on different domains with no locking and no
+   cross-grid ordering effects. The rng stream is derived with
+   [Rng.split_at] keyed by the grid index — not by insertion order — so
+   a grid's sample positions depend only on the operations applied to
+   that grid.
 
-(* All per-grid state lives in per-grid array slots (table, rng stream,
-   id counter, cell counter): work sharded by grid index touches disjoint
-   state, so grids can be built on different domains with no locking and
-   no cross-grid ordering effects. Each grid's rng stream is derived with
-   [Rng.split_at] keyed by the grid index — not by insertion order — so a
-   grid's sample positions depend only on the operations applied to that
-   grid, never on how work was interleaved across grids. *)
+   Rows are indexed by key with open addressing: [index] holds a row per
+   slot (-1 when empty) beside that row's key hash, probed
+   linearly from the hash's top bits, at most half full, and compacted
+   by backward shift on removal (no tombstones). Keys compare exactly,
+   coordinate by coordinate. Dropped rows go on the [free] stack and are
+   handed out again before a never-used row. *)
+type rows = {
+  grid : Grid.t;
+  cursor : Grid.cursor;
+      (** one key enumeration per grid, so the sharded [*_in_grid]
+          operations keep touching disjoint state *)
+  rng : Rng.t;
+  mutable next_id : int;
+  mutable pages : page array;
+  mutable npages : int;
+  first : int;  (** rows in page 0 *)
+  shift : int;
+  mutable fresh : int;  (** rows ever handed out *)
+  mutable free : int array;
+  mutable nfree : int;
+  mutable live : int;
+  mutable index : int array;
+  mutable ibits : int;  (** [index] has [1 lsl ibits] slots *)
+}
+
+(* A cell is named by its row and grid, [row lsl gbits lor grid]: an
+   int, so a heap of cells holds no pointer. *)
+type cell = int
+
 type t = {
   dim : int;
   cfg : Config.t;
   grids : Shifted_grids.t;
-  tables : cell Grid.Tbl.t array;
-  rngs : Rng.t array;
+  rows : rows array;
   t_samples : int;
   stride : int;  (** grid count; sample ids are [local * stride + grid] *)
-  next_ids : int array;
-  n_cells : int array;
-  cursors : Grid.cursor array;
-      (** one key enumeration per grid, so the sharded [*_in_grid]
-          operations keep touching disjoint state *)
+  gbits : int;
   mutable hook : cell -> unit;
 }
+
+let make_page ~dim ~m cap =
+  {
+    keys = Array.make (cap * dim) 0;
+    nballs = Array.make cap 0;
+    stamps = BA1.create Bigarray.Int64 Bigarray.c_layout cap;
+    bases = Array.make cap 0;
+    best = Array.make cap 0;
+    slot = Array.make cap (-1);
+    maxd = FA.create cap;
+    depth = FA.create (cap * m);
+    pos = FA.create (cap * m * dim);
+    flag = [||];
+  }
+
+(* Rows per page past the first: the largest power of two in [8, 1024]
+   whose positions fit in 8 Ki floats (64 KiB). *)
+let page_shift ~dim ~m =
+  let rec go s =
+    if s < 10 && (1 lsl (s + 1)) * m * dim <= 8192 then go (s + 1) else s
+  in
+  go 3
+
+let index_bits n =
+  let rec go b = if 1 lsl b < 2 * n then go (b + 1) else b in
+  go 4
+
+(* An empty key index of [1 lsl ibits] slots (see [slot_row]). *)
+let make_index ibits =
+  Array.init (2 lsl ibits) (fun i -> if i land 1 = 0 then -1 else 0)
+
+let make_rows ~dim ~m grid rng ~next_id page0 =
+  let n = FA.length page0.maxd in
+  let ibits = index_bits n in
+  {
+    grid;
+    cursor = Grid.cursor grid;
+    rng;
+    next_id;
+    pages = [| page0 |];
+    npages = 1;
+    first = n;
+    shift = page_shift ~dim ~m;
+    fresh = n;
+    free = [||];
+    nfree = 0;
+    live = 0;
+    index = make_index ibits;
+    ibits;
+  }
 
 (* Grid collection and the rng the per-grid streams derive from; both
    are deterministic functions of (dim, cfg), which is what lets a
@@ -100,260 +169,432 @@ let make_grids ~dim ~cfg =
   in
   (grids, rng)
 
+let bits_for count =
+  let rec go b = if 1 lsl b < count then go (b + 1) else b in
+  go 0
+
 let create ~dim ~cfg ~expected_n =
   Config.validate cfg;
   let grids, rng = make_grids ~dim ~cfg in
   let count = Shifted_grids.count grids in
+  let m = Config.samples_per_cell cfg ~n:expected_n in
   {
     dim;
     cfg;
     grids;
-    tables = Array.init count (fun _ -> Grid.Tbl.create 256);
-    rngs = Array.init count (fun gi -> Rng.split_at rng gi);
-    t_samples = Config.samples_per_cell cfg ~n:expected_n;
+    rows =
+      Array.mapi
+        (fun gi grid ->
+          make_rows ~dim ~m grid (Rng.split_at rng gi) ~next_id:0
+            (make_page ~dim ~m 0))
+        grids.Shifted_grids.grids;
+    t_samples = m;
     stride = count;
-    next_ids = Array.make count 0;
-    n_cells = Array.make count 0;
-    cursors = Array.map Grid.cursor grids.Shifted_grids.grids;
+    gbits = bits_for count;
     hook = ignore;
   }
 
-(* Materialize the snapshot view of sample [si]: every field is a copy
-   ([pos] is rebuilt from the flat position column), so mutating the
-   view does not write back. *)
-let sample_of t c si =
-  let dim = t.dim in
+(* Row [r]'s page and its offset there. *)
+let page_of g r =
+  if r < g.first then Array.unsafe_get g.pages 0
+  else Array.unsafe_get g.pages (1 + ((r - g.first) lsr g.shift))
+
+let off_of g r = if r < g.first then r else (r - g.first) land ((1 lsl g.shift) - 1)
+let cell_of t gi r = (r lsl t.gbits) lor gi
+let grid_of_cell t c = c land ((1 lsl t.gbits) - 1)
+let row_of t c = c lsr t.gbits
+
+(* Materialize the snapshot view of sample [si] of the row at offset [o]
+   of page [p]: every field is a copy ([pos] is rebuilt from the flat
+   position column), so mutating the view does not write back. *)
+let sample_of t p o si =
+  let dim = t.dim and s = (o * t.t_samples) + si in
   {
-    id = c.base + (si * t.stride);
-    pos = Array.init dim (fun k -> FA.unsafe_get c.posf ((si * dim) + k));
-    depth = FA.unsafe_get c.depth si;
-    flag = (if Array.length c.flag = 0 then -1 else c.flag.(si));
+    id = Array.unsafe_get p.bases o + (si * t.stride);
+    pos = Array.init dim (fun k -> FA.unsafe_get p.pos ((s * dim) + k));
+    depth = FA.unsafe_get p.depth s;
+    flag = (if Array.length p.flag = 0 then -1 else p.flag.(s));
   }
 
 let dim t = t.dim
 let samples_per_cell t = t.t_samples
 let grid_count t = Shifted_grids.count t.grids
-let cell_count t = Array.fold_left ( + ) 0 t.n_cells
+let cell_count t = Array.fold_left (fun acc g -> acc + g.live) 0 t.rows
 let sample_count t = cell_count t * t.t_samples
 let on_cell_change t f = t.hook <- f
 
-let cell_max c = FA.unsafe_get c.depth (cell_samples c)
-let cell_max_column c = c.depth
-let cell_best t c = sample_of t c c.best
-let cell_slot c = c.slot
-let set_cell_slot c i = c.slot <- i
+(* Cell [c]'s grid rows and its row. *)
+let rows_of t c = t.rows.(grid_of_cell t c)
+
+let cell_max t c =
+  let g = rows_of t c and r = row_of t c in
+  FA.get (page_of g r).maxd (off_of g r)
+
+let cell_max_into t c dst i =
+  let g = rows_of t c and r = row_of t c in
+  FA.set dst i (FA.get (page_of g r).maxd (off_of g r))
+
+let cell_best t c =
+  let g = rows_of t c and r = row_of t c in
+  let p = page_of g r and o = off_of g r in
+  sample_of t p o p.best.(o)
 
 (* The first sample's id doubles as a cell identifier: ids are unique
    across the structure and assigned at materialization, so the uid is a
    deterministic function of the per-grid operation history — a stable
-   tie-breaking key that survives serialization. *)
-let cell_uid c = c.base
+   tie-breaking key that survives serialization, unlike the row. *)
+let cell_uid t c =
+  let g = rows_of t c and r = row_of t c in
+  (page_of g r).bases.(off_of g r)
 
-(* Sample ids are [local * stride + grid], so the uid folds back to the
-   owning grid — the sharded dynamic store routes a changed cell to the
-   heap of the shard that owns its grid with this. *)
-let grid_of_cell t c = cell_uid c mod t.stride
+let cell_slot t c =
+  let g = rows_of t c and r = row_of t c in
+  (page_of g r).slot.(off_of g r)
+
+let set_cell_slot t c i =
+  let g = rows_of t c and r = row_of t c in
+  (page_of g r).slot.(off_of g r) <- i
+
+(* The heap's order over rows: the larger cached max, ties to the
+   smaller uid. *)
+let row_precedes pa oa pb ob =
+  let da = FA.unsafe_get pa.maxd oa and db = FA.unsafe_get pb.maxd ob in
+  da > db || (da = db && pa.bases.(oa) < pb.bases.(ob))
+
+let precedes t a b =
+  let ga = rows_of t a and ra = row_of t a in
+  let gb = rows_of t b and rb = row_of t b in
+  row_precedes (page_of ga ra) (off_of ga ra) (page_of gb rb) (off_of gb rb)
+
+(* ------------------------------------------------------------------ *)
+(* The key index *)
+
+(* FNV-style mix over the coordinates, then a multiplicative scramble
+   whose top bits pick the home slot. A plain counted loop: a closure
+   capturing the accumulator would allocate per lookup. *)
+let hash_key (key : int array) =
+  let h = ref 0x811c9dc5 in
+  for i = 0 to Array.length key - 1 do
+    h := (!h lxor Array.unsafe_get key i) * 0x01000193
+  done;
+  !h * 0x1E3779B97F4A7C15
+
+let home g h = h lsr (63 - g.ibits)
+
+let key_is ~dim g r (key : int array) =
+  let p = page_of g r in
+  let base = off_of g r * dim in
+  let k = ref 0 in
+  while !k < dim && Array.unsafe_get p.keys (base + !k) = Array.unsafe_get key !k
+  do
+    incr k
+  done;
+  !k = dim
+
+(* Slot [i] of the index is the pair [index.(2i)] (the row, -1 when
+   empty) and [index.(2i + 1)] (its key hash): one probe reads one
+   cache line. *)
+let slot_row g i = Array.unsafe_get g.index (2 * i)
+
+let set_slot g i r h =
+  Array.unsafe_set g.index (2 * i) r;
+  Array.unsafe_set g.index ((2 * i) + 1) h
+
+(* The slot holding the row keyed [key] (hash [h]), or the empty slot
+   where a row with that key belongs. Keys compare exactly. *)
+let find_slot ~dim g key h =
+  let index = g.index in
+  let mask = (1 lsl g.ibits) - 1 in
+  let i = ref (home g h) in
+  while
+    let r = Array.unsafe_get index (2 * !i) in
+    r >= 0
+    && not (Array.unsafe_get index ((2 * !i) + 1) = h && key_is ~dim g r key)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let place g r h =
+  let mask = (1 lsl g.ibits) - 1 in
+  let i = ref (home g h) in
+  while slot_row g !i >= 0 do
+    i := (!i + 1) land mask
+  done;
+  set_slot g !i r h
+
+(* Double the index once it is more than half full. *)
+let maybe_grow_index g =
+  if 2 * g.live > 1 lsl g.ibits then begin
+    let old = g.index in
+    g.ibits <- g.ibits + 1;
+    g.index <- make_index g.ibits;
+    for i = 0 to (Array.length old / 2) - 1 do
+      let r = old.(2 * i) in
+      if r >= 0 then place g r old.((2 * i) + 1)
+    done
+  end
+
+(* Empty slot [i], moving later entries of its probe run back into the
+   hole when their home slot allows, so every lookup still reaches its
+   row without passing an empty slot. *)
+let unindex g i =
+  let index = g.index in
+  let mask = (1 lsl g.ibits) - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while slot_row g !j >= 0 do
+    let h = Array.unsafe_get index ((2 * !j) + 1) in
+    if (!j - home g h) land mask >= (!j - !hole) land mask then begin
+      set_slot g !hole (slot_row g !j) h;
+      hole := !j
+    end;
+    j := (!j + 1) land mask
+  done;
+  set_slot g !hole (-1) 0
+
+(* ------------------------------------------------------------------ *)
+(* Rows *)
+
+(* A free row: a dropped one first, else the next never-used one, on a
+   new page when the last is full. *)
+let alloc_row t g =
+  if g.nfree > 0 then begin
+    g.nfree <- g.nfree - 1;
+    Array.unsafe_get g.free g.nfree
+  end
+  else begin
+    let r = g.fresh in
+    if r >= g.first + ((g.npages - 1) lsl g.shift) then begin
+      if g.npages = Array.length g.pages then begin
+        let pages = Array.make (2 * g.npages) g.pages.(0) in
+        Array.blit g.pages 0 pages 0 g.npages;
+        g.pages <- pages
+      end;
+      g.pages.(g.npages) <- make_page ~dim:t.dim ~m:t.t_samples (1 lsl g.shift);
+      g.npages <- g.npages + 1
+    end;
+    g.fresh <- r + 1;
+    r
+  end
+
+let free_row g r =
+  if g.nfree = Array.length g.free then begin
+    let free = Array.make (Int.max 16 (2 * g.nfree)) 0 in
+    Array.blit g.free 0 free 0 g.nfree;
+    g.free <- free
+  end;
+  Array.unsafe_set g.free g.nfree r;
+  g.nfree <- g.nfree + 1
 
 (* The sampling step behind Lemma 3.1, and the only place positions are
-   drawn: the cell's samples, uniform on the circumsphere of the cell at
-   [key] of [grid], from [rng] standing at the cell's stamp. [fill_on]
-   draws ascending, one draw per sample, straight into the flat column.
-   [new_cell] draws from the grid's live stream; {!redraw} draws a
-   decoded state's positions again from each cell's stamp. *)
-let draw_cell rng grid key posf =
+   drawn: the cell's [m] samples, uniform on the circumsphere of the
+   cell at [key] of [grid], from [rng] standing at the cell's stamp,
+   into [pos] from index [at]. [new_cell] draws from the grid's live
+   stream; {!redraw} draws a decoded state's positions again from each
+   cell's stamp. *)
+let draw_cell rng grid key ~m pos ~at =
   Sphere.fill_on rng ~center:(Grid.cell_center grid key)
-    ~radius:(Grid.cell_circumradius grid) posf
+    ~radius:(Grid.cell_circumradius grid) ~pos:at ~samples:m pos
 
-let new_cell t gi grid key =
-  let rng = t.rngs.(gi) in
-  let m = t.t_samples in
-  let local = t.next_ids.(gi) in
-  t.next_ids.(gi) <- local + m;
-  t.n_cells.(gi) <- t.n_cells.(gi) + 1;
+(* Materialize the cell at [key] (hash [h]) of grid [gi] in a free row,
+   indexed at the empty slot [i] that {!find_slot} returned. *)
+let new_cell t gi g key h i =
+  let m = t.t_samples and dim = t.dim in
+  let r = alloc_row t g in
+  let p = page_of g r and o = off_of g r in
+  let local = g.next_id in
+  g.next_id <- local + m;
   Obs.incr c_cells;
   Obs.add c_drawn m;
-  let stamp = Rng.state rng in
-  let posf = FA.create (m * t.dim) in
-  draw_cell rng grid key posf;
-  {
-    base = (local * t.stride) + gi;
-    stamp;
-    posf;
-    depth = FA.make (m + 1) 0.;
-    flag = [||];
-    nballs = 0;
-    best = 0;
-    slot = -1;
-  }
+  for k = 0 to dim - 1 do
+    Array.unsafe_set p.keys ((o * dim) + k) (Array.unsafe_get key k)
+  done;
+  BA1.unsafe_set p.stamps o (Rng.state g.rng);
+  draw_cell g.rng g.grid key ~m p.pos ~at:(o * m * dim);
+  p.bases.(o) <- (local * t.stride) + gi;
+  p.nballs.(o) <- 0;
+  p.best.(o) <- 0;
+  p.slot.(o) <- -1;
+  FA.unsafe_set p.maxd o 0.;
+  FA.fill p.depth (o * m) m 0.;
+  if Array.length p.flag > 0 then Array.fill p.flag (o * m) m (-1);
+  set_slot g i r h;
+  g.live <- g.live + 1;
+  maybe_grow_index g;
+  r
 
-(* The cell of grid [gi] at [key] ([table]/[grid] are the grid's),
-   materialized if absent. The raising [Tbl.find] keeps the
-   already-materialized path allocation-free. *)
-let cell_at t gi table grid key =
-  match Grid.Tbl.find table key with
-  | c -> c
-  | exception Not_found ->
-      let c = new_cell t gi grid key in
-      Grid.Tbl.add table (Array.copy key) c;
-      c
+(* The row of grid [gi] at [key], materialized if absent. *)
+let row_at t gi g key =
+  let h = hash_key key in
+  let i = find_slot ~dim:t.dim g key h in
+  let r = slot_row g i in
+  if r >= 0 then r else new_cell t gi g key h i
 
-(* Visit every cell of grid [gi] intersected by the unit ball at
-   [center], materializing absent cells, with the grid's cursor. *)
+(* A row whose refcount reached zero: its cached max becomes
+   [neg_infinity] and the hook fires once more, so a heap indexing it
+   takes it out; then it leaves the index for the free stack. *)
+let drop_row t gi g r key =
+  let p = page_of g r and o = off_of g r in
+  FA.unsafe_set p.maxd o Float.neg_infinity;
+  t.hook (cell_of t gi r);
+  unindex g (find_slot ~dim:t.dim g key (hash_key key));
+  free_row g r;
+  g.live <- g.live - 1
+
+(* Visit every row of grid [gi] intersected by the unit ball at
+   [center], materializing absent rows, with the grid's cursor. *)
 let iter_cells_in_grid t gi ~center f =
-  let table = t.tables.(gi) in
-  let grid = t.grids.Shifted_grids.grids.(gi) in
-  let cur = t.cursors.(gi) in
+  let g = t.rows.(gi) in
+  let cur = g.cursor in
   Grid.start cur ~center ~radius:1.;
   while Grid.next cur do
-    f (cell_at t gi table grid (Grid.cursor_key cur))
-  done
-
-let iter_cells t ~center f =
-  for gi = 0 to grid_count t - 1 do
-    iter_cells_in_grid t gi ~center f
+    let r = row_at t gi g (Grid.cursor_key cur) in
+    f (page_of g r) (off_of g r) (cell_of t gi r)
   done
 
 (* The three update loops below each inline the same squared-distance
-   scan over [posf] — accumulated in ascending axis order, bit-identical
-   to [Point.dist2 spos.(si) center] — rather than calling a shared
-   helper: the backend never inlines a function containing a loop, and
-   a real call would box its float result once per sample visit, on the
-   hottest path of the static solvers. The local float refs compile to
-   unboxed mutable registers. Each scan also finds the cell's first
-   maximum (strict [>]) and hands its index to [refresh_cell]. *)
+   scan over the row's positions — accumulated in ascending axis order,
+   bit-identical to [Point.dist2 pos center] — rather than calling a
+   shared helper: the backend never inlines a function containing a
+   loop, and a real call would box its float result once per sample
+   visit, on the hottest path of the static solvers. The local float
+   refs compile to unboxed mutable registers. Each scan also finds the
+   row's first maximum (strict [>]) and hands its index to
+   [refresh_cell]. *)
 
 (* Refresh the cached max/argmax after a sample scan found the first
    maximum at [arg]. The max is read back from the depth column rather
    than passed in, since a float argument of a call would be boxed. *)
-let refresh_cell t cell ~changed ~arg =
-  let m = cell_samples cell in
-  let mx = FA.unsafe_get cell.depth arg in
-  if changed && (mx <> FA.unsafe_get cell.depth m || arg <> cell.best)
-  then begin
-    FA.unsafe_set cell.depth m mx;
-    cell.best <- arg;
-    t.hook cell
+let refresh_cell t p o c ~changed ~arg =
+  let mx = FA.unsafe_get p.depth ((o * t.t_samples) + arg) in
+  if changed && (mx <> FA.unsafe_get p.maxd o || arg <> p.best.(o)) then begin
+    FA.unsafe_set p.maxd o mx;
+    p.best.(o) <- arg;
+    t.hook c
   end
 
-(* Apply [update] to every sample of [cell] inside the unit ball at
-   [center], then refresh the cell's cached max/argmax in the same pass
+(* Apply [update] to every sample of the row inside the unit ball at
+   [center], then refresh the row's cached max/argmax in the same pass
    and fire the hook if it moved. Generic (closure-driven) variant for
-   custom depth notions — [update si] may rewrite [cell.depth.(si)] and
-   reports whether it did; the weighted/colored hot paths below are
+   custom depth notions — [update si] may rewrite the sample's depth
+   and reports whether it did; the weighted/colored hot paths below are
    hand-specialized copies of the same loop. *)
-let update_cell t cell ~center update =
-  let n = cell_samples cell in
-  Obs.add c_visited n;
-  let dim = t.dim in
-  let posf = cell.posf and depth = cell.depth in
+let update_cell t p o c ~center update =
+  let m = t.t_samples and dim = t.dim in
+  Obs.add c_visited m;
+  let pos = p.pos and depth = p.depth and s0 = o * m in
   let changed = ref false in
   let mx = ref Float.neg_infinity and arg = ref 0 in
   let r2 = Closed.unit_r2 in
-  for si = 0 to n - 1 do
+  for si = 0 to m - 1 do
     let d2 = ref 0. in
     for k = 0 to dim - 1 do
       let d =
-        FA.unsafe_get posf ((si * dim) + k) -. Array.unsafe_get center k
+        FA.unsafe_get pos (((s0 + si) * dim) + k) -. Array.unsafe_get center k
       in
       d2 := !d2 +. (d *. d)
     done;
     if !d2 <= r2 && update si then changed := true;
-    let d = FA.unsafe_get depth si in
+    let d = FA.unsafe_get depth (s0 + si) in
     if d > !mx then begin
       mx := d;
       arg := si
     end
   done;
-  refresh_cell t cell ~changed:!changed ~arg:!arg
+  refresh_cell t p o c ~changed:!changed ~arg:!arg
 
-(* [update_cell] specialized to the colored flag test. The flag column
-   is allocated here, on the cell's first colored touch: weighted cells
-   never carry one. *)
-let update_cell_color t cell ~center ~color =
-  let n = cell_samples cell in
-  Obs.add c_visited n;
-  if Array.length cell.flag = 0 then cell.flag <- Array.make n (-1);
-  let dim = t.dim in
-  let posf = cell.posf and depth = cell.depth and flag = cell.flag in
+(* [update_cell] specialized to the colored flag test. The page's flag
+   column is allocated on its first colored touch: weighted rows never
+   carry one. *)
+let update_cell_color t p o c ~center ~color =
+  let m = t.t_samples and dim = t.dim in
+  Obs.add c_visited m;
+  if Array.length p.flag = 0 then
+    p.flag <- Array.make (Array.length p.nballs * m) (-1);
+  let pos = p.pos and depth = p.depth and flag = p.flag and s0 = o * m in
   let changed = ref false in
   let mx = ref Float.neg_infinity and arg = ref 0 in
   let r2 = Closed.unit_r2 in
-  for si = 0 to n - 1 do
+  for si = 0 to m - 1 do
     let d2 = ref 0. in
     for k = 0 to dim - 1 do
       let d =
-        FA.unsafe_get posf ((si * dim) + k) -. Array.unsafe_get center k
+        FA.unsafe_get pos (((s0 + si) * dim) + k) -. Array.unsafe_get center k
       in
       d2 := !d2 +. (d *. d)
     done;
-    if !d2 <= r2 && Array.unsafe_get flag si <> color then begin
-      Array.unsafe_set flag si color;
-      FA.unsafe_set depth si (FA.unsafe_get depth si +. 1.);
+    if !d2 <= r2 && Array.unsafe_get flag (s0 + si) <> color then begin
+      Array.unsafe_set flag (s0 + si) color;
+      FA.unsafe_set depth (s0 + si) (FA.unsafe_get depth (s0 + si) +. 1.);
       changed := true
     end;
-    let d = FA.unsafe_get depth si in
+    let d = FA.unsafe_get depth (s0 + si) in
     if d > !mx then begin
       mx := d;
       arg := si
     end
   done;
-  refresh_cell t cell ~changed:!changed ~arg:!arg
+  refresh_cell t p o c ~changed:!changed ~arg:!arg
 
 (* The weighted update, insertion ([count] = 1) and deletion ([count] =
-   -1) alike, hand-fused: the key enumeration, cell
+   -1) alike, hand-fused: the key enumeration, the row
    lookup/materialization, the refcount and the [update_cell] scan in
    one loop per grid, with nothing allocated per grid or per visited
-   cell. Deletion subtracts the weight, the IEEE operation
-   [x +. (-.w)], so the depths are bit-identical to adding the negated
-   weight. A cell whose refcount reaches zero is dropped: its cached
-   max becomes [neg_infinity] and the hook fires once more, so a heap
-   indexing it takes it out. Only insertion can meet a missing cell —
-   every cell a live ball intersects is materialized. *)
+   row. Deletion subtracts the weight, the IEEE operation [x +. (-.w)],
+   so the depths are bit-identical to adding the negated weight. A row
+   whose refcount reaches zero is dropped ({!drop_row}). Only insertion
+   can meet a missing row — every cell a live ball intersects is
+   materialized. *)
 let add_in_grid t gi ~center ~weight ~count =
   assert (Point.dim center = t.dim);
-  let table = t.tables.(gi) in
-  let grid = t.grids.Shifted_grids.grids.(gi) in
-  let cur = t.cursors.(gi) in
-  let dim = t.dim in
+  let g = t.rows.(gi) in
+  let cur = g.cursor in
+  let dim = t.dim and m = t.t_samples in
+  let r2 = Closed.unit_r2 in
+  let cx = center.(0) and cy = if dim > 1 then center.(1) else 0. in
   Grid.start cur ~center ~radius:1.;
   while Grid.next cur do
     let key = Grid.cursor_key cur in
-    let cell = cell_at t gi table grid key in
-    let nballs = cell.nballs + count in
+    let r = row_at t gi g key in
+    let p = page_of g r and o = off_of g r in
+    let nballs = p.nballs.(o) + count in
     assert (nballs >= 0);
-    cell.nballs <- nballs;
-    let n = cell_samples cell in
-    Obs.add c_visited n;
-    let posf = cell.posf and depth = cell.depth in
+    p.nballs.(o) <- nballs;
+    Obs.add c_visited m;
+    let pos = p.pos and depth = p.depth and s0 = o * m in
     let changed = ref false in
     let mx = ref Float.neg_infinity and arg = ref 0 in
-    let r2 = Closed.unit_r2 in
-    for si = 0 to n - 1 do
+    for si = 0 to m - 1 do
       let d2 = ref 0. in
-      for k = 0 to dim - 1 do
-        let d =
-          FA.unsafe_get posf ((si * dim) + k) -. Array.unsafe_get center k
-        in
-        d2 := !d2 +. (d *. d)
-      done;
+      if dim = 2 then begin
+        (* The two-axis sum unrolled: [0. +. x = x] for the [x >= 0]
+           a square is, so the bits are the general loop's. *)
+        let s = 2 * (s0 + si) in
+        let dx = FA.unsafe_get pos s -. cx and dy = FA.unsafe_get pos (s + 1) -. cy in
+        d2 := (dx *. dx) +. (dy *. dy)
+      end
+      else
+        for k = 0 to dim - 1 do
+          let d =
+            FA.unsafe_get pos (((s0 + si) * dim) + k) -. Array.unsafe_get center k
+          in
+          d2 := !d2 +. (d *. d)
+        done;
       if !d2 <= r2 then begin
-        let d = FA.unsafe_get depth si in
-        FA.unsafe_set depth si (if count > 0 then d +. weight else d -. weight);
+        let d = FA.unsafe_get depth (s0 + si) in
+        FA.unsafe_set depth (s0 + si)
+          (if count > 0 then d +. weight else d -. weight);
         changed := true
       end;
-      let d = FA.unsafe_get depth si in
+      let d = FA.unsafe_get depth (s0 + si) in
       if d > !mx then begin
         mx := d;
         arg := si
       end
     done;
-    if nballs > 0 then refresh_cell t cell ~changed:!changed ~arg:!arg
-    else begin
-      FA.unsafe_set depth n Float.neg_infinity;
-      t.hook cell;
-      Grid.Tbl.remove table key;
-      t.n_cells.(gi) <- t.n_cells.(gi) - 1
-    end
+    if nballs > 0 then
+      refresh_cell t p o (cell_of t gi r) ~changed:!changed ~arg:!arg
+    else drop_row t gi g r key
   done
 
 let insert_in_grid t ~grid ~center ~weight =
@@ -378,41 +619,51 @@ let delete t ~center ~weight =
    view of the sample (materialized per visited in-ball sample). *)
 let insert_with t ~center ~f =
   assert (Point.dim center = t.dim);
-  iter_cells t ~center (fun cell ->
-      cell.nballs <- cell.nballs + 1;
-      update_cell t cell ~center (fun si ->
-          let delta = f (sample_of t cell si) in
-          if delta <> 0. then begin
-            FA.unsafe_set cell.depth si
-              (FA.unsafe_get cell.depth si +. delta);
-            true
-          end
-          else false))
+  let m = t.t_samples in
+  for gi = 0 to grid_count t - 1 do
+    iter_cells_in_grid t gi ~center (fun p o c ->
+        p.nballs.(o) <- p.nballs.(o) + 1;
+        update_cell t p o c ~center (fun si ->
+            let delta = f (sample_of t p o si) in
+            if delta <> 0. then begin
+              let s = (o * m) + si in
+              FA.unsafe_set p.depth s (FA.unsafe_get p.depth s +. delta);
+              true
+            end
+            else false))
+  done
 
 let touch_colored_in_grid t ~grid ~center ~color =
   assert (Point.dim center = t.dim);
   assert (color >= 0);
-  iter_cells_in_grid t grid ~center (fun cell ->
-      cell.nballs <- cell.nballs + 1;
-      update_cell_color t cell ~center ~color)
+  iter_cells_in_grid t grid ~center (fun p o c ->
+      p.nballs.(o) <- p.nballs.(o) + 1;
+      update_cell_color t p o c ~center ~color)
+
+(* Every live row of grid [gi], in row order. *)
+let iter_rows t gi f =
+  let g = t.rows.(gi) in
+  for r = 0 to g.fresh - 1 do
+    let p = page_of g r and o = off_of g r in
+    if Array.unsafe_get p.nballs o > 0 then f p o r
+  done
 
 let iter_samples t f =
-  Array.iter
-    (fun table ->
-      Grid.Tbl.iter
-        (fun _ cell ->
-          for si = 0 to cell_samples cell - 1 do
-            f (sample_of t cell si)
-          done)
-        table)
-    t.tables
+  for gi = 0 to grid_count t - 1 do
+    iter_rows t gi (fun p o _ ->
+        for si = 0 to t.t_samples - 1 do
+          f (sample_of t p o si)
+        done)
+  done
 
 let iter_live_cells t f =
-  Array.iter (fun table -> Grid.Tbl.iter (fun _ cell -> f cell) table) t.tables
+  for gi = 0 to grid_count t - 1 do
+    iter_rows t gi (fun _ _ r -> f (cell_of t gi r))
+  done
 
 (* Offset from [pos] of the first maximum of the [len] depths there:
-   the strict [>] scan of the update loops, so a cell's cached argmax
-   is exactly this index and its cached max the depth it names. *)
+   the strict [>] scan of the update loops, so a row's cached argmax is
+   exactly this index and its cached max the depth it names. *)
 let first_max depth ~pos ~len =
   let mx = ref Float.neg_infinity and arg = ref 0 in
   for si = 0 to len - 1 do
@@ -424,15 +675,19 @@ let first_max depth ~pos ~len =
   done;
   !arg
 
+let row_key t p o = Array.sub p.keys (o * t.dim) t.dim
+
 (* Test support: check the structural invariants against the caller's
    record of live balls — every materialized cell is intersected by
    exactly [nballs] live balls, every cell intersected by some live ball
-   is materialized, and every cached cell max and argmax is its samples'
+   is materialized, every live row is indexed under its key and no
+   other row is, and every cached cell max and argmax is its samples'
    first maximum. *)
 let validate t ~live =
   let ok = ref true in
+  let m = t.t_samples in
   let expected : int Grid.Tbl.t array =
-    Array.map (fun _ -> Grid.Tbl.create 64) t.tables
+    Array.map (fun _ -> Grid.Tbl.create 64) t.rows
   in
   List.iter
     (fun center ->
@@ -448,38 +703,40 @@ let validate t ~live =
         expected)
     live;
   Array.iteri
-    (fun gi tbl ->
-      let exp = expected.(gi) in
-      if Grid.Tbl.length tbl <> Grid.Tbl.length exp then ok := false;
-      Grid.Tbl.iter
-        (fun key cell ->
+    (fun gi exp ->
+      let g = t.rows.(gi) and rows = ref 0 in
+      iter_rows t gi (fun p o r ->
+          incr rows;
+          let key = row_key t p o in
           (match Grid.Tbl.find_opt exp key with
-          | Some count when count = cell.nballs -> ()
+          | Some count when count = p.nballs.(o) -> ()
           | _ -> ok := false);
-          let arg = first_max cell.depth ~pos:0 ~len:(cell_samples cell) in
-          if arg <> cell.best || FA.get cell.depth arg <> cell_max cell then
-            ok := false)
-        tbl)
-    t.tables;
+          if slot_row g (find_slot ~dim:t.dim g key (hash_key key)) <> r
+          then ok := false;
+          let arg = first_max p.depth ~pos:(o * m) ~len:m in
+          if arg <> p.best.(o) || FA.get p.depth ((o * m) + arg) <> FA.get p.maxd o
+          then ok := false);
+      let indexed = ref 0 in
+      for i = 0 to (1 lsl g.ibits) - 1 do
+        if slot_row g i >= 0 then incr indexed
+      done;
+      let indexed = !indexed in
+      if !rows <> Grid.Tbl.length exp || g.live <> !rows || indexed <> !rows then
+        ok := false)
+    expected;
   !ok
 
-(* The deepest cell under the dynamic heap's order ([Cell_heap]): the
-   larger cached max, ties to the smaller uid. The order is strict and
-   total, so the answer is a function of the cells alone, never of the
-   order the tables are walked in. *)
 let best t =
   let best = ref None in
-  Array.iter
-    (Grid.Tbl.iter (fun _ c ->
-         match !best with
-         | Some b
-           when cell_max b > cell_max c
-                || (cell_max b = cell_max c && b.base < c.base) ->
-             ()
-         | _ -> best := Some c))
-    t.tables;
+  for gi = 0 to grid_count t - 1 do
+    iter_rows t gi (fun p o _ ->
+        match !best with
+        | Some (bp, bo) when not (row_precedes p o bp bo) -> ()
+        | _ -> best := Some (p, o))
+  done;
   match !best with
-  | Some c when cell_max c > Float.neg_infinity -> Some (cell_best t c)
+  | Some (p, o) when FA.get p.maxd o > Float.neg_infinity ->
+      Some (sample_of t p o p.best.(o))
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -499,18 +756,15 @@ let best t =
    them with {!redraw} instead of reading them. Colored flags are not
    captured, so a space a colored update touched has no state.
 
-   The capture is columnar: per grid, one flat column per cell or
-   sample field, cells in ascending key order. Taking it is a key sort
-   plus one copy of each cell's columns into the grid's.
-
-   [restore] rebuilds the deterministic parts (the grid collection) from
-   the config and slices every cell's columns back out of the grid's.
-   The hash tables are repopulated in key order; no observable
-   behaviour depends on their internal layout — the dynamic structure's
-   heap uses a total order over (depth, cell uid), and epoch rebuilds
-   iterate balls in sorted handle order. *)
+   The state has the live layout's columns, cells in ascending key
+   order: capture gathers the live rows in key order and copies each
+   row's slice of every column, and restore adopts the state's columns
+   as its grids' first pages. No observable behaviour depends on which
+   row holds a cell — the dynamic structure's heap and the static scan
+   use a total order over (depth, cell uid), and epoch rebuilds iterate
+   balls in sorted handle order. *)
 module State = struct
-  type stamps = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+  type nonrec stamps = stamps
 
   type grid = {
     rng : int64;
@@ -526,8 +780,7 @@ module State = struct
   type t = { dim : int; samples_per_cell : int; grids : grid array }
 
   let cells g = Array.length g.nballs
-  let create_stamps n : stamps =
-    Bigarray.Array1.create Bigarray.Int64 Bigarray.c_layout n
+  let create_stamps n : stamps = BA1.create Bigarray.Int64 Bigarray.c_layout n
 
   let check_shape st =
     let dim = st.dim and m = st.samples_per_cell in
@@ -536,7 +789,7 @@ module State = struct
         let n = cells g in
         if
           Array.length g.keys <> n * dim
-          || Bigarray.Array1.dim g.stamps <> n
+          || BA1.dim g.stamps <> n
           || Array.length g.bases <> n
           || FA.length g.pos <> n * m * dim
           || FA.length g.depth <> n * m
@@ -547,34 +800,73 @@ module State = struct
       st.grids
 end
 
-(* Lexicographic order on keys of one length — the order
-   [Stdlib.compare] gives them, without its polymorphic dispatch. *)
-let compare_keys (a : int array) (b : int array) =
-  let n = Array.length a and k = ref 0 in
-  while !k < n && Array.unsafe_get a !k = Array.unsafe_get b !k do
+(* Lexicographic order on the keys at positions [i] and [j] of [ks]. *)
+let compare_at (ks : int array) dim i j =
+  let k = ref 0 in
+  while
+    !k < dim
+    && Array.unsafe_get ks ((i * dim) + !k) = Array.unsafe_get ks ((j * dim) + !k)
+  do
     incr k
   done;
-  if !k = n then 0
-  else Int.compare (Array.unsafe_get a !k) (Array.unsafe_get b !k)
+  if !k = dim then 0
+  else
+    Int.compare
+      (Array.unsafe_get ks ((i * dim) + !k))
+      (Array.unsafe_get ks ((j * dim) + !k))
 
-(* [Array.blit] writes an old-generation [int array] through the write
-   barrier, one call per slot; a typed loop is plain stores. *)
-let blit_ints (src : int array) spos (dst : int array) dpos len =
-  for i = 0 to len - 1 do
-    Array.unsafe_set dst (dpos + i) (Array.unsafe_get src (spos + i))
-  done
+(* Merge sort of the positions [a.(lo .. hi - 1)] by their keys in [ks],
+   through [tmp]. Two halves already in order cost one comparison, so a
+   grid whose rows are mostly in key order — a restored one — sorts in
+   near-linear time. *)
+let rec sort_by_key ks dim a tmp lo hi =
+  if hi - lo > 1 then begin
+    let mid = (lo + hi) / 2 in
+    sort_by_key ks dim a tmp lo mid;
+    sort_by_key ks dim a tmp mid hi;
+    if compare_at ks dim a.(mid - 1) a.(mid) > 0 then begin
+      Array.blit a lo tmp lo (hi - lo);
+      let i = ref lo and j = ref mid in
+      for k = lo to hi - 1 do
+        if !j >= hi || (!i < mid && compare_at ks dim tmp.(!i) tmp.(!j) < 0)
+        then begin
+          a.(k) <- tmp.(!i);
+          incr i
+        end
+        else begin
+          a.(k) <- tmp.(!j);
+          incr j
+        end
+      done
+    end
+  end
+
+(* Grid [gi]'s live rows in ascending key order: the rows in row order
+   with their keys copied out flat, then sorted by key. *)
+let rows_in_key_order t gi =
+  let g = t.rows.(gi) and dim = t.dim in
+  let n = g.live in
+  let rows = Array.make n 0 and ks = Array.make (n * dim) 0 and k = ref 0 in
+  iter_rows t gi (fun p o r ->
+      rows.(!k) <- r;
+      Array.blit p.keys (o * dim) ks (!k * dim) dim;
+      incr k);
+  let a = Array.init n Fun.id in
+  sort_by_key ks dim a (Array.make n 0) 0 n;
+  Array.map (fun i -> rows.(i)) a
 
 let capture_grid t gi =
-  let cells =
-    Grid.Tbl.fold (fun key c acc -> (key, c) :: acc) t.tables.(gi) []
-    |> Array.of_list
-  in
-  Array.sort (fun (a, _) (b, _) -> compare_keys a b) cells;
-  let n = Array.length cells and dim = t.dim and m = t.t_samples in
-  let g =
+  let g = t.rows.(gi) in
+  for i = 0 to g.npages - 1 do
+    if Array.length g.pages.(i).flag > 0 then
+      invalid_arg "Sample_space.state: a colored update touched the space"
+  done;
+  let order = rows_in_key_order t gi in
+  let n = Array.length order and dim = t.dim and m = t.t_samples in
+  let s =
     {
-      State.rng = Rng.state t.rngs.(gi);
-      next_id = t.next_ids.(gi);
+      State.rng = Rng.state g.rng;
+      next_id = g.next_id;
       keys = Array.make (n * dim) 0;
       nballs = Array.make n 0;
       stamps = State.create_stamps n;
@@ -584,17 +876,19 @@ let capture_grid t gi =
     }
   in
   Array.iteri
-    (fun i (key, c) ->
-      if Array.length c.flag > 0 then
-        invalid_arg "Sample_space.state: a colored update touched the space";
-      blit_ints key 0 g.State.keys (i * dim) dim;
-      g.State.nballs.(i) <- c.nballs;
-      Bigarray.Array1.unsafe_set g.State.stamps i c.stamp;
-      g.State.bases.(i) <- c.base;
-      FA.blit c.posf 0 g.State.pos (i * m * dim) (m * dim);
-      FA.blit c.depth 0 g.State.depth (i * m) m)
-    cells;
-  g
+    (fun i r ->
+      let p = page_of g r and o = off_of g r in
+      for k = 0 to dim - 1 do
+        Array.unsafe_set s.State.keys ((i * dim) + k)
+          (Array.unsafe_get p.keys ((o * dim) + k))
+      done;
+      s.State.nballs.(i) <- p.nballs.(o);
+      BA1.unsafe_set s.State.stamps i (BA1.unsafe_get p.stamps o);
+      s.State.bases.(i) <- p.bases.(o);
+      FA.blit p.pos (o * m * dim) s.State.pos (i * m * dim) (m * dim);
+      FA.blit p.depth (o * m) s.State.depth (i * m) m)
+    order;
+  s
 
 let state t =
   {
@@ -627,71 +921,80 @@ let redraw ~cfg (st : State.t) =
   let grids = grids_of ~cfg st in
   let dim = st.State.dim and m = st.State.samples_per_cell in
   let key = Array.make dim 0 in
-  (* Sized only when a cell exists, whose bytes then back [m]. *)
-  let posf =
-    FA.create
-      (if Array.exists (fun g -> State.cells g > 0) st.State.grids then m * dim
-       else 0)
-  in
   Array.iteri
     (fun gi (g : State.grid) ->
       let grid = grids.Shifted_grids.grids.(gi) in
       for i = 0 to State.cells g - 1 do
-        blit_ints g.State.keys (i * dim) key 0 dim;
+        Array.blit g.State.keys (i * dim) key 0 dim;
         draw_cell
-          (Rng.of_state (Bigarray.Array1.unsafe_get g.State.stamps i))
-          grid key posf;
-        FA.blit posf 0 g.State.pos (i * m * dim) (m * dim)
+          (Rng.of_state (BA1.unsafe_get g.State.stamps i))
+          grid key ~m g.State.pos ~at:(i * m * dim)
       done)
     st.State.grids
+
+(* Grid [gi]'s rows adopted from its state: the state's columns become
+   page 0, the cached max and argmax are computed, and the index is
+   built in one pass over the rows. *)
+let adopt_grid ~dim ~m ~count gi grid (g : State.grid) =
+  let n = State.cells g in
+  for i = 0 to n - 1 do
+    if g.State.nballs.(i) < 1 then
+      invalid_arg "Sample_space.restore: a live cell without a ball";
+    let base = g.State.bases.(i) in
+    if base < 0 || base mod count <> gi then
+      invalid_arg "Sample_space.restore: a base id outside its grid"
+  done;
+  let page =
+    {
+      keys = g.State.keys;
+      nballs = g.State.nballs;
+      stamps = g.State.stamps;
+      bases = g.State.bases;
+      best = Array.make n 0;
+      slot = Array.make n (-1);
+      maxd = FA.create n;
+      depth = g.State.depth;
+      pos = g.State.pos;
+      flag = [||];
+    }
+  in
+  let rows =
+    make_rows ~dim ~m grid (Rng.of_state g.State.rng) ~next_id:g.State.next_id
+      page
+  in
+  let key = Array.make dim 0 in
+  for i = 0 to n - 1 do
+    (* The cached max and argmax seed the owner's heap: the depths'
+       first maximum, the strict [>] scan of the update loops. *)
+    let best = first_max page.depth ~pos:(i * m) ~len:m in
+    page.best.(i) <- best;
+    FA.unsafe_set page.maxd i (FA.unsafe_get page.depth ((i * m) + best));
+    Array.blit page.keys (i * dim) key 0 dim;
+    let h = hash_key key in
+    let s = find_slot ~dim rows key h in
+    if slot_row rows s >= 0 then
+      invalid_arg "Sample_space.restore: a cell key twice in one grid";
+    set_slot rows s i h
+  done;
+  rows.live <- n;
+  rows
 
 let restore ~cfg (st : State.t) =
   Config.validate cfg;
   let grids = grids_of ~cfg st in
   let dim = st.State.dim and m = st.State.samples_per_cell in
   let count = Shifted_grids.count grids in
-  let t =
-    {
-      dim;
-      cfg;
-      grids;
-      tables = Array.init count (fun _ -> Grid.Tbl.create 256);
-      rngs = Array.map (fun g -> Rng.of_state g.State.rng) st.State.grids;
-      t_samples = m;
-      stride = count;
-      next_ids = Array.map (fun g -> g.State.next_id) st.State.grids;
-      n_cells = Array.map State.cells st.State.grids;
-      cursors = Array.map Grid.cursor grids.Shifted_grids.grids;
-      hook = ignore;
-    }
-  in
-  Array.iteri
-    (fun gi (g : State.grid) ->
-      for i = 0 to State.cells g - 1 do
-        if g.State.nballs.(i) < 1 then
-          invalid_arg "Sample_space.restore: a live cell without a ball";
-        let base = g.State.bases.(i) in
-        if base < 0 || base mod count <> gi then
-          invalid_arg "Sample_space.restore: a base id outside its grid";
-        (* The cached max and argmax seed the owner's heap: the depths'
-           first maximum, the strict [>] scan of the update loops. *)
-        let best = first_max g.State.depth ~pos:(i * m) ~len:m in
-        let depth = FA.create (m + 1) in
-        FA.blit g.State.depth (i * m) depth 0 m;
-        FA.set depth m (FA.get depth best);
-        let cell =
-          {
-            base;
-            stamp = Bigarray.Array1.unsafe_get g.State.stamps i;
-            posf = FA.sub g.State.pos (i * m * dim) (m * dim);
-            depth;
-            flag = [||];
-            nballs = g.State.nballs.(i);
-            best;
-            slot = -1;
-          }
-        in
-        Grid.Tbl.add t.tables.(gi) (Array.sub g.State.keys (i * dim) dim) cell
-      done)
-    st.State.grids;
-  t
+  {
+    dim;
+    cfg;
+    grids;
+    rows =
+      Array.mapi
+        (fun gi g ->
+          adopt_grid ~dim ~m ~count gi grids.Shifted_grids.grids.(gi) g)
+        st.State.grids;
+    t_samples = m;
+    stride = count;
+    gbits = bits_for count;
+    hook = ignore;
+  }

@@ -19,11 +19,17 @@
     per-update sample scan); the dynamic structure indexes cells, not
     samples, in a {!Cell_heap}.
 
+    Cells are rows: every per-cell and per-sample field of a grid lives
+    in a flat column indexed by the cell's row (DESIGN.md §2.5), and a
+    {!cell} is an int naming a row of a grid. Which row holds a cell is
+    not observable: every order the structure reports in is a total
+    order over cell uids and depths, or key order.
+
     Parallel construction: every grid of the shifted collection owns
-    disjoint state — its own hash table, its own rng stream (derived
-    with [Rng.split_at] keyed by the grid index, so a grid's samples
-    depend only on the operations applied to that grid) and its own
-    id/cell counters. The [*_in_grid] operations therefore commute
+    disjoint state — its own rows and key index, its own rng stream
+    (derived with [Rng.split_at] keyed by the grid index, so a grid's
+    samples depend only on the operations applied to that grid) and its
+    own id/cell counters. The [*_in_grid] operations therefore commute
     across distinct grids and may run on different domains
     concurrently, with no locks, producing bit-identical state for any
     domain count. Hooks must not be registered while building in
@@ -50,36 +56,38 @@ val grid_count : t -> int
 val cell_count : t -> int
 val sample_count : t -> int
 
-val cell_max : cell -> float
+val cell_max : t -> cell -> float
 (** Cached maximum sample depth of the cell ([neg_infinity] once the cell
     has been dropped). *)
 
-val cell_max_column : cell -> floatarray
-(** A column whose last slot holds {!cell_max} (the cell's depth column:
-    one slot per sample, then the cached max). Read-only; it lets
-    another module read the max without the float being boxed on the
-    way. *)
+val cell_max_into : t -> cell -> floatarray -> int -> unit
+(** [cell_max_into t c dst i] writes {!cell_max} into slot [i] of [dst]:
+    it lets another module read the max without the float being boxed
+    on the way. *)
 
 val cell_best : t -> cell -> sample
 (** The first sample attaining {!cell_max}. *)
 
-val cell_uid : cell -> int
+val cell_uid : t -> cell -> int
 (** A stable unique identifier (the first sample's id, the cell's base:
     its samples' ids are [base + si * grid_count]): a deterministic
     function of the per-grid operation history, so it survives
     {!state}/{!restore} round trips. Used as a total-order tie-breaking
     key by the dynamic structure's heap. *)
 
-val cell_slot : cell -> int
-val set_cell_slot : cell -> int -> unit
+val precedes : t -> cell -> cell -> bool
+(** The heap's order: [precedes t a b] when [a]'s cached max is greater,
+    or equal with a smaller uid. A strict total order over the cells. *)
+
+val cell_slot : t -> cell -> int
+val set_cell_slot : t -> cell -> int -> unit
 (** The cell's slot in the {!Cell_heap} that holds it, [-1] when none
-    does (the heap's own bookkeeping; fresh and restored cells start at
-    [-1]). *)
+    does (the heap's own bookkeeping, kept in a column of the cell's
+    grid; fresh and restored cells start at [-1]). *)
 
 val grid_of_cell : t -> cell -> int
-(** Index of the grid the cell belongs to (recovered from its uid) —
-    lets a sharded owner route a changed cell to the heap of the shard
-    owning its grid. *)
+(** Index of the grid the cell belongs to — lets a sharded owner route a
+    changed cell to the heap of the shard owning its grid. *)
 
 val on_cell_change : t -> (cell -> unit) -> unit
 (** Register a hook invoked whenever a cell's cached max or argmax
@@ -124,10 +132,10 @@ val insert_with : t -> center:Maxrs_geom.Point.t -> f:(sample -> float) -> unit
 
 val best : t -> sample option
 (** Linear scan over cells for a sample of maximum depth (static
-    algorithms): the cached best sample of the first cell in
-    {!Cell_heap}'s order — the deepest, ties to the smallest
-    {!cell_uid} — so a static solve and the dynamic structure's heap
-    report the same cell. *)
+    algorithms): the cached best sample of the first cell in the
+    {!precedes} order — the deepest, ties to the smallest {!cell_uid} —
+    so a static solve and the dynamic structure's heap report the same
+    cell. *)
 
 val iter_samples : t -> (sample -> unit) -> unit
 val iter_live_cells : t -> (cell -> unit) -> unit
@@ -136,7 +144,8 @@ val validate : t -> live:Maxrs_geom.Point.t list -> bool
 (** Test support: given the centers of the currently live balls, check
     the structural invariants — the materialized cells are exactly the
     cells intersected by a live ball, each with the correct reference
-    count, and every cached cell max and argmax is exactly its samples'
+    count, every live cell is indexed under its key and nothing else
+    is, and every cached cell max and argmax is exactly its samples'
     first maximum. *)
 
 (** Exact serializable state (durability layer), in flat columns. The
@@ -182,8 +191,8 @@ end
 
 val state : t -> State.t
 (** Canonical copy of all mutable state (rng streams, id counters,
-    cells, samples): a key sort per grid plus one copy of each cell's
-    columns. The structure may continue evolving afterwards. Raises
+    cells, samples): the live rows gathered in key order, one copy of
+    each row's slice of every column. The structure may continue evolving afterwards. Raises
     [Invalid_argument] on a space a colored update touched: colored
     flags are not part of the state. *)
 
@@ -199,10 +208,13 @@ val redraw : cfg:Config.t -> State.t -> unit
 
 val restore : cfg:Config.t -> State.t -> t
 (** Rebuild a structure whose future behaviour is identical to the
-    captured one's. The grid collection is re-derived from [cfg], which
-    must be the config the captured structure was built with; raises
+    captured one's. The structure adopts the state's columns as its
+    rows, without a copy: the state must not be used once it is
+    restored, since the structure's updates write into those columns.
+    The grid collection is re-derived from [cfg], which must be the
+    config the captured structure was built with; raises
     [Invalid_argument] when the state is inconsistent with it (as for
-    {!redraw}), when a cell has no ball, and when a cell's base id does
-    not belong to its grid. Each cell's cached max and argmax are
+    {!redraw}), when a cell has no ball, when a cell's base id does not
+    belong to its grid, and when a grid holds one key twice. Each cell's cached max and argmax are
     computed as its depths' first maximum (strict [>], as the update
     loops take it). No hook is registered on the restored structure. *)

@@ -44,6 +44,8 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 let c_ops = Obs.counter "shard.ops"
 let c_steals = Obs.counter "shard.steals"
+let c_updates = Obs.counter "dynamic.updates"
+let c_rebuilds = Obs.counter "dynamic.rebuilds"
 
 type handle = Dynamic.handle
 
@@ -177,7 +179,9 @@ let owner t center =
    only the participant applying that shard's grids runs it for the
    cell, so the shard's heap needs no lock. *)
 let reseat t c =
-  Cell_heap.update t.heaps.(Sample_space.grid_of_cell t.space c mod t.nshards) c
+  Cell_heap.update
+    t.heaps.(Sample_space.grid_of_cell t.space c mod t.nshards)
+    c
 
 let attach_hook t = Sample_space.on_cell_change t.space (reseat t)
 
@@ -225,7 +229,7 @@ let create ?(cfg = Config.default) ?(radius = 1.) ?domains ~dim ~shards () =
       columns = Array.init shards (fun _ -> cols_create ~dim);
       owned = owned_grids ~grids:(Sample_space.grid_count space) ~shards;
       space;
-      heaps = Array.init shards (fun _ -> Cell_heap.create ());
+      heaps = Array.init shards (fun _ -> Cell_heap.create space);
       n0 = 4;
       next_handle = 0;
       epochs = 0;
@@ -264,13 +268,14 @@ let balls_sorted t =
 
 let rebuild t =
   t.epochs <- t.epochs + 1;
+  Obs.incr c_rebuilds;
   Log.debug (fun m ->
       m "epoch %d: rebuilding sample space at n=%d across %d shards" t.epochs
         t.nlive t.nshards);
   t.n0 <- Int.max 4 t.nlive;
   t.space <- Sample_space.create ~dim:t.dim ~cfg:t.cfg ~expected_n:t.n0;
   for s = 0 to t.nshards - 1 do
-    t.heaps.(s) <- Cell_heap.create ()
+    t.heaps.(s) <- Cell_heap.create t.space
   done;
   attach_hook t;
   (* Sorted handle order per grid — exactly the order the unsharded
@@ -305,6 +310,7 @@ let insert_checked t ?(weight = 1.) p =
       cols_add t.columns.(s) h center weight;
       t.nlive <- t.nlive + 1;
       Obs.incr c_ops;
+      Obs.incr c_updates;
       apply t (fun gi ->
           Sample_space.insert_in_grid t.space ~grid:gi ~center ~weight);
       let handle = Dynamic.handle_of_id h in
@@ -327,6 +333,7 @@ let delete t h =
       in
       t.nlive <- t.nlive - 1;
       Obs.incr c_ops;
+      Obs.incr c_updates;
       apply t (fun gi ->
           Sample_space.delete_in_grid t.space ~grid:gi ~center ~weight);
       t.journal (Op_delete { shard = s; handle = h });
@@ -340,14 +347,14 @@ let best t =
   Array.iter
     (fun heap ->
       match (Cell_heap.top heap, !cand) with
-      | Some c, Some b when not (Cell_heap.precedes c b) -> ()
+      | Some c, Some b when not (Cell_heap.precedes t.space c b) -> ()
       | Some c, _ -> cand := Some c
       | None, _ -> ())
     t.heaps;
   Option.map
     (fun c ->
       ( unscale t (Sample_space.cell_best t.space c).Sample_space.pos,
-        Sample_space.cell_max c ))
+        Sample_space.cell_max t.space c ))
     !cand
 
 let state t : Dynamic.State.t =
@@ -390,7 +397,7 @@ let restore ?domains ~shards (s : Dynamic.State.t) =
       columns = Array.init shards (fun _ -> cols_create ~dim);
       owned = owned_grids ~grids:(Sample_space.grid_count space) ~shards;
       space;
-      heaps = Array.init shards (fun _ -> Cell_heap.create ());
+      heaps = Array.init shards (fun _ -> Cell_heap.create space);
       n0 = s.Dynamic.State.n0;
       next_handle = s.Dynamic.State.next_handle;
       epochs = s.Dynamic.State.epochs;

@@ -23,36 +23,38 @@ let sample_on rng ~center ~radius =
       Point.add center (Point.scale radius u)
 
 (* Bulk variant of [sample_on] writing row-major into a flat column:
-   sample [si]'s coordinates land at [buf.(si*d + k)]. Draw order and
-   float expressions are exactly [sample_on]'s, applied for ascending
-   [si] — a caller that previously looped [sample_on] sees the same rng
-   stream and the same coordinate bit patterns, minus the per-sample
-   point allocation (the point of the exercise: the sample-space cell
-   builder fills its position column directly). *)
-let fill_on rng ~center ~radius (buf : floatarray) =
+   sample [si]'s coordinates land at [buf.(pos + si*d + k)]. Draw order
+   and float expressions are exactly [sample_on]'s, applied for
+   ascending [si] — a caller that previously looped [sample_on] sees the
+   same rng stream and the same coordinate bit patterns, minus the
+   per-sample point allocation (the sample space draws a cell's
+   positions straight into its row of the page's position column). *)
+let fill_on rng ~center ~radius ~pos ~samples:m (buf : floatarray) =
   assert (radius >= 0.);
   let d = Point.dim center in
-  let m = Float.Array.length buf / d in
-  assert (Float.Array.length buf = m * d);
+  assert (pos >= 0 && m >= 0 && pos + (m * d) <= Float.Array.length buf);
   match d with
   | 1 ->
       let c0 = center.(0) in
       for si = 0 to m - 1 do
         let s = if Rng.bool rng then radius else -.radius in
-        Float.Array.unsafe_set buf si (c0 +. s)
+        Float.Array.unsafe_set buf (pos + si) (c0 +. s)
       done
   | 2 ->
       let c0 = center.(0) and c1 = center.(1) in
       for si = 0 to m - 1 do
         let theta = Rng.float rng (2. *. Float.pi) in
-        Float.Array.unsafe_set buf (2 * si) (c0 +. (radius *. cos theta));
-        Float.Array.unsafe_set buf ((2 * si) + 1) (c1 +. (radius *. sin theta))
+        Float.Array.unsafe_set buf (pos + (2 * si)) (c0 +. (radius *. cos theta));
+        Float.Array.unsafe_set buf
+          (pos + (2 * si) + 1)
+          (c1 +. (radius *. sin theta))
       done
   | d ->
       for si = 0 to m - 1 do
         let u = direction rng d in
         for k = 0 to d - 1 do
-          Float.Array.unsafe_set buf ((si * d) + k)
+          Float.Array.unsafe_set buf
+            (pos + (si * d) + k)
             (center.(k) +. (radius *. u.(k)))
         done
       done

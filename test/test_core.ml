@@ -74,26 +74,28 @@ type heap_moves = {
 
 (* Every slot points back at itself and every parent precedes its
    children. *)
-let check_order what heap =
+let check_order what space heap =
   for i = 0 to Cell_heap.length heap - 1 do
     let c = Cell_heap.cell_at heap i in
     Alcotest.(check int) (what ^ ": slot back-pointer") i
-      (Sample_space.cell_slot c);
+      (Sample_space.cell_slot space c);
     if i > 0 then
       Alcotest.(check bool) (what ^ ": parent first") true
-        (Cell_heap.precedes (Cell_heap.cell_at heap ((i - 1) / 2)) c)
+        (Cell_heap.precedes space (Cell_heap.cell_at heap ((i - 1) / 2)) c)
   done
 
 (* A one-grid space whose hook feeds a heap, classifies each move before
    it is made and checks the order after it. *)
 let heap_space () =
   let space = Sample_space.create ~dim:2 ~cfg:heap_cfg ~expected_n:8 in
-  let heap = Cell_heap.create () in
+  let heap = Cell_heap.create space in
   let moves = { raised = 0; lowered = 0; removed_mid = 0; removed_last = 0 } in
   let seen = Hashtbl.create 64 in
   Sample_space.on_cell_change space (fun c ->
-      let uid = Sample_space.cell_uid c and d = Sample_space.cell_max c in
-      let slot = Sample_space.cell_slot c and len = Cell_heap.length heap in
+      let uid = Sample_space.cell_uid space c
+      and d = Sample_space.cell_max space c in
+      let slot = Sample_space.cell_slot space c
+      and len = Cell_heap.length heap in
       (if slot >= 0 then
          let before = Hashtbl.find seen uid in
          if d <= 0. then begin
@@ -104,27 +106,29 @@ let heap_space () =
          else if d < before then moves.lowered <- moves.lowered + 1);
       Hashtbl.replace seen uid d;
       Cell_heap.update heap c;
-      check_order "after a move" heap);
+      check_order "after a move" space heap);
   (space, heap, moves)
 
 (* Between ops the heap holds exactly the live cells with a positive
    max, and its top is the brute-force first cell: deepest, then
    smallest uid. *)
 let check_heap what space heap =
-  check_order what heap;
+  check_order what space heap;
   let n = Cell_heap.length heap in
   let positive = ref 0 and first = ref None in
   Sample_space.iter_live_cells space (fun c ->
-      let d = Sample_space.cell_max c and slot = Sample_space.cell_slot c in
+      let d = Sample_space.cell_max space c
+      and slot = Sample_space.cell_slot space c in
       if d > 0. then begin
         incr positive;
         Alcotest.(check bool) (what ^ ": in the heap") true
           (slot >= 0 && Cell_heap.cell_at heap slot == c);
         match !first with
         | Some b
-          when Sample_space.cell_max b > d
-               || (Sample_space.cell_max b = d
-                  && Sample_space.cell_uid b < Sample_space.cell_uid c) ->
+          when Sample_space.cell_max space b > d
+               || Sample_space.cell_max space b = d
+                  && Sample_space.cell_uid space b
+                     < Sample_space.cell_uid space c ->
             ()
         | _ -> first := Some c
       end
@@ -150,10 +154,10 @@ let test_cell_heap_moves () =
      the cells of [b] and [c]. *)
   step "raise a" (fun () -> Sample_space.insert space ~center:a ~weight:5.);
   Alcotest.(check (float 0.)) "a on top" 6.
-    (Sample_space.cell_max (Option.get (Cell_heap.top heap)));
+    (Sample_space.cell_max space (Option.get (Cell_heap.top heap)));
   step "lower a" (fun () -> Sample_space.delete space ~center:a ~weight:5.);
   Alcotest.(check (float 0.)) "c on top" 3.
-    (Sample_space.cell_max (Option.get (Cell_heap.top heap)));
+    (Sample_space.cell_max space (Option.get (Cell_heap.top heap)));
   step "drop b" (fun () -> Sample_space.delete space ~center:b ~weight:2.);
   step "drop c" (fun () -> Sample_space.delete space ~center:c ~weight:3.);
   step "drop a" (fun () -> Sample_space.delete space ~center:a ~weight:1.);
@@ -172,12 +176,12 @@ let test_cell_heap_uid_ties () =
   check_heap "equal depths" space heap;
   let uids = ref [] in
   Sample_space.iter_live_cells space (fun c ->
-      if Sample_space.cell_max c > 0. then
-        uids := Sample_space.cell_uid c :: !uids);
+      if Sample_space.cell_max space c > 0. then
+        uids := Sample_space.cell_uid space c :: !uids);
   Alcotest.(check bool) "several tied cells" true (List.length !uids > 2);
   Alcotest.(check int) "smallest uid on top"
     (List.fold_left Int.min max_int !uids)
-    (Sample_space.cell_uid (Option.get (Cell_heap.top heap)))
+    (Sample_space.cell_uid space (Option.get (Cell_heap.top heap)))
 
 (* ------------------------------------------------------------------ *)
 (* Sample_space *)
@@ -225,10 +229,10 @@ let test_sample_space_hook_fires () =
   Sample_space.on_cell_change space (fun c ->
       incr fired;
       Alcotest.(check bool) "cell max positive" true
-        (Sample_space.cell_max c > 0.);
+        (Sample_space.cell_max space c > 0.);
       Alcotest.(check bool) "best sample consistent" true
         ((Sample_space.cell_best space c).Sample_space.depth
-         = Sample_space.cell_max c));
+        = Sample_space.cell_max space c));
   Sample_space.insert space ~center:[| 0.; 0. |] ~weight:1.;
   Alcotest.(check bool) "hook fired on insert" true (!fired > 0)
 
