@@ -1129,6 +1129,8 @@ type snapshot_phases = {
   sp_bytes_per_sample : float;  (** encoded bytes per captured sample *)
   sp_words_per_sample : float;
       (** words the capture allocates per captured sample *)
+  sp_restore_words_per_sample : float;
+      (** words [Sharded.restore] allocates per restored sample *)
   sp_capture : float;
   sp_encode : float;
   sp_crc : float;
@@ -1139,7 +1141,8 @@ type snapshot_phases = {
 
 (* The snapshot path of a live session, one phase at a time: capture,
    encode, CRC, atomic write, decode, restore. The words allocated by
-   the capture are a deterministic count for a given binary and input. *)
+   the capture and by the restore are deterministic counts for a given
+   binary and input, each taken from a collected heap. *)
 let snapshot_phases ~scratch sess =
   Gc.compact ();
   let w0 = Gc.allocated_bytes () in
@@ -1169,8 +1172,12 @@ let snapshot_phases ~scratch sess =
         Maxrs_durable.Codec.decode_state (Bytes.unsafe_to_string data))
   in
   Gc.full_major ();
+  let r0 = Gc.allocated_bytes () in
   let store, restore =
     wtime (fun () -> Maxrs.Sharded.restore ~shards:1 decoded)
+  in
+  let restore_words =
+    (Gc.allocated_bytes () -. r0) /. float_of_int (Sys.word_size / 8)
   in
   Maxrs.Sharded.close store;
   {
@@ -1179,6 +1186,8 @@ let snapshot_phases ~scratch sess =
     sp_bytes_per_sample =
       float_of_int (Bytes.length data) /. float_of_int (Int.max 1 samples);
     sp_words_per_sample = words /. float_of_int (Int.max 1 samples);
+    sp_restore_words_per_sample =
+      restore_words /. float_of_int (Int.max 1 samples);
     sp_capture = capture;
     sp_encode = encode;
     sp_crc = crc;
@@ -1369,20 +1378,22 @@ let e13 () =
       ladder
   in
   row "\n[snapshot phases] one snapshot of the session at each size, ms:\n";
-  row "%8s %10s %9s %9s %8s %8s %8s %8s %8s %8s %11s\n" "log ops" "MB"
+  row "%8s %10s %9s %9s %8s %8s %8s %8s %8s %8s %11s %11s\n" "log ops" "MB"
     "samples" "bytes/smp" "capture" "encode" "crc" "write" "decode" "restore"
-    "words/smp";
+    "words/smp" "rwords/smp";
   List.iter
     (fun (n, _, _, _, phases) ->
       Option.iter
         (fun p ->
           row
-            "%8d %10.1f %9d %9.2f %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %11.3f\n"
+            "%8d %10.1f %9d %9.2f %8.1f %8.1f %8.1f %8.1f %8.1f %8.1f %11.3f \
+             %11.3f\n"
             n
             (float_of_int p.sp_bytes /. 1048576.)
             p.sp_samples p.sp_bytes_per_sample (1e3 *. p.sp_capture)
             (1e3 *. p.sp_encode) (1e3 *. p.sp_crc) (1e3 *. p.sp_write)
-            (1e3 *. p.sp_decode) (1e3 *. p.sp_restore) p.sp_words_per_sample)
+            (1e3 *. p.sp_decode) (1e3 *. p.sp_restore) p.sp_words_per_sample
+            p.sp_restore_words_per_sample)
         phases)
     recovery;
   (* Snapshot recovery against full replay at each size (the target is
@@ -1438,10 +1449,10 @@ let e13 () =
       Printf.bprintf buf
         "    { \"log_ops\": %d, \"bytes\": %d, \"samples\": %d, \
          \"bytes_per_sample\": %.4f, \"words_per_sample\": %.4f, \
-         \"capture_s\": %.6f, \"encode_s\": %.6f, \"crc_s\": %.6f, \
+         \"restore_words_per_sample\": %.4f, \"capture_s\": %.6f, \"encode_s\": %.6f, \"crc_s\": %.6f, \
          \"write_s\": %.6f, \"decode_s\": %.6f, \"restore_s\": %.6f }"
         n p.sp_bytes p.sp_samples p.sp_bytes_per_sample p.sp_words_per_sample
-        p.sp_capture p.sp_encode p.sp_crc p.sp_write p.sp_decode p.sp_restore)
+        p.sp_restore_words_per_sample p.sp_capture p.sp_encode p.sp_crc p.sp_write p.sp_decode p.sp_restore)
     (List.filter_map
        (fun (n, e, _, _, ph) -> Option.map (fun p -> (n, e, p)) ph)
        recovery);

@@ -97,5 +97,7 @@ val state : t -> State.t
 
 val restore : State.t -> t
 (** Rebuild a structure that continues bit-identically to the captured
-    one. Raises [Invalid_argument] on an internally inconsistent state
-    (a decoded-but-semantically-corrupt snapshot). *)
+    one. The structure adopts the state's sample-space columns
+    ({!Sample_space.restore}): do not use the state afterwards. Raises
+    [Invalid_argument] on an internally inconsistent state (a
+    decoded-but-semantically-corrupt snapshot). *)

@@ -126,9 +126,12 @@ let page_shift ~dim ~m =
   in
   go 3
 
-let index_bits n =
-  let rec go b = if 1 lsl b < 2 * n then go (b + 1) else b in
-  go 4
+let ceil_log2 n =
+  let rec go b = if 1 lsl b < n then go (b + 1) else b in
+  go 0
+
+(* Index slots for [n] rows: at most half full, and at least 16. *)
+let index_bits n = Int.max 4 (ceil_log2 (2 * n))
 
 (* An empty key index of [1 lsl ibits] slots (see [slot_row]). *)
 let make_index ibits =
@@ -169,10 +172,6 @@ let make_grids ~dim ~cfg =
   in
   (grids, rng)
 
-let bits_for count =
-  let rec go b = if 1 lsl b < count then go (b + 1) else b in
-  go 0
-
 let create ~dim ~cfg ~expected_n =
   Config.validate cfg;
   let grids, rng = make_grids ~dim ~cfg in
@@ -190,7 +189,7 @@ let create ~dim ~cfg ~expected_n =
         grids.Shifted_grids.grids;
     t_samples = m;
     stride = count;
-    gbits = bits_for count;
+    gbits = ceil_log2 count;
     hook = ignore;
   }
 
@@ -199,7 +198,8 @@ let page_of g r =
   if r < g.first then Array.unsafe_get g.pages 0
   else Array.unsafe_get g.pages (1 + ((r - g.first) lsr g.shift))
 
-let off_of g r = if r < g.first then r else (r - g.first) land ((1 lsl g.shift) - 1)
+let off_of g r =
+  if r < g.first then r else (r - g.first) land ((1 lsl g.shift) - 1)
 let cell_of t gi r = (r lsl t.gbits) lor gi
 let grid_of_cell t c = c land ((1 lsl t.gbits) - 1)
 let row_of t c = c lsr t.gbits
@@ -285,7 +285,8 @@ let key_is ~dim g r (key : int array) =
   let p = page_of g r in
   let base = off_of g r * dim in
   let k = ref 0 in
-  while !k < dim && Array.unsafe_get p.keys (base + !k) = Array.unsafe_get key !k
+  while
+    !k < dim && Array.unsafe_get p.keys (base + !k) = Array.unsafe_get key !k
   do
     incr k
   done;
@@ -570,13 +571,15 @@ let add_in_grid t gi ~center ~weight ~count =
         (* The two-axis sum unrolled: [0. +. x = x] for the [x >= 0]
            a square is, so the bits are the general loop's. *)
         let s = 2 * (s0 + si) in
-        let dx = FA.unsafe_get pos s -. cx and dy = FA.unsafe_get pos (s + 1) -. cy in
+        let dx = FA.unsafe_get pos s -. cx
+        and dy = FA.unsafe_get pos (s + 1) -. cy in
         d2 := (dx *. dx) +. (dy *. dy)
       end
       else
         for k = 0 to dim - 1 do
           let d =
-            FA.unsafe_get pos (((s0 + si) * dim) + k) -. Array.unsafe_get center k
+            FA.unsafe_get pos (((s0 + si) * dim) + k)
+            -. Array.unsafe_get center k
           in
           d2 := !d2 +. (d *. d)
         done;
@@ -714,15 +717,17 @@ let validate t ~live =
           if slot_row g (find_slot ~dim:t.dim g key (hash_key key)) <> r
           then ok := false;
           let arg = first_max p.depth ~pos:(o * m) ~len:m in
-          if arg <> p.best.(o) || FA.get p.depth ((o * m) + arg) <> FA.get p.maxd o
+          if
+            arg <> p.best.(o)
+            || FA.get p.depth ((o * m) + arg) <> FA.get p.maxd o
           then ok := false);
       let indexed = ref 0 in
       for i = 0 to (1 lsl g.ibits) - 1 do
         if slot_row g i >= 0 then incr indexed
       done;
       let indexed = !indexed in
-      if !rows <> Grid.Tbl.length exp || g.live <> !rows || indexed <> !rows then
-        ok := false)
+      if !rows <> Grid.Tbl.length exp || g.live <> !rows || indexed <> !rows
+      then ok := false)
     expected;
   !ok
 
@@ -805,7 +810,8 @@ let compare_at (ks : int array) dim i j =
   let k = ref 0 in
   while
     !k < dim
-    && Array.unsafe_get ks ((i * dim) + !k) = Array.unsafe_get ks ((j * dim) + !k)
+    && Array.unsafe_get ks ((i * dim) + !k)
+       = Array.unsafe_get ks ((j * dim) + !k)
   do
     incr k
   done;
@@ -995,6 +1001,6 @@ let restore ~cfg (st : State.t) =
         st.State.grids;
     t_samples = m;
     stride = count;
-    gbits = bits_for count;
+    gbits = ceil_log2 count;
     hook = ignore;
   }

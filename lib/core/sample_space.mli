@@ -192,9 +192,9 @@ end
 val state : t -> State.t
 (** Canonical copy of all mutable state (rng streams, id counters,
     cells, samples): the live rows gathered in key order, one copy of
-    each row's slice of every column. The structure may continue evolving afterwards. Raises
-    [Invalid_argument] on a space a colored update touched: colored
-    flags are not part of the state. *)
+    each row's slice of every column. The structure may continue
+    evolving afterwards. Raises [Invalid_argument] on a space a colored
+    update touched: colored flags are not part of the state. *)
 
 val redraw : cfg:Config.t -> State.t -> unit
 (** Overwrite every grid's [pos] column with the positions its cells'
@@ -215,6 +215,7 @@ val restore : cfg:Config.t -> State.t -> t
     config the captured structure was built with; raises
     [Invalid_argument] when the state is inconsistent with it (as for
     {!redraw}), when a cell has no ball, when a cell's base id does not
-    belong to its grid, and when a grid holds one key twice. Each cell's cached max and argmax are
-    computed as its depths' first maximum (strict [>], as the update
-    loops take it). No hook is registered on the restored structure. *)
+    belong to its grid, and when a grid holds one key twice. Each cell's
+    cached max and argmax are computed as its depths' first maximum
+    (strict [>], as the update loops take it). No hook is registered on
+    the restored structure. *)

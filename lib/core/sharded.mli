@@ -103,7 +103,9 @@ val restore : ?domains:int -> shards:int -> Dynamic.State.t -> t
 (** Rebuild a sharded store that continues bit-identically to the
     captured structure (sharded or not — the state type carries no
     shard count; storage owners are re-derived from the spatial key).
-    Raises [Invalid_argument] on an inconsistent state. *)
+    The store adopts the state's sample-space columns
+    ({!Sample_space.restore}): do not use the state afterwards. Raises
+    [Invalid_argument] on an inconsistent state. *)
 
 val close : t -> unit
 (** Shut down the owner pool. Further mutations raise

@@ -44,7 +44,9 @@ let fill_on rng ~center ~radius ~pos ~samples:m (buf : floatarray) =
       let c0 = center.(0) and c1 = center.(1) in
       for si = 0 to m - 1 do
         let theta = Rng.float rng (2. *. Float.pi) in
-        Float.Array.unsafe_set buf (pos + (2 * si)) (c0 +. (radius *. cos theta));
+        Float.Array.unsafe_set buf
+          (pos + (2 * si))
+          (c0 +. (radius *. cos theta));
         Float.Array.unsafe_set buf
           (pos + (2 * si) + 1)
           (c1 +. (radius *. sin theta))
