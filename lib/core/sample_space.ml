@@ -33,8 +33,8 @@ type stamps = (int64, Bigarray.int64_elt, Bigarray.c_layout) BA1.t
    unboxed floats and machine ints and no cell is a heap block of its
    own. The columns come in pages: page 0 holds the rows a restore
    adopted (none for a fresh grid), every later page [1 lsl shift]
-   rows. A grid grows by one page at a time and never copies a column,
-   so it never holds two copies of its rows. *)
+   rows (see {!page_shift}). A grid grows by one page at a time and
+   never copies a column, so it never holds two copies of its rows. *)
 type page = {
   keys : int array;  (** [dim] per row: the cell's grid key *)
   nballs : int array;  (** live balls meeting the cell; 0 on a free row *)
@@ -118,17 +118,29 @@ let make_page ~dim ~m cap =
     flag = [||];
   }
 
-(* Rows per page past the first: the largest power of two in [8, 1024]
-   whose positions fit in 8 Ki floats (64 KiB). *)
-let page_shift ~dim ~m =
+let ceil_log2 n =
+  let rec go b = if 1 lsl b < n then go (b + 1) else b in
+  go 0
+
+(* The most rows a page holds, as a shift: the largest power of two in
+   [8, 1024] whose positions fit in 8 Ki floats (64 KiB). A restored
+   grid's later pages hold this many. *)
+let max_page_shift ~dim ~m =
   let rec go s =
     if s < 10 && (1 lsl (s + 1)) * m * dim <= 8192 then go (s + 1) else s
   in
   go 3
 
-let ceil_log2 n =
-  let rec go b = if 1 lsl b < n then go (b + 1) else b in
-  go 0
+(* Rows per page past the first for a fresh grid, as a shift: the power
+   of two at or below a sixteenth of the expected balls, at least 4 and
+   at most [max_page_shift]. A grid holds a few rows per ball, so a page
+   is a small share of its rows. A small space — a static solve over a
+   hundred points — gets pages small enough to be allocated in the minor
+   heap, where a short-lived space's pages die young instead of passing
+   through the major heap as large blocks. *)
+let page_shift ~dim ~m ~expected_n =
+  Int.max 2
+    (Int.min (max_page_shift ~dim ~m) (ceil_log2 ((expected_n / 16) + 1) - 1))
 
 (* Index slots for [n] rows: at most half full, and at least 16. *)
 let index_bits n = Int.max 4 (ceil_log2 (2 * n))
@@ -137,7 +149,7 @@ let index_bits n = Int.max 4 (ceil_log2 (2 * n))
 let make_index ibits =
   Array.init (2 lsl ibits) (fun i -> if i land 1 = 0 then -1 else 0)
 
-let make_rows ~dim ~m grid rng ~next_id page0 =
+let make_rows grid rng ~next_id ~shift page0 =
   let n = FA.length page0.maxd in
   let ibits = index_bits n in
   {
@@ -148,7 +160,7 @@ let make_rows ~dim ~m grid rng ~next_id page0 =
     pages = [| page0 |];
     npages = 1;
     first = n;
-    shift = page_shift ~dim ~m;
+    shift;
     fresh = n;
     free = [||];
     nfree = 0;
@@ -177,6 +189,7 @@ let create ~dim ~cfg ~expected_n =
   let grids, rng = make_grids ~dim ~cfg in
   let count = Shifted_grids.count grids in
   let m = Config.samples_per_cell cfg ~n:expected_n in
+  let shift = page_shift ~dim ~m ~expected_n in
   {
     dim;
     cfg;
@@ -184,7 +197,7 @@ let create ~dim ~cfg ~expected_n =
     rows =
       Array.mapi
         (fun gi grid ->
-          make_rows ~dim ~m grid (Rng.split_at rng gi) ~next_id:0
+          make_rows grid (Rng.split_at rng gi) ~next_id:0 ~shift
             (make_page ~dim ~m 0))
         grids.Shifted_grids.grids;
     t_samples = m;
@@ -552,7 +565,6 @@ let add_in_grid t gi ~center ~weight ~count =
   let cur = g.cursor in
   let dim = t.dim and m = t.t_samples in
   let r2 = Closed.unit_r2 in
-  let cx = center.(0) and cy = if dim > 1 then center.(1) else 0. in
   Grid.start cur ~center ~radius:1.;
   while Grid.next cur do
     let key = Grid.cursor_key cur in
@@ -567,22 +579,12 @@ let add_in_grid t gi ~center ~weight ~count =
     let mx = ref Float.neg_infinity and arg = ref 0 in
     for si = 0 to m - 1 do
       let d2 = ref 0. in
-      if dim = 2 then begin
-        (* The two-axis sum unrolled: [0. +. x = x] for the [x >= 0]
-           a square is, so the bits are the general loop's. *)
-        let s = 2 * (s0 + si) in
-        let dx = FA.unsafe_get pos s -. cx
-        and dy = FA.unsafe_get pos (s + 1) -. cy in
-        d2 := (dx *. dx) +. (dy *. dy)
-      end
-      else
-        for k = 0 to dim - 1 do
-          let d =
-            FA.unsafe_get pos (((s0 + si) * dim) + k)
-            -. Array.unsafe_get center k
-          in
-          d2 := !d2 +. (d *. d)
-        done;
+      for k = 0 to dim - 1 do
+        let d =
+          FA.unsafe_get pos (((s0 + si) * dim) + k) -. Array.unsafe_get center k
+        in
+        d2 := !d2 +. (d *. d)
+      done;
       if !d2 <= r2 then begin
         let d = FA.unsafe_get depth (s0 + si) in
         FA.unsafe_set depth (s0 + si)
@@ -821,32 +823,6 @@ let compare_at (ks : int array) dim i j =
       (Array.unsafe_get ks ((i * dim) + !k))
       (Array.unsafe_get ks ((j * dim) + !k))
 
-(* Merge sort of the positions [a.(lo .. hi - 1)] by their keys in [ks],
-   through [tmp]. Two halves already in order cost one comparison, so a
-   grid whose rows are mostly in key order — a restored one — sorts in
-   near-linear time. *)
-let rec sort_by_key ks dim a tmp lo hi =
-  if hi - lo > 1 then begin
-    let mid = (lo + hi) / 2 in
-    sort_by_key ks dim a tmp lo mid;
-    sort_by_key ks dim a tmp mid hi;
-    if compare_at ks dim a.(mid - 1) a.(mid) > 0 then begin
-      Array.blit a lo tmp lo (hi - lo);
-      let i = ref lo and j = ref mid in
-      for k = lo to hi - 1 do
-        if !j >= hi || (!i < mid && compare_at ks dim tmp.(!i) tmp.(!j) < 0)
-        then begin
-          a.(k) <- tmp.(!i);
-          incr i
-        end
-        else begin
-          a.(k) <- tmp.(!j);
-          incr j
-        end
-      done
-    end
-  end
-
 (* Grid [gi]'s live rows in ascending key order: the rows in row order
    with their keys copied out flat, then sorted by key. *)
 let rows_in_key_order t gi =
@@ -858,7 +834,7 @@ let rows_in_key_order t gi =
       Array.blit p.keys (o * dim) ks (!k * dim) dim;
       incr k);
   let a = Array.init n Fun.id in
-  sort_by_key ks dim a (Array.make n 0) 0 n;
+  Array.stable_sort (compare_at ks dim) a;
   Array.map (fun i -> rows.(i)) a
 
 let capture_grid t gi =
@@ -965,8 +941,8 @@ let adopt_grid ~dim ~m ~count gi grid (g : State.grid) =
     }
   in
   let rows =
-    make_rows ~dim ~m grid (Rng.of_state g.State.rng) ~next_id:g.State.next_id
-      page
+    make_rows grid (Rng.of_state g.State.rng) ~next_id:g.State.next_id
+      ~shift:(max_page_shift ~dim ~m) page
   in
   let key = Array.make dim 0 in
   for i = 0 to n - 1 do

@@ -48,7 +48,7 @@ type t
 
 val create : dim:int -> cfg:Config.t -> expected_n:int -> t
 (** Build the (empty) grid collection; [expected_n] sets the per-cell
-    sample count for this epoch. *)
+    sample count for this epoch and the rows per page of storage. *)
 
 val dim : t -> int
 val samples_per_cell : t -> int
