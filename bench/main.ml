@@ -1139,17 +1139,22 @@ type snapshot_phases = {
   sp_restore : float;
 }
 
+(* Words allocated so far, read with an empty minor heap: OCaml 5.1's
+   [Gc.counters], which [Gc.allocated_bytes] reads, counts the words
+   pending in the minor heap at an eighth of their number. *)
+let allocated_words () =
+  Gc.minor ();
+  Gc.allocated_bytes () /. float_of_int (Sys.word_size / 8)
+
 (* The snapshot path of a live session, one phase at a time: capture,
    encode, CRC, atomic write, decode, restore. The words allocated by
    the capture and by the restore are deterministic counts for a given
    binary and input, each taken from a collected heap. *)
 let snapshot_phases ~scratch sess =
   Gc.compact ();
-  let w0 = Gc.allocated_bytes () in
+  let w0 = allocated_words () in
   let st, capture = wtime (fun () -> Session.state sess) in
-  let words =
-    (Gc.allocated_bytes () -. w0) /. float_of_int (Sys.word_size / 8)
-  in
+  let words = allocated_words () -. w0 in
   let samples =
     Array.fold_left
       (fun acc g -> acc + Float.Array.length g.Maxrs.Sample_space.State.depth)
@@ -1172,13 +1177,11 @@ let snapshot_phases ~scratch sess =
         Maxrs_durable.Codec.decode_state (Bytes.unsafe_to_string data))
   in
   Gc.full_major ();
-  let r0 = Gc.allocated_bytes () in
+  let r0 = allocated_words () in
   let store, restore =
     wtime (fun () -> Maxrs.Sharded.restore ~shards:1 decoded)
   in
-  let restore_words =
-    (Gc.allocated_bytes () -. r0) /. float_of_int (Sys.word_size / 8)
-  in
+  let restore_words = allocated_words () -. r0 in
   Maxrs.Sharded.close store;
   {
     sp_bytes = Bytes.length data;

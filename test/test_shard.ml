@@ -409,42 +409,61 @@ let prop_heap_matches_brute_force =
    sample space's row columns are allocated straight into the major
    heap, where a minor-word count would miss them. The key enumeration,
    the update loop, the cell refresh and the heap re-seat allocate
-   nothing per grid or per visited cell; what is left is per op (the
-   guard, the scaled center, the ball tables) and the pages of rows and
-   index growth that new cells take, amortized. A one-shard [Sharded]
+   nothing per grid or per visited cell. What is left is per op (the
+   guard, the scaled center, the ball tables) and per new cell: its
+   draw (4 words per sample, boxed floats in the sampler) and, amortized,
+   the pages of rows and index growth it takes. A one-shard [Sharded]
    runs no domain, so its count holds under any [MAXRS_DOMAINS] and
    [MAXRS_FAULTS]. *)
 
 let alloc_live = 500
 let alloc_writes = 1_000
 
-let words_per_write ~insert ~delete =
+(* Words allocated so far, read with an empty minor heap. OCaml 5.1's
+   [Gc.counters], which [Gc.allocated_bytes] reads, counts the words
+   pending in the minor heap at an eighth of their number, so a reading
+   taken with young blocks pending is short by up to 7/8 of them. After
+   a minor collection nothing is pending and the reading is exact. *)
+let allocated_words () =
+  Gc.minor ();
+  Gc.allocated_bytes () /. Float.of_int (Sys.word_size / 8)
+
+(* [disturb] runs just before the window: the count must not depend on
+   what the collector did before. *)
+let words_per_write ?(disturb = ignore) ~insert ~delete () =
   let rng = Rng.create 19 in
   let point _ = [| Rng.uniform rng (-10.) 10.; Rng.uniform rng (-10.) 10. |] in
   let warm = Array.init alloc_live point in
   let fresh = Array.init (alloc_writes / 2) point in
   let ring = Array.map insert warm in
-  (* From a collected heap: on OCaml 5.1 the words counted over the
-     window otherwise depend on the collector's state — the same writes
-     read 258.6 or 29.2 words each, depending on what ran before. *)
-  Gc.full_major ();
-  let b0 = Gc.allocated_bytes () in
+  disturb ();
+  let w0 = allocated_words () in
   for i = 0 to (alloc_writes / 2) - 1 do
     let oldest = i mod alloc_live in
     delete ring.(oldest);
     ring.(oldest) <- insert fresh.(i)
   done;
-  (Gc.allocated_bytes () -. b0)
-  /. Float.of_int (Sys.word_size / 8)
-  /. Float.of_int alloc_writes
+  (allocated_words () -. w0) /. Float.of_int alloc_writes
+
+let dynamic_words_per_write ?disturb () =
+  let d = Dynamic.create ~dim:2 () in
+  words_per_write ?disturb
+    ~insert:(fun p -> Dynamic.insert d p)
+    ~delete:(Dynamic.delete d) ()
 
 let test_alloc_gate () =
-  let dynamic =
-    let d = Dynamic.create ~dim:2 () in
-    words_per_write
-      ~insert:(fun p -> Dynamic.insert d p)
-      ~delete:(Dynamic.delete d)
+  let dynamic = dynamic_words_per_write () in
+  (* The same window after a full major collection, with 100k words of
+     live blocks left in the minor heap: the same count. *)
+  let ballast = ref [] in
+  let disturbed =
+    dynamic_words_per_write
+      ~disturb:(fun () ->
+        Gc.full_major ();
+        ballast := List.init 33_000 Fun.id)
+      ()
   in
+  ignore (Sys.opaque_identity !ballast);
   let sharded =
     let s = Sharded.create ~dim:2 ~shards:1 () in
     Fun.protect
@@ -452,18 +471,21 @@ let test_alloc_gate () =
       (fun () ->
         words_per_write
           ~insert:(fun p -> Sharded.insert s p)
-          ~delete:(Sharded.delete s))
+          ~delete:(Sharded.delete s) ())
   in
-  (* Bounds: 1.15x the measured 29.2 and 263.9 words per write (OCaml
+  Printf.printf
+    "words per write: dynamic %.2f (disturbed %.2f), one-shard sharded %.2f\n"
+    dynamic disturbed sharded;
+  Alcotest.(check (float 0.)) "count independent of the collector" dynamic
+    disturbed;
+  (* Bounds: 1.15x the measured 270.3 and 312.8 words per write (OCaml
      5.1, x86-64). *)
-  Printf.printf "words per write: dynamic %.1f, one-shard sharded %.1f\n"
-    dynamic sharded;
   Alcotest.(check bool)
-    (Printf.sprintf "dynamic: %.1f words/write <= 34" dynamic)
-    true (dynamic <= 34.);
+    (Printf.sprintf "dynamic: %.1f words/write <= 311" dynamic)
+    true (dynamic <= 311.);
   Alcotest.(check bool)
-    (Printf.sprintf "one-shard sharded: %.1f words/write <= 304" sharded)
-    true (sharded <= 304.)
+    (Printf.sprintf "one-shard sharded: %.1f words/write <= 360" sharded)
+    true (sharded <= 360.)
 
 let () =
   Alcotest.run "maxrs sharded"
