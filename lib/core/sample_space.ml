@@ -65,7 +65,7 @@ type page = {
    that grid.
 
    Rows are indexed by key with open addressing: [index] holds a row per
-   slot (-1 when empty) beside that row's key hash, probed
+   slot (-1 when empty) packed with that row's key hash, probed
    linearly from the hash's top bits, at most half full, and compacted
    by backward shift on removal (no tombstones). Keys compare exactly,
    coordinate by coordinate. Dropped rows go on the [free] stack and are
@@ -146,8 +146,7 @@ let page_shift ~dim ~m ~expected_n =
 let index_bits n = Int.max 4 (ceil_log2 (2 * n))
 
 (* An empty key index of [1 lsl ibits] slots (see [slot_row]). *)
-let make_index ibits =
-  Array.init (2 lsl ibits) (fun i -> if i land 1 = 0 then -1 else 0)
+let make_index ibits = Array.make (1 lsl ibits) (-1)
 
 let make_rows grid rng ~next_id ~shift page0 =
   let n = FA.length page0.maxd in
@@ -283,16 +282,17 @@ let precedes t a b =
 (* The key index *)
 
 (* FNV-style mix over the coordinates, then a multiplicative scramble
-   whose top bits pick the home slot. A plain counted loop: a closure
-   capturing the accumulator would allocate per lookup. *)
+   whose top 30 bits are the hash; its top [ibits] bits pick the home
+   slot. A plain counted loop: a closure capturing the accumulator would
+   allocate per lookup. *)
 let hash_key (key : int array) =
   let h = ref 0x811c9dc5 in
   for i = 0 to Array.length key - 1 do
     h := (!h lxor Array.unsafe_get key i) * 0x01000193
   done;
-  !h * 0x1E3779B97F4A7C15
+  (!h * 0x1E3779B97F4A7C15) lsr 33
 
-let home g h = h lsr (63 - g.ibits)
+let home g h = h lsr (30 - g.ibits)
 
 let key_is ~dim g r (key : int array) =
   let p = page_of g r in
@@ -305,37 +305,36 @@ let key_is ~dim g r (key : int array) =
   done;
   !k = dim
 
-(* Slot [i] of the index is the pair [index.(2i)] (the row, -1 when
-   empty) and [index.(2i + 1)] (its key hash): one probe reads one
-   cache line. *)
-let slot_row g i = Array.unsafe_get g.index (2 * i)
-
-let set_slot g i r h =
-  Array.unsafe_set g.index (2 * i) r;
-  Array.unsafe_set g.index ((2 * i) + 1) h
+(* Slot [i] of the index is one word, [row lsl 30 lor hash] (-1 when
+   empty): the row and its key's hash, so a probe rejects almost every
+   other key without reading it. Rows fit in 32 bits and the index in
+   2{^30} slots. *)
+let slot_row g i = Array.unsafe_get g.index i asr 30
+let slot_hash g i = Array.unsafe_get g.index i land 0x3FFF_FFFF
+let set_slot g i r h = Array.unsafe_set g.index i ((r lsl 30) lor h)
 
 (* The slot holding the row keyed [key] (hash [h]), or the empty slot
    where a row with that key belongs. Keys compare exactly. *)
 let find_slot ~dim g key h =
-  let index = g.index in
   let mask = (1 lsl g.ibits) - 1 in
   let i = ref (home g h) in
   while
-    let r = Array.unsafe_get index (2 * !i) in
-    r >= 0
-    && not (Array.unsafe_get index ((2 * !i) + 1) = h && key_is ~dim g r key)
+    let r = slot_row g !i in
+    r >= 0 && not (slot_hash g !i = h && key_is ~dim g r key)
   do
     i := (!i + 1) land mask
   done;
   !i
 
-let place g r h =
+(* Put the slot word [e] of an indexed row at the first empty slot from
+   its home. *)
+let place g e =
   let mask = (1 lsl g.ibits) - 1 in
-  let i = ref (home g h) in
+  let i = ref (home g (e land 0x3FFF_FFFF)) in
   while slot_row g !i >= 0 do
     i := (!i + 1) land mask
   done;
-  set_slot g !i r h
+  Array.unsafe_set g.index !i e
 
 (* Double the index once it is more than half full. *)
 let maybe_grow_index g =
@@ -343,10 +342,7 @@ let maybe_grow_index g =
     let old = g.index in
     g.ibits <- g.ibits + 1;
     g.index <- make_index g.ibits;
-    for i = 0 to (Array.length old / 2) - 1 do
-      let r = old.(2 * i) in
-      if r >= 0 then place g r old.((2 * i) + 1)
-    done
+    Array.iter (fun e -> if e >= 0 then place g e) old
   end
 
 (* Empty slot [i], moving later entries of its probe run back into the
@@ -357,14 +353,14 @@ let unindex g i =
   let mask = (1 lsl g.ibits) - 1 in
   let hole = ref i and j = ref ((i + 1) land mask) in
   while slot_row g !j >= 0 do
-    let h = Array.unsafe_get index ((2 * !j) + 1) in
-    if (!j - home g h) land mask >= (!j - !hole) land mask then begin
-      set_slot g !hole (slot_row g !j) h;
+    if (!j - home g (slot_hash g !j)) land mask >= (!j - !hole) land mask
+    then begin
+      Array.unsafe_set index !hole (Array.unsafe_get index !j);
       hole := !j
     end;
     j := (!j + 1) land mask
   done;
-  set_slot g !hole (-1) 0
+  Array.unsafe_set index !hole (-1)
 
 (* ------------------------------------------------------------------ *)
 (* Rows *)
@@ -581,7 +577,8 @@ let add_in_grid t gi ~center ~weight ~count =
       let d2 = ref 0. in
       for k = 0 to dim - 1 do
         let d =
-          FA.unsafe_get pos (((s0 + si) * dim) + k) -. Array.unsafe_get center k
+          FA.unsafe_get pos (((s0 + si) * dim) + k)
+          -. Array.unsafe_get center k
         in
         d2 := !d2 +. (d *. d)
       done;
