@@ -72,7 +72,9 @@ type t = {
           fingerprints) rather than the single log *)
   wal : string;
   snapshot_every : int;
-  mutable seq : int;
+  seq : int Atomic.t;
+      (** ops applied, bumped as each op is applied; readers load it
+          without the lock that serializes the ops *)
   mutable last_snapshot_seq : int;
   mutable snapshot_crc : int option;
       (** the state CRC of the snapshot at [last_snapshot_seq], when
@@ -133,17 +135,16 @@ let install_hook t =
   Sharded.on_op t.store (fun ev ->
       match ev with
       | Sharded.Op_insert { shard; handle; point; weight } ->
-          t.seq <- t.seq + 1;
+          let seq = Atomic.fetch_and_add t.seq 1 + 1 in
           let handle = Dynamic.handle_id handle in
           Wal.append t.writers.(shard)
-            (if t.manifest then
-               Wal.Sinsert { seq = t.seq; handle; point; weight }
+            (if t.manifest then Wal.Sinsert { seq; handle; point; weight }
              else Wal.Insert { handle; point; weight })
       | Sharded.Op_delete { shard; handle } ->
-          t.seq <- t.seq + 1;
+          let seq = Atomic.fetch_and_add t.seq 1 + 1 in
           let handle = Dynamic.handle_id handle in
           Wal.append t.writers.(shard)
-            (if t.manifest then Wal.Sdelete { seq = t.seq; handle }
+            (if t.manifest then Wal.Sdelete { seq; handle }
              else Wal.Delete handle)
       | Sharded.Op_epoch { epochs; n0 } ->
           if not t.manifest then
@@ -421,7 +422,7 @@ let open_ ~wal ?shards ?domains ?(snapshot_every = 1000)
         manifest;
         wal;
         snapshot_every;
-        seq;
+        seq = Atomic.make seq;
         last_snapshot_seq = seq;
         snapshot_crc = None;
         closed = false;
@@ -519,7 +520,7 @@ let open_ ~wal ?shards ?domains ?(snapshot_every = 1000)
           | None, None -> single ()))
 
 let recovery t = t.recovery
-let seq t = t.seq
+let seq t = Atomic.get t.seq
 let wal_path t = t.wal
 let shards t = Sharded.shards t.store
 let state t = Sharded.state t.store
@@ -532,14 +533,15 @@ let snapshot_now t =
   Array.iter Wal.flush t.writers;
   (* The snapshot's checksum pass yields the state's fingerprint, so a
      manifest stamps it without capturing or encoding a second time. *)
-  let _, crc = Snapshot.write_crc ~wal:t.wal ~seq:t.seq (state t) in
+  let seq = seq t in
+  let _, crc = Snapshot.write_crc ~wal:t.wal ~seq (state t) in
   Snapshot.prune ~wal:t.wal ~keep:2;
-  if t.manifest then stamp t.writers ~seq:t.seq crc;
-  t.last_snapshot_seq <- t.seq;
+  if t.manifest then stamp t.writers ~seq crc;
+  t.last_snapshot_seq <- seq;
   t.snapshot_crc <- Some crc
 
 let maybe_snapshot t =
-  if t.snapshot_every > 0 && t.seq - t.last_snapshot_seq >= t.snapshot_every
+  if t.snapshot_every > 0 && seq t - t.last_snapshot_seq >= t.snapshot_every
   then snapshot_now t
 
 let insert t ?weight p =
@@ -563,9 +565,9 @@ let close t =
        attesting to the same state. With no op since this session's
        last snapshot, that snapshot's fingerprint is the state's. *)
     if t.manifest then
-      stamp t.writers ~seq:t.seq
+      stamp t.writers ~seq:(seq t)
         (match t.snapshot_crc with
-        | Some crc when t.last_snapshot_seq = t.seq -> crc
+        | Some crc when t.last_snapshot_seq = seq t -> crc
         | _ -> Codec.state_crc (state t));
     Array.iter Wal.close t.writers;
     Sharded.close t.store;

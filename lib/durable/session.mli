@@ -84,7 +84,10 @@ val best : t -> (Maxrs_geom.Point.t * float) option
 val size : t -> int
 
 val seq : t -> int
-(** Ops applied over the session's whole history (across restarts). *)
+(** Ops applied over the session's whole history (across restarts).
+    One atomic load: safe from any thread without holding the lock that
+    serializes the session's ops; it counts an op from the moment the
+    op is applied. *)
 
 val recovery : t -> recovery option
 (** [None] when {!open_} created a fresh log. *)

@@ -183,6 +183,10 @@ type frame = {
   f_start : float;
   f_base : int array;
   f_gc : Gc.stat;
+  f_minor : float;
+      (* [Gc.minor_words ()]: unlike [Gc.quick_stat]'s [minor_words] on
+         OCaml 5.1, it counts the words still pending in the minor heap,
+         so a span that triggers no minor collection is not read as 0 *)
 }
 
 let stacks : frame list ref Domain.DLS.key =
@@ -194,14 +198,12 @@ let enter_span name =
   let cs = !all_counters in
   let base = Array.map (fun c -> Atomic.get c.c_cell) cs in
   let st = Domain.DLS.get stacks in
-  st :=
-    {
-      f_name = name;
-      f_start = Unix.gettimeofday ();
-      f_base = base;
-      f_gc = Gc.quick_stat ();
-    }
-    :: !st
+  let f_gc = Gc.quick_stat () in
+  let f_start = Unix.gettimeofday () in
+  (* Read last, so the span's own bookkeeping is not counted in it but
+     for the frame itself. *)
+  let f_minor = Gc.minor_words () in
+  st := { f_name = name; f_start; f_base = base; f_gc; f_minor } :: !st
 
 let exit_span () =
   let st = Domain.DLS.get stacks in
@@ -212,6 +214,7 @@ let exit_span () =
       let dt = Unix.gettimeofday () -. f.f_start in
       let ns = if dt <= 0. then 0 else int_of_float (dt *. 1e9) in
       let cs = !all_counters in
+      let minor = Gc.minor_words () -. f.f_minor in
       let g1 = Gc.quick_stat () in
       let g0 = f.f_gc in
       Mutex.protect reg_mutex (fun () ->
@@ -239,8 +242,7 @@ let exit_span () =
           s.s_count <- s.s_count + 1;
           s.s_total_ns <- s.s_total_ns + ns;
           if ns > s.s_max_ns then s.s_max_ns <- ns;
-          s.s_minor_words <-
-            s.s_minor_words +. (g1.Gc.minor_words -. g0.Gc.minor_words);
+          s.s_minor_words <- s.s_minor_words +. minor;
           s.s_promoted_words <-
             s.s_promoted_words +. (g1.Gc.promoted_words -. g0.Gc.promoted_words);
           s.s_major_words <-

@@ -108,10 +108,12 @@ module Snapshot : sig
     sg_major_collections : int;
     sg_top_heap_words : int;  (** max observed at any exit of the span *)
   }
-  (** GC activity attributed to a span: [Gc.quick_stat] deltas between
-      entry and exit, summed over all executions, as seen by the
-      calling domain (exact on single-domain runs; worker domains own
-      separate minor heaps, so under a pool this is a lower bound). *)
+  (** GC activity attributed to a span: deltas between entry and exit,
+      summed over all executions, as seen by the calling domain (exact
+      on single-domain runs; worker domains own separate minor heaps,
+      so under a pool this is a lower bound). Minor words come from
+      [Gc.minor_words], which counts the words still pending in the
+      minor heap; the rest from [Gc.quick_stat]. *)
 
   type span = {
     sp_count : int;

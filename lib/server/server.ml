@@ -1,9 +1,12 @@
 (* The MaxRS network daemon.
 
    One accept thread, one reader thread per connection, a bounded work
-   queue, and a fixed pool of worker threads executing solves under
-   per-request {!Maxrs_resilience.Budget}s. Robustness decisions, in
-   order of appearance on a request's path:
+   queue, and a fixed pool of worker threads executing solves and
+   writes under per-request {!Maxrs_resilience.Budget}s. A reader
+   answers [Ping], [Stats] and the O(log n) reads of published state
+   (an indexed [Range_sum], a [Query]) itself, with no hand-off, when
+   its connection has nothing queued or in flight. Robustness
+   decisions, in order of appearance on a request's path:
 
    - Admission control at two gates: connections above [max_conns] are
      refused with an [Overloaded] reply, and requests that would push
@@ -145,9 +148,11 @@ end
 (* {1 Server state} *)
 
 type conn = {
-  fd : Unix.file_descr;
+  nc : Netio.Conn.t;
   wm : Mutex.t;  (* serializes reply writes from workers *)
   mutable alive : bool;
+  pending : int Atomic.t;
+      (* this connection's requests queued or in flight on a worker *)
 }
 
 type job = { jconn : conn; jid : int; jreq : Proto.request; jenq : float }
@@ -197,7 +202,8 @@ let send_reply t conn ~id reply =
   let payload = Proto.encode_reply ~id reply in
   Mutex.lock conn.wm;
   let r =
-    if conn.alive then Netio.send ~deadline:t.cfg.write_deadline conn.fd payload
+    if conn.alive then
+      Netio.Conn.send ~deadline:t.cfg.write_deadline conn.nc payload
     else Error Netio.Closed
   in
   Mutex.unlock conn.wm;
@@ -256,6 +262,10 @@ let count_outcome t (outcome : _ Outcome.t) =
   | Outcome.Degraded _ -> incr_a ~obs:c_degraded t.degraded
   | Outcome.Partial _ -> incr_a ~obs:c_degraded t.partial
 
+(* The lock that serializes session ops: writes, [Query], the cold
+   [Range_sum]'s capture and the index builder's. *)
+let with_session_lock t f = Mutex.protect t.session_m f
+
 let session_op t f =
   match t.session with
   | None ->
@@ -266,16 +276,7 @@ let session_op t f =
              index = None;
              reason = "server has no durable session (started without --wal)";
            })
-  | Some sess ->
-      Mutex.lock t.session_m;
-      let r =
-        try f sess
-        with e ->
-          Mutex.unlock t.session_m;
-          raise e
-      in
-      Mutex.unlock t.session_m;
-      r
+  | Some sess -> with_session_lock t (fun () -> f sess)
 
 let execute t (req : Proto.request) : Proto.reply =
   match req with
@@ -440,33 +441,23 @@ let execute t (req : Proto.request) : Proto.reply =
       end
       else
         (* Hot path: one atomic load of the live epoch, then a lock-free
-           O(log n) query against the immutable index; the session lock
-           is only taken to read the current seq for the staleness
-           figure, which is the lag of the entry served. Cold path (no
-           epoch yet): capture the state under the lock and answer with
-           the index-free reference scan — bit-identical, just O(n). *)
-        match Epoch.current t.epoch with
-        | Some e -> (
-            match session_op t (fun sess -> Ok (Session.seq sess)) with
-            | Error e ->
-                incr_a t.invalid;
-                Proto.Error_reply
-                  {
-                    code = Proto.Invalid;
-                    retry_after_ms = 0;
-                    msg = guard_msg e;
-                  }
-            | Ok now_seq ->
-                Epoch.hit ();
-                incr_a t.completed;
-                let seg =
-                  Rmsq.max_sum_in_coords e.Epoch.index ~lo ~hi
-                  |> Option.map (fun s ->
-                         (s.Rmsq.s_lo, s.Rmsq.s_hi, s.Rmsq.s_sum))
-                in
-                let lag_ops = Epoch.lag_of e ~now_seq in
-                Proto.Range_best { seg; epoch = e.Epoch.epoch; lag_ops })
-        | None -> (
+           O(log n) query against the immutable index, tagged with the
+           lag of the entry served against the session's published seq
+           (an atomic load too: no lock is taken). Cold path (no epoch
+           yet): capture the state under the lock and answer with the
+           index-free reference scan — bit-identical, just O(n). *)
+        match (Epoch.current t.epoch, t.session) with
+        | Some e, Some sess ->
+            let now_seq = Session.seq sess in
+            Epoch.hit ();
+            incr_a t.completed;
+            let seg =
+              Rmsq.max_sum_in_coords e.Epoch.index ~lo ~hi
+              |> Option.map (fun s -> (s.Rmsq.s_lo, s.Rmsq.s_hi, s.Rmsq.s_sum))
+            in
+            let lag_ops = Epoch.lag_of e ~now_seq in
+            Proto.Range_best { seg; epoch = e.Epoch.epoch; lag_ops }
+        | _ -> (
             match session_op t (fun sess -> Ok (Session.state sess)) with
             | Error e ->
                 incr_a t.invalid;
@@ -529,6 +520,16 @@ let stats t =
 
 (* {1 Workers} *)
 
+(* A request's latency in seconds, from admission to its reply sent. *)
+let observe_latency t dt =
+  let us = Float.to_int (dt *. 1e6) in
+  Lat.observe t.lat us;
+  Obs.observe h_latency us
+
+let end_inflight t =
+  t.inflight <- t.inflight - 1;
+  if t.inflight = 0 && t.queued = 0 then Condition.broadcast t.drained
+
 let worker_loop t =
   let continue = ref true in
   while !continue do
@@ -549,37 +550,72 @@ let worker_loop t =
       Mutex.unlock t.m;
       let reply = execute_safe t job.jreq in
       ignore (send_reply t job.jconn ~id:job.jid reply : bool);
-      let ms = (now () -. job.jenq) *. 1000. in
-      Lat.observe t.lat (Float.to_int (ms *. 1000.));
-      Obs.observe h_latency (Float.to_int (ms *. 1000.));
+      (* Only once the reply is out may the reader answer this
+         connection's next read itself. *)
+      Atomic.decr job.jconn.pending;
+      let dt = now () -. job.jenq in
+      observe_latency t dt;
       Mutex.lock t.m;
-      t.ewma_ms <- (0.9 *. t.ewma_ms) +. (0.1 *. ms);
-      t.inflight <- t.inflight - 1;
-      if t.inflight = 0 && t.queued = 0 then Condition.broadcast t.drained;
+      t.ewma_ms <- (0.9 *. t.ewma_ms) +. (0.1 *. dt *. 1000.);
+      end_inflight t;
       Mutex.unlock t.m
     end
   done
 
 (* {1 Connections} *)
 
+let shutting_down =
+  Proto.Error_reply
+    {
+      code = Proto.Shutting_down;
+      retry_after_ms = 0;
+      msg = "server is draining";
+    }
+
+(* An O(1) or O(log n) read of published state: [Query] (the store's
+   best placement) or a [Range_sum] once an index epoch is live. The
+   cold [Range_sum], an O(n) scan, goes to the queue. *)
+let inline_read t = function
+  | Proto.Query -> true
+  | Proto.Range_sum _ -> Option.is_some (Epoch.current t.epoch)
+  | _ -> false
+
+(* Answer on the reader's own thread. The read counts as accepted and
+   in flight like a queued one, so {!wait} does not close the session
+   under it, and its latency runs from here to the reply sent; it is
+   not part of the queue's service rate. *)
+let serve_inline t conn ~id req =
+  let since = now () in
+  Mutex.lock t.m;
+  if t.draining then begin
+    Mutex.unlock t.m;
+    ignore (send_reply t conn ~id shutting_down : bool)
+  end
+  else begin
+    t.inflight <- t.inflight + 1;
+    Mutex.unlock t.m;
+    incr_a ~obs:c_accepted t.accepted;
+    ignore (send_reply t conn ~id (execute_safe t req) : bool);
+    observe_latency t (now () -. since);
+    Mutex.lock t.m;
+    end_inflight t;
+    Mutex.unlock t.m
+  end
+
 let handle_request t conn ~id req =
   match req with
   | Proto.Ping -> ignore (send_reply t conn ~id Proto.Pong : bool)
   | Proto.Stats ->
       ignore (send_reply t conn ~id (Proto.Stats_reply (stats t)) : bool)
+  | req when Atomic.get conn.pending = 0 && inline_read t req ->
+      (* Nothing of this connection's is ahead of the read, so
+         answering it now keeps the connection's replies in order. *)
+      serve_inline t conn ~id req
   | req ->
       Mutex.lock t.m;
       if t.draining then begin
         Mutex.unlock t.m;
-        ignore
-          (send_reply t conn ~id
-             (Proto.Error_reply
-                {
-                  code = Proto.Shutting_down;
-                  retry_after_ms = 0;
-                  msg = "server is draining";
-                })
-            : bool)
+        ignore (send_reply t conn ~id shutting_down : bool)
       end
       else if t.queued >= t.cfg.queue_cap then begin
         let reply = overloaded t in
@@ -590,6 +626,7 @@ let handle_request t conn ~id req =
       else begin
         Queue.push { jconn = conn; jid = id; jreq = req; jenq = now () } t.queue;
         t.queued <- t.queued + 1;
+        Atomic.incr conn.pending;
         Condition.signal t.nonempty;
         Mutex.unlock t.m;
         incr_a ~obs:c_accepted t.accepted
@@ -600,8 +637,8 @@ let conn_loop t conn =
   (try
      while !continue && conn.alive do
        match
-         Netio.recv ~idle:t.cfg.idle_timeout ~frame:t.cfg.read_deadline
-           ~max_frame:t.cfg.max_frame conn.fd
+         Netio.Conn.recv ~idle:t.cfg.idle_timeout ~frame:t.cfg.read_deadline
+           ~max_frame:t.cfg.max_frame conn.nc
        with
        | Ok payload -> (
            match Proto.decode_request payload with
@@ -653,7 +690,7 @@ let conn_loop t conn =
      done
    with _ -> (* a connection thread never takes the daemon down *) ());
   conn.alive <- false;
-  Netio.close_noerr conn.fd;
+  Netio.close_noerr (Netio.Conn.fd conn.nc);
   Mutex.lock t.m;
   t.conns <- t.conns - 1;
   Mutex.unlock t.m
@@ -689,11 +726,25 @@ let accept_loop t =
                            }))
                     : (unit, Netio.error) result);
                 Netio.close_noerr fd
-            | None ->
-                t.conns <- t.conns + 1;
-                Mutex.unlock t.m;
-                let conn = { fd; wm = Mutex.create (); alive = true } in
-                ignore (Thread.create (fun () -> conn_loop t conn) () : Thread.t))
+            | None -> (
+                match Netio.Conn.of_fd fd with
+                | exception Unix.Unix_error _ ->
+                    Mutex.unlock t.m;
+                    Netio.close_noerr fd
+                | nc ->
+                    t.conns <- t.conns + 1;
+                    Mutex.unlock t.m;
+                    let conn =
+                      {
+                        nc;
+                        wm = Mutex.create ();
+                        alive = true;
+                        pending = Atomic.make 0;
+                      }
+                    in
+                    ignore
+                      (Thread.create (fun () -> conn_loop t conn) ()
+                        : Thread.t)))
         )
   done;
   Netio.close_noerr t.listen_fd
@@ -757,21 +808,17 @@ let start cfg =
              states captured under the session lock, swap them in
              through the epoch cell. Only the compile and the swap run
              outside the lock: every rebuild first holds it for a full
-             [Session.state] capture, and writers, like the seq read of
-             an indexed [Range_sum], wait for that capture. *)
+             [Session.state] capture, and writers wait for that
+             capture. The builder's poll of the seq, like an indexed
+             [Range_sum], takes no lock. *)
           (match session with
           | Some sess when cfg.index ->
-              let locked f =
-                Mutex.lock t.session_m;
-                Fun.protect ~finally:(fun () -> Mutex.unlock t.session_m) f
-              in
               let src =
                 {
-                  Index_builder.src_seq =
-                    (fun () -> locked (fun () -> Session.seq sess));
+                  Index_builder.src_seq = (fun () -> Session.seq sess);
                   src_capture =
                     (fun () ->
-                      locked (fun () ->
+                      with_session_lock t (fun () ->
                           (Session.state sess, Session.seq sess)));
                 }
               in
@@ -803,6 +850,13 @@ let begin_drain t =
 let wait t =
   t.accept_done <- true;
   List.iter Thread.join t.threads;
+  (* The workers are gone; reads answered on connection threads may
+     still be in flight. *)
+  Mutex.lock t.m;
+  while t.inflight > 0 do
+    Condition.wait t.drained t.m
+  done;
+  Mutex.unlock t.m;
   (* the builder reads the session through its closures — stop it
      before the session closes under it *)
   (match t.builder with
@@ -811,10 +865,7 @@ let wait t =
       t.builder <- None
   | None -> ());
   (match t.session with
-  | Some sess ->
-      Mutex.lock t.session_m;
-      Session.close sess;
-      Mutex.unlock t.session_m
+  | Some sess -> with_session_lock t (fun () -> Session.close sess)
   | None -> ());
   (match t.cfg.addr with
   | Netio.Unix_sock p -> ( try Sys.remove p with Sys_error _ -> ())

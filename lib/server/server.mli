@@ -51,6 +51,12 @@ val start : config -> (t, string) result
     workers, return immediately. *)
 
 val session : t -> Maxrs_durable.Session.t option
+
+val with_session_lock : t -> (unit -> 'a) -> 'a
+(** Run [f] holding the lock that serializes the session's ops (writes,
+    [Query], index captures) — needed to touch {!session} while the
+    daemon serves. An indexed [Range_sum] does not take it. *)
+
 val draining : t -> bool
 
 val stats : t -> Proto.server_stats

@@ -131,6 +131,33 @@ let test_span_exception_safety () =
             (s.Obs.Snapshot.sp_count >= 1)
       | None -> Alcotest.fail "span lost on exception")
 
+(* A span's minor words are exact even when no minor collection falls
+   inside it: 400 blocks of 100 words, from an empty minor heap, fit in
+   it with room to spare. OCaml 5.1's [Gc.quick_stat] reads such a
+   window as 0 words. *)
+let test_span_minor_words_exact () =
+  with_stats (fun () ->
+      let base = Obs.Snapshot.capture () in
+      Gc.minor ();
+      let collections () = (Gc.quick_stat ()).Gc.minor_collections in
+      let c0 = collections () in
+      Obs.with_span "test.alloc" (fun () ->
+          for _ = 1 to 400 do
+            ignore (Sys.opaque_identity (Array.make 99 0))
+          done);
+      Alcotest.(check int)
+        "no minor collection in the window" c0 (collections ());
+      let d = Obs.Snapshot.diff (Obs.Snapshot.capture ()) ~base in
+      match Obs.Snapshot.span d "test.alloc" with
+      | None -> Alcotest.fail "span missing"
+      | Some s ->
+          let words = s.Obs.Snapshot.sp_gc.Obs.Snapshot.sg_minor_words in
+          (* The frame the span pushes is counted in it, nothing else. *)
+          Alcotest.(check bool)
+            (Printf.sprintf "40,000 words reported (%.0f)" words)
+            true
+            (words >= 40_000. && words <= 40_100.))
+
 let test_reset () =
   let c = Obs.counter "test.reset" in
   with_stats (fun () ->
@@ -261,6 +288,8 @@ let () =
             test_span_nesting_and_deltas;
           Alcotest.test_case "span exception safety" `Quick
             test_span_exception_safety;
+          Alcotest.test_case "span minor words are exact" `Quick
+            test_span_minor_words_exact;
           Alcotest.test_case "reset" `Quick test_reset;
           Alcotest.test_case "snapshot json" `Quick test_snapshot_json;
         ] );

@@ -17,6 +17,8 @@ module Proto = Maxrs_server.Proto
 module Server = Maxrs_server.Server
 module Client = Maxrs_server.Client
 module Net_faults = Maxrs_server.Net_faults
+module Interval1d = Maxrs_sweep.Interval1d
+module Obs = Maxrs_obs.Obs
 
 let test_dir = Filename.dirname Sys.executable_name
 
@@ -595,6 +597,278 @@ let test_drain_rejects_new_work () =
       | Ok _ -> Alcotest.fail "drained server accepted a connection");
       Client.close c2;
       Server.wait t)
+
+(* ------------------------------------------------------------------ *)
+(* Served connections: the buffered reader, and reads answered on the
+   connection thread *)
+
+let send_raw fd b =
+  let n = Bytes.length b in
+  Alcotest.(check int) "raw write complete" n (Unix.write fd b 0 n)
+
+let frames reqs =
+  Bytes.concat Bytes.empty
+    (List.map
+       (fun (id, req) -> Netio.frame_bytes (Proto.encode_request ~id req))
+       reqs)
+
+let recv_reply what fd =
+  match Netio.recv ~idle:10. ~frame:10. ~max_frame:(1 lsl 23) fd with
+  | Error e -> Alcotest.fail (what ^ ": " ^ Netio.error_to_string e)
+  | Ok p -> (
+      match Proto.decode_reply p with
+      | Ok r -> r
+      | Error m -> Alcotest.fail (what ^ ": undecodable reply: " ^ m))
+
+(* Until the read tier serves an epoch with lag 0. *)
+let warm_index c =
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec go () =
+    match
+      ok_or_fail "warm" (Client.range_sum c ~lo:neg_infinity ~hi:infinity)
+    with
+    | _, epoch, 0 when epoch > 0 -> ()
+    | _ when Unix.gettimeofday () < deadline ->
+        Unix.sleepf 0.01;
+        go ()
+    | _ -> Alcotest.fail "index never caught up"
+  in
+  go ()
+
+let with_index_server ?(tune = Fun.id) f =
+  let wal = fresh_path ".wal" in
+  with_server
+    ~tune:(fun c -> tune { c with Server.wal = Some wal })
+    (fun t addr ->
+      let c = Client.create ~recv_timeout:10. addr in
+      ignore (ok_or_fail "ins" (Client.insert c ~x:0. ~y:0. ~weight:2.));
+      ignore (ok_or_fail "ins" (Client.insert c ~x:0.5 ~y:0. ~weight:3.));
+      warm_index c;
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f t addr c))
+
+let test_frames_in_one_write () =
+  with_index_server (fun _t addr _c ->
+      let fd = raw_connect addr in
+      send_raw fd
+        (frames
+           [
+             (1, Proto.Range_sum { lo = neg_infinity; hi = infinity });
+             (2, Proto.Query);
+           ]);
+      (match recv_reply "first" fd with
+      | 1, Proto.Range_best { seg = Some (0, 1, s); _ } when bits s = bits 5.
+        ->
+          ()
+      | _ -> Alcotest.fail "first reply is not the range sum");
+      (match recv_reply "second" fd with
+      | 2, Proto.Best (Some (_, _, v)) when bits v = bits 5. -> ()
+      | _ -> Alcotest.fail "second reply is not the query");
+      Netio.close_noerr fd)
+
+let test_trickled_frame () =
+  with_server (fun _t addr ->
+      let fd = raw_connect addr in
+      let b = frames [ (6, Proto.Ping) ] in
+      Bytes.iteri
+        (fun i _ ->
+          send_raw fd (Bytes.sub b i 1);
+          Thread.delay 0.002)
+        b;
+      (match recv_reply "trickled" fd with
+      | 6, Proto.Pong -> ()
+      | _ -> Alcotest.fail "trickled ping not answered");
+      Netio.close_noerr fd)
+
+(* 65,536 points make a 1 MiB frame, 64 times the receive buffer. *)
+let test_frame_larger_than_buffer () =
+  let rng = Rng.create 11 in
+  let points =
+    Array.init 65_536 (fun _ -> (Rng.uniform rng 0. 1000., Rng.float rng 1.))
+  in
+  let local =
+    match Interval1d.max_sum_checked ~len:10. points with
+    | Ok p -> p
+    | Error _ -> Alcotest.fail "local solve failed"
+  in
+  with_server (fun _t addr ->
+      let c = Client.create addr in
+      (match Client.request c (Proto.Solve_interval { len = 10.; points }) with
+      | Ok (Proto.Solved o) ->
+          let a = Outcome.value o in
+          Alcotest.(check bool)
+            "answer bit-identical" true
+            (bits a.Proto.x = bits local.Interval1d.lo
+            && bits a.Proto.value = bits local.Interval1d.value)
+      | _ -> Alcotest.fail "large solve not answered");
+      ok_or_fail "ping after large frame" (Client.ping c);
+      Client.close c);
+  (* The same frame through a bare connection: it bypasses the buffer,
+     which keeps its size, and the frame after it is read as usual. *)
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Netio.Conn.of_fd b in
+  let big =
+    Proto.encode_request ~id:1 (Proto.Solve_interval { len = 10.; points })
+  in
+  let small = Proto.encode_request ~id:2 Proto.Ping in
+  let writer =
+    Thread.create
+      (fun () ->
+        ignore (Netio.send a big : (unit, Netio.error) result);
+        ignore (Netio.send a small : (unit, Netio.error) result))
+      ()
+  in
+  let recv what =
+    match Netio.Conn.recv ~max_frame:(1 lsl 23) conn with
+    | Ok p -> p
+    | Error e -> Alcotest.fail (what ^ ": " ^ Netio.error_to_string e)
+  in
+  Alcotest.(check bool) "large payload intact" true (recv "large" = big);
+  Alcotest.(check bool) "next payload intact" true (recv "small" = small);
+  Thread.join writer;
+  Alcotest.(check int)
+    "buffer stays 16 KiB" 16384
+    (Netio.Conn.buffer_bytes conn);
+  Netio.close_noerr a;
+  Netio.close_noerr b
+
+let test_eof_in_buffered_frame () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let conn = Netio.Conn.of_fd b in
+  let whole = frames [ (1, Proto.Ping) ]
+  and next = frames [ (2, Proto.Ping) ] in
+  (* A whole frame and the start of the next arrive in one read. *)
+  send_raw a (Bytes.cat whole (Bytes.sub next 0 5));
+  Netio.close_noerr a;
+  (match Netio.Conn.recv ~max_frame:4096 conn with
+  | Ok p ->
+      Alcotest.(check bool)
+        "whole frame" true
+        (Proto.decode_request p = Ok (1, Proto.Ping))
+  | Error e -> Alcotest.fail (Netio.error_to_string e));
+  (match Netio.Conn.recv ~max_frame:4096 conn with
+  | Error Netio.Torn -> ()
+  | Error e -> Alcotest.fail ("expected Torn: " ^ Netio.error_to_string e)
+  | Ok _ -> Alcotest.fail "a torn frame was delivered");
+  Netio.close_noerr b
+
+(* With one worker busy on a long solve, reads on another connection
+   are answered on that connection's own thread. They are pipelined in
+   one write: every syscall a thread leaves must win the runtime lock
+   back from the solving worker, which yields it only at the runtime's
+   50 ms tick, so fewer syscalls keep the reads well clear of the
+   solve. *)
+let test_reads_pass_a_long_solve () =
+  with_index_server
+    ~tune:(fun c -> { c with Server.workers = 1 })
+    (fun t addr _c ->
+      let solved_at = ref Float.infinity in
+      let solver =
+        Thread.create
+          (fun () ->
+            let c2 = Client.create addr in
+            ignore
+              (ok_or_fail "solve"
+                 (Client.solve_weighted c2 ~radius:1. (instance 5000)));
+            solved_at := Unix.gettimeofday ();
+            Client.close c2)
+          ()
+      in
+      let t0 = Unix.gettimeofday () in
+      let inflight () = (Server.stats t).Proto.inflight in
+      while inflight () = 0 && Unix.gettimeofday () < t0 +. 10. do
+        Thread.delay 0.001
+      done;
+      Alcotest.(check int) "the solve is in flight" 1 (inflight ());
+      let reads_from = Unix.gettimeofday () in
+      let fd = raw_connect addr in
+      send_raw fd
+        (frames
+           [ (1, Proto.Range_sum { lo = 0.; hi = 1. }); (2, Proto.Query) ]);
+      (match recv_reply "range" fd with
+      | 1, Proto.Range_best { seg = Some (0, 1, s); epoch; _ }
+        when epoch > 0 && bits s = bits 5. ->
+          ()
+      | _ -> Alcotest.fail "wrong range answer");
+      (match recv_reply "query" fd with
+      | 2, Proto.Best (Some (_, _, v)) when bits v = bits 5. -> ()
+      | _ -> Alcotest.fail "wrong query answer");
+      let read_at = Unix.gettimeofday () in
+      Netio.close_noerr fd;
+      Thread.join solver;
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "reads returned before the solve (reads %.3f s, solve done at \
+            %.3f s)"
+           (read_at -. reads_from)
+           (!solved_at -. reads_from))
+        true (read_at < !solved_at))
+
+(* The queue is FIFO and one worker runs it, so a write pipelined ahead
+   of a read on the same connection lands first: the read must not
+   jump the queue while the write is pending. *)
+let test_pipelined_write_then_read () =
+  with_index_server
+    ~tune:(fun c -> { c with Server.workers = 1 })
+    (fun _t addr _c ->
+      let fd = raw_connect addr in
+      send_raw fd
+        (frames
+           [
+             (1, Proto.Insert { x = 0.25; y = 0.; weight = 7. });
+             (2, Proto.Query);
+           ]);
+      (match recv_reply "insert" fd with
+      | 1, Proto.Inserted _ -> ()
+      | _ -> Alcotest.fail "insert not acknowledged first");
+      (match recv_reply "query" fd with
+      | 2, Proto.Best (Some (_, _, v)) when bits v = bits 12. -> ()
+      | 2, Proto.Best _ -> Alcotest.fail "the query missed the pipelined insert"
+      | _ -> Alcotest.fail "query not answered second");
+      Netio.close_noerr fd)
+
+(* Readers never take the session lock: with it held, an indexed
+   [Range_sum] is still answered. *)
+let test_indexed_read_takes_no_session_lock () =
+  with_index_server (fun t _addr c ->
+      Server.with_session_lock t (fun () ->
+          match Client.range_sum c ~lo:neg_infinity ~hi:infinity with
+          | Ok (Some (0, 1, s), epoch, 0) when epoch > 0 && bits s = bits 5.
+            ->
+              ()
+          | Ok _ -> Alcotest.fail "wrong answer under the session lock"
+          | Error e ->
+              Alcotest.fail
+                ("blocked on the session lock: " ^ Client.error_to_string e)))
+
+(* The syscalls of a served read, counted: a closed loop of indexed
+   reads costs the server one wait, one read and one write each. *)
+let test_syscalls_per_read () =
+  with_index_server (fun _t _addr c ->
+      let names =
+        [ "netio.conn.reads"; "netio.conn.waits"; "netio.conn.writes" ]
+      in
+      let values () = List.map (fun n -> Obs.value (Obs.counter n)) names in
+      let n = 1000 in
+      match
+        Obs.with_enabled true (fun () ->
+            let v0 = values () in
+            for i = 1 to n do
+              let lo = Float.of_int (i mod 7) /. 10. in
+              ignore
+                (ok_or_fail "range" (Client.range_sum c ~lo ~hi:(lo +. 1.)))
+            done;
+            List.map2 ( - ) (values ()) v0)
+      with
+      | [ reads; waits; writes ] ->
+          let per k = Float.of_int k /. Float.of_int n in
+          Alcotest.(check bool)
+            (Printf.sprintf "reads per request %.3f <= 1.05" (per reads))
+            true (per reads <= 1.05);
+          Alcotest.(check bool)
+            (Printf.sprintf "waits per request %.3f <= 1.05" (per waits))
+            true (per waits <= 1.05);
+          Alcotest.(check int) "one write per request" n writes
+      | _ -> assert false)
 
 (* ------------------------------------------------------------------ *)
 (* Client retry/backoff *)
@@ -1367,6 +1641,25 @@ let () =
         [
           Alcotest.test_case "drain rejects new work" `Quick
             test_drain_rejects_new_work;
+        ] );
+      ( "conn",
+        [
+          Alcotest.test_case "frames in one write answered in order" `Quick
+            test_frames_in_one_write;
+          Alcotest.test_case "trickled frame is answered" `Quick
+            test_trickled_frame;
+          Alcotest.test_case "frame larger than the buffer" `Quick
+            test_frame_larger_than_buffer;
+          Alcotest.test_case "EOF inside a buffered frame is Torn" `Quick
+            test_eof_in_buffered_frame;
+          Alcotest.test_case "reads pass a long solve" `Quick
+            test_reads_pass_a_long_solve;
+          Alcotest.test_case "pipelined write then read" `Quick
+            test_pipelined_write_then_read;
+          Alcotest.test_case "indexed read takes no session lock" `Quick
+            test_indexed_read_takes_no_session_lock;
+          Alcotest.test_case "syscalls per served read" `Quick
+            test_syscalls_per_read;
         ] );
       ( "client",
         [
