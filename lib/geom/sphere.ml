@@ -7,28 +7,12 @@ let direction rng d =
   in
   draw ()
 
-let sample_on rng ~center ~radius =
-  assert (radius >= 0.);
-  (* Low dimensions get direct parametrizations (this is the hot path of
-     the Technique-1 sampling step); Muller's method covers the rest. *)
-  match Point.dim center with
-  | 1 ->
-      let s = if Rng.bool rng then radius else -.radius in
-      [| center.(0) +. s |]
-  | 2 ->
-      let theta = Rng.float rng (2. *. Float.pi) in
-      [| center.(0) +. (radius *. cos theta); center.(1) +. (radius *. sin theta) |]
-  | d ->
-      let u = direction rng d in
-      Point.add center (Point.scale radius u)
-
-(* Bulk variant of [sample_on] writing row-major into a flat column:
-   sample [si]'s coordinates land at [buf.(pos + si*d + k)]. Draw order
-   and float expressions are exactly [sample_on]'s, applied for
-   ascending [si] — a caller that previously looped [sample_on] sees the
-   same rng stream and the same coordinate bit patterns, minus the
-   per-sample point allocation (the sample space draws a cell's
-   positions straight into its row of the page's position column). *)
+(* Low dimensions get direct parametrizations (this is the hot path of
+   the Technique-1 sampling step); Muller's method covers the rest.
+   Sample [si]'s coordinates land at [buf.(pos + si*d + k)], drawn for
+   ascending [si] with no point allocated per sample: the sample space
+   draws a cell's positions straight into its row of the page's
+   position column. *)
 let fill_on rng ~center ~radius ~pos ~samples:m (buf : floatarray) =
   assert (radius >= 0.);
   let d = Point.dim center in

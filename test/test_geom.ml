@@ -174,16 +174,54 @@ let test_rng_bernoulli () =
 (* ------------------------------------------------------------------ *)
 (* Sphere *)
 
+(* [m] samples drawn in one [fill_on] call, one point per sample. *)
+let sphere_samples rng ~center ~radius m =
+  let d = Point.dim center in
+  let buf = Float.Array.make (m * d) 0. in
+  Sphere.fill_on rng ~center ~radius ~pos:0 ~samples:m buf;
+  Array.init m (fun si ->
+      Array.init d (fun k -> Float.Array.get buf ((si * d) + k)))
+
 let test_sphere_radius () =
   let rng = Rng.create 9 in
   List.iter
     (fun d ->
       let center = Array.init d (fun i -> float_of_int i) in
-      for _ = 1 to 200 do
-        let p = Sphere.sample_on rng ~center ~radius:2.5 in
-        check_floatish "on sphere" 2.5 (Point.dist p center)
-      done)
+      Array.iter
+        (fun p -> check_floatish "on sphere" 2.5 (Point.dist p center))
+        (sphere_samples rng ~center ~radius:2.5 200))
     [ 1; 2; 3; 5; 8 ]
+
+let test_sphere_fill_offset () =
+  (* A block of m samples at [pos] is bit for bit the m one-sample calls
+     at pos, pos + d, ... from the same rng state, leaves the rng in the
+     same state, and writes no slot outside [pos, pos + m*d). *)
+  let bits = Alcotest.(check int64) in
+  List.iter
+    (fun d ->
+      let center = Array.init d (fun i -> 0.5 -. float_of_int i) in
+      let m = 7 and pos = 5 in
+      let len = pos + (m * d) + 4 and sentinel = -1234.5 in
+      let block = Float.Array.make len sentinel
+      and singles = Float.Array.make len sentinel in
+      let rb = Rng.create (40 + d) and rs = Rng.create (40 + d) in
+      Sphere.fill_on rb ~center ~radius:1.5 ~pos ~samples:m block;
+      for si = 0 to m - 1 do
+        Sphere.fill_on rs ~center ~radius:1.5 ~pos:(pos + (si * d)) ~samples:1
+          singles
+      done;
+      for i = 0 to len - 1 do
+        let b = Float.Array.get block i in
+        bits "block = singles" (Int64.bits_of_float (Float.Array.get singles i))
+          (Int64.bits_of_float b);
+        if i < pos || i >= pos + (m * d) then
+          bits "outside untouched" (Int64.bits_of_float sentinel)
+            (Int64.bits_of_float b)
+      done;
+      bits "same rng state after"
+        (Int64.bits_of_float (Rng.float rs 1.))
+        (Int64.bits_of_float (Rng.float rb 1.)))
+    [ 1; 2; 3 ]
 
 let test_sphere_in_ball () =
   let rng = Rng.create 10 in
@@ -200,12 +238,12 @@ let test_sphere_mean_near_center () =
   let d = 3 and n = 5000 in
   let center = Point.of_list [ 10.; 20.; 30. ] in
   let acc = Point.zero d in
-  for _ = 1 to n do
-    let p = Sphere.sample_on rng ~center ~radius:1. in
-    for i = 0 to d - 1 do
-      acc.(i) <- acc.(i) +. p.(i)
-    done
-  done;
+  Array.iter
+    (fun p ->
+      for i = 0 to d - 1 do
+        acc.(i) <- acc.(i) +. p.(i)
+      done)
+    (sphere_samples rng ~center ~radius:1. n);
   let mean = Point.scale (1. /. float_of_int n) acc in
   Alcotest.(check bool) "mean close to center" true
     (Point.dist mean center < 0.05)
@@ -590,6 +628,8 @@ let () =
       ( "sphere",
         [
           Alcotest.test_case "samples lie on sphere" `Quick test_sphere_radius;
+          Alcotest.test_case "fill_on at an offset = one-sample calls" `Quick
+            test_sphere_fill_offset;
           Alcotest.test_case "ball samples inside" `Quick test_sphere_in_ball;
           Alcotest.test_case "mean near center" `Quick
             test_sphere_mean_near_center;
