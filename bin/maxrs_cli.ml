@@ -39,7 +39,6 @@ module Boxd = Maxrs_sweep.Boxd
 module Rect2d = Maxrs_sweep.Rect2d
 module Colored_rect2d = Maxrs_sweep.Colored_rect2d
 module Approx_colored_rect = Maxrs.Approx_colored_rect
-module Batched2d = Maxrs_sweep.Batched2d
 module Obs = Maxrs_obs.Obs
 module Session = Maxrs_durable.Session
 module Wal = Maxrs_durable.Wal
@@ -780,7 +779,9 @@ let batched_disks input radii unweighted =
       let pts = load_weighted input ~unweighted in
       let pts3 = Array.map (fun (p, w) -> (p.(0), p.(1), w)) pts in
       let radii = Array.of_list radii in
-      let results = Batched2d.disks ~radii pts3 in
+      let results =
+        Array.map (fun radius -> Disk2d.max_weight ~radius pts3) radii
+      in
       Array.iteri
         (fun i r ->
           Printf.printf "r=%g: weight %g at (%g, %g)\n" radii.(i)

@@ -1,7 +1,7 @@
 (* Tests for the extension modules: kd-tree substrate, exact d-box MaxRS,
    colored 1-D stabbing / colored rectangle MaxRS (the paper's open
-   problem #1 pipeline), batched 2-D drivers, verification helpers,
-   point-file IO, and the boundary rule's degenerate inputs. *)
+   problem #1 pipeline), verification helpers, point-file IO, and the
+   boundary rule's degenerate inputs. *)
 
 module Point = Maxrs_geom.Point
 module Rng = Maxrs_geom.Rng
@@ -15,7 +15,6 @@ module Rect2d = Maxrs_sweep.Rect2d
 module Boxd = Maxrs_sweep.Boxd
 module Colored_interval1d = Maxrs_sweep.Colored_interval1d
 module Colored_rect2d = Maxrs_sweep.Colored_rect2d
-module Batched2d = Maxrs_sweep.Batched2d
 module Disk2d = Maxrs_sweep.Disk2d
 module Brute = Maxrs_sweep.Brute
 module Approx_colored_rect = Maxrs.Approx_colored_rect
@@ -308,51 +307,6 @@ let prop_colored_rect_point_achieves =
       Colored_rect2d.colored_depth_at ~width:1. ~height:1. centers ~colors
         r.Colored_rect2d.x r.Colored_rect2d.y
       = r.Colored_rect2d.value)
-
-(* ------------------------------------------------------------------ *)
-(* Batched2d *)
-
-let test_batched_rects_match_single () =
-  let rng = Rng.create 17 in
-  let pts =
-    Array.init 40 (fun _ ->
-        (Rng.uniform rng 0. 8., Rng.uniform rng 0. 8., Rng.uniform rng 0. 2.))
-  in
-  let sizes = [| (1., 1.); (2., 0.5); (3., 3.) |] in
-  let batch = Batched2d.rects ~sizes pts in
-  Array.iteri
-    (fun i (w, h) ->
-      let single = Rect2d.max_sum ~width:w ~height:h pts in
-      check_float "batch = single" single.Rect2d.value
-        batch.(i).Rect2d.value)
-    sizes
-
-let test_batched_disks_match_single () =
-  let rng = Rng.create 19 in
-  let pts =
-    Array.init 30 (fun _ ->
-        (Rng.uniform rng 0. 6., Rng.uniform rng 0. 6., Rng.uniform rng 0. 2.))
-  in
-  let radii = [| 0.5; 1.; 2. |] in
-  let batch = Batched2d.disks ~radii pts in
-  Array.iteri
-    (fun i r ->
-      let single = Disk2d.max_weight ~radius:r pts in
-      check_float "batch = single" single.Disk2d.value batch.(i).Disk2d.value)
-    radii
-
-let test_batched_disks_monotone_in_radius () =
-  let rng = Rng.create 23 in
-  let pts =
-    Array.init 30 (fun _ ->
-        (Rng.uniform rng 0. 6., Rng.uniform rng 0. 6., 1.))
-  in
-  let radii = [| 0.25; 0.5; 1.; 2.; 4.; 8. |] in
-  let batch = Batched2d.disks ~radii pts in
-  for i = 1 to Array.length radii - 1 do
-    Alcotest.(check bool) "larger radius covers no less" true
-      (batch.(i).Disk2d.value >= batch.(i - 1).Disk2d.value -. 1e-9)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Approx_colored_rect (open problem #1 pipeline) *)
@@ -1351,15 +1305,6 @@ let () =
         ] );
       ( "colored-rect",
         [ Alcotest.test_case "basic" `Quick test_colored_rect_basic ] );
-      ( "batched-2d",
-        [
-          Alcotest.test_case "rect batch = singles" `Quick
-            test_batched_rects_match_single;
-          Alcotest.test_case "disk batch = singles" `Quick
-            test_batched_disks_match_single;
-          Alcotest.test_case "monotone in radius" `Quick
-            test_batched_disks_monotone_in_radius;
-        ] );
       ( "approx-colored-rect",
         [
           Alcotest.test_case "estimate within [opt/4, opt]" `Quick

@@ -371,6 +371,19 @@ let test_disk2d_tangent_closed () =
   check_float "reversed" 3.
     (Disk2d.max_weight ~radius:1. (reversed pts)).Disk2d.value
 
+let test_disk2d_monotone_in_radius () =
+  let rng = Rng.create 23 in
+  let pts =
+    Array.init 30 (fun _ ->
+        (Rng.uniform rng 0. 6., Rng.uniform rng 0. 6., 1.))
+  in
+  let best radius = (Disk2d.max_weight ~radius pts).Disk2d.value in
+  let radii = [| 0.25; 0.5; 1.; 2.; 4.; 8. |] in
+  for i = 1 to Array.length radii - 1 do
+    Alcotest.(check bool) "larger radius covers no less" true
+      (best radii.(i) >= best radii.(i - 1) -. 1e-9)
+  done
+
 let prop_disk2d_vs_brute =
   QCheck.Test.make ~count:150 ~name:"disk sweep matches candidate brute force"
     QCheck.(
@@ -656,6 +669,8 @@ let () =
           Alcotest.test_case "single disk" `Quick test_disk2d_single;
           Alcotest.test_case "tangent disks are closed" `Quick
             test_disk2d_tangent_closed;
+          Alcotest.test_case "monotone in radius" `Quick
+            test_disk2d_monotone_in_radius;
         ] );
       ( "colored-disk2d",
         [
