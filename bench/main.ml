@@ -1506,8 +1506,8 @@ let e14 () =
     | None -> max_int
   in
   let reps = 3 in
-  (* Best-of-[reps] wall clock; minimum minor-words delta (the minimum
-     shrugs off a first call's one-time scratch growth). A major
+  (* Best-of-[reps] wall clock; minimum minor-words delta (allocation is
+     deterministic, the minimum shrugs off stray GC motion). A major
      collection up front keeps the previous row's garbage off this
      row's clock. *)
   let measure f =
