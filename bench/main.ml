@@ -1472,12 +1472,13 @@ let e13 () =
 
 (* ------------------------------------------------------------------ *)
 (* E14 — the flat-memory kernels on the Theorem 1.2 static solver, the
-   Theorem 1.3 batched 1-D queries and the exact disk sweep, at domains
-   = 1 (--domains does not apply). Each row reports the best-of-3 wall
-   clock and the smallest minor-words delta after a full major
-   collection. Minor words repeat exactly for a given binary and input,
-   so CI gates them at 1.15x the checked-in row with the same
-   (workload, n, m); wall clock is reported, never gated. Every answer
+   Theorem 1.3 batched 1-D queries, the exact disk sweep and Theorem
+   4.6's exact colored solver, at domains = 1 (--domains does not
+   apply). Each row reports the best-of-3 wall clock and the smallest
+   minor-words delta after a full major collection. Minor words repeat
+   exactly for a given binary and input, so CI gates them at 1.15x the
+   checked-in row with the same (workload, n, m); wall clock is
+   reported, never gated. Every answer
    is rescored in O(n) against its own input; exact agreement with
    reference solvers is the test suite's job. Results go to
    BENCH_kernels.json. MAXRS_E14_MAX_N caps the ladders (CI). *)
@@ -1637,6 +1638,34 @@ let e14 () =
         record ~workload:"disk2d_e2" ~n ~m:0 ~ok (t, a)
       end)
     [ 500; 1000; 2000 ];
+  (* Theorem 4.6's exact colored solver on E6(b)'s fixed-density input:
+     6 of the 36 shifts, so the per-cell kernel dominates. *)
+  List.iter
+    (fun n ->
+      if n <= max_n then begin
+        let rng = Rng.create (23 * n) in
+        let extent = 1.5 *. sqrt (float_of_int n) in
+        let pts =
+          Array.init n (fun _ ->
+              (Rng.uniform rng 0. extent, Rng.uniform rng 0. extent))
+        in
+        let colors = Array.init n (fun i -> i mod 500) in
+        let r, t, a =
+          measure (fun () ->
+              Outcome.value
+                (Output_sensitive.solve_unchecked ~domains:1 ~max_shifts:6 pts
+                   ~colors))
+        in
+        let ok =
+          Verify.check_colored_achieved
+            (Array.map (fun (x, y) -> [| x; y |]) pts)
+            ~colors
+            [| r.Output_sensitive.x; r.Output_sensitive.y |]
+            r.Output_sensitive.depth
+        in
+        record ~workload:"os_colored_e6" ~n ~m:0 ~ok (t, a)
+      end)
+    [ 1000; 2000; 4000 ];
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{\n  \"experiment\": \"E14\",\n  \"rows\": [\n";
   List.iteri

@@ -47,7 +47,7 @@ type grid_result = {
 
 exception Out_of_time
 
-let solve_grid ~budget pts colors grid =
+let solve_grid ~budget pts colors dense grid =
   let n = Array.length pts in
   let empty =
     {
@@ -87,8 +87,14 @@ let solve_grid ~budget pts colors grid =
               Grid.Tbl.add buckets (Array.copy key) b
         done)
       pts;
-    let trim = Kern.Ibuf.create 64 in
-    let acc = ref empty in
+    (* This grid's best so far: depth, witness (x, y) and tallies, kept
+       in mutable slots so a cell adds nothing to the heap. *)
+    Colored_depth.Cell.with_scratch @@ fun cell ->
+    let depth = ref 0 and cells = ref 0 and disks = ref 0 and events = ref 0 in
+    let best = Float.Array.create 2 in
+    Float.Array.set best 0 empty.g_x;
+    Float.Array.set best 1 empty.g_y;
+    let expired = ref false in
     (* The per-cell sweeps dominate; poll the budget between cells and
        abandon the rest of this grid's cells on expiry (one cell of
        overshoot at most). *)
@@ -100,58 +106,46 @@ let solve_grid ~budget pts colors grid =
               The corner coordinates replicate [Grid.cell_box]
               ([origin + k*side], [+ side]); membership is a disjunction
               over the four corners, so testing them inline in any order
-              equals the old [List.exists] over [Box.corners]. *)
+              equals the old [List.exists] over [Box.corners]. The
+              survivors go straight into the kernel's scratch. *)
            let lox = grid.Grid.origin.(0) +. (float_of_int key.(0) *. grid.Grid.side) in
            let loy = grid.Grid.origin.(1) +. (float_of_int key.(1) *. grid.Grid.side) in
            let hix = lox +. grid.Grid.side and hiy = loy +. grid.Grid.side in
-           Kern.Ibuf.clear trim;
-           let m = Kern.Ibuf.length idxs in
-           for s = m - 1 downto 0 do
+           Colored_depth.Cell.clear cell;
+           for s = Kern.Ibuf.length idxs - 1 downto 0 do
              let i = Kern.Ibuf.get idxs s in
              let x, y = Array.unsafe_get pts i in
              let hit cx cy =
                (((cx -. x) ** 2.) +. ((cy -. y) ** 2.)) <= Closed.unit_r2
              in
              if hit lox loy || hit lox hiy || hit hix loy || hit hix hiy then
-               Kern.Ibuf.push trim i
+               Colored_depth.Cell.push cell x y ~color:dense.(i)
+                 ~raw:colors.(i)
            done;
-           let nt = Kern.Ibuf.length trim in
+           let nt = Colored_depth.Cell.length cell in
            if nt > 0 then begin
-             let sub_centers =
-               Array.init nt (fun j -> pts.(Kern.Ibuf.get trim j))
-             in
-             let sub_colors =
-               Array.init nt (fun j -> colors.(Kern.Ibuf.get trim j))
-             in
-             let r =
-               Colored_depth.max_colored_depth ~radius:1. sub_centers
-                 ~colors:sub_colors
-             in
-             let a = !acc in
-             acc :=
-               {
-                 g_depth =
-                   (if r.Colored_depth.depth > a.g_depth then
-                      r.Colored_depth.depth
-                    else a.g_depth);
-                 g_x =
-                   (if r.Colored_depth.depth > a.g_depth then
-                      r.Colored_depth.x
-                    else a.g_x);
-                 g_y =
-                   (if r.Colored_depth.depth > a.g_depth then
-                      r.Colored_depth.y
-                    else a.g_y);
-                 g_cells = a.g_cells + 1;
-                 g_disks = a.g_disks + nt;
-                 g_events =
-                   a.g_events + r.Colored_depth.stats.Colored_depth.events;
-                 g_expired = a.g_expired;
-               }
+             let d = Colored_depth.Cell.solve cell ~radius:1. in
+             if d > !depth then begin
+               depth := d;
+               let w = Colored_depth.Cell.witness cell in
+               Float.Array.set best 0 (Float.Array.get w 0);
+               Float.Array.set best 1 (Float.Array.get w 1)
+             end;
+             incr cells;
+             disks := !disks + nt;
+             events := !events + Colored_depth.Cell.events cell
            end)
          buckets
-     with Out_of_time -> acc := { !acc with g_expired = true });
-    !acc
+     with Out_of_time -> expired := true);
+    {
+      g_depth = !depth;
+      g_x = Float.Array.get best 0;
+      g_y = Float.Array.get best 1;
+      g_cells = !cells;
+      g_disks = !disks;
+      g_events = !events;
+      g_expired = !expired;
+    }
   end
 
 let solve_unchecked ?(radius = 1.) ?max_shifts ?(seed = 0x4f53) ?domains
@@ -167,10 +161,11 @@ let solve_unchecked ?(radius = 1.) ?max_shifts ?(seed = 0x4f53) ?domains
           ~delta:0.25 ()
   in
   let garr = grids.Shifted_grids.grids in
+  let dense = Colored_depth.dense_colors colors in
   let merged =
     Parallel.with_pool ~domains:(Parallel.resolve domains) (fun pool ->
         Parallel.map_reduce pool ~n:(Array.length garr)
-          ~map:(fun gi -> solve_grid ~budget pts colors garr.(gi))
+          ~map:(fun gi -> solve_grid ~budget pts colors dense garr.(gi))
           ~reduce:(fun a g ->
             {
               g_depth = (if g.g_depth > a.g_depth then g.g_depth else a.g_depth);

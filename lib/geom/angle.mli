@@ -44,3 +44,16 @@ val complement : ivl list -> ivl list
 val covers_circle : ivl list -> bool
 (** Whether the union of the spans misses the full turn by at most the
     angular slack. *)
+
+(** {2 On caller-owned columns}
+
+    The piece merge behind {!total_length} and {!complement}, for sweeps
+    that keep their spans in flat scratch. It allocates nothing. *)
+
+val complement_into : Fvec.t -> Fvec.t -> int -> Fvec.t -> Fvec.t -> int
+(** [complement_into s l n a b] is {!complement} of the [n] spans
+    [{start = s.(i); len = l.(i)}]: it writes the uncovered spans' starts
+    to [a] and lengths to [b], in {!complement}'s order, and returns
+    their count. Every span it writes is longer than the angular slack.
+    [a] and [b] must have [max 1 (2 * n)] slots; [s] and [l] are only
+    read. *)

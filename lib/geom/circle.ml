@@ -13,16 +13,27 @@ let cov_disjoint = 0
 let cov_covered = 1
 let cov_arc = 2
 
-let coverage_into c ~cx ~cy ~r out =
-  let dx = cx -. c.cx and dy = cy -. c.cy in
+(* [Angle.norm], same float operations. A local copy so that the sweeps'
+   per-pair test passes no float across a module boundary: without
+   cross-module inlining each such call boxes its argument and its
+   result. *)
+let[@inline] norm a =
+  let r = Float.rem a Angle.two_pi in
+  if r < 0. then r +. Angle.two_pi else r
+
+(* The one coverage test: how the closed disk of radius [r] centered at
+   (cx, cy) covers the circle of radius [cr] centered at (ccx, ccy).
+   Inlined into both entries, so neither boxes a float. *)
+let[@inline] classify ~ccx ~ccy ~cr ~cx ~cy ~r out =
+  let dx = cx -. ccx and dy = cy -. ccy in
   let dd = sqrt ((dx *. dx) +. (dy *. dy)) in
   (* The [Closed] rule: the disk reaches [r + eps], read inline since
      this runs once per disk pair of the quadratic sweeps. Tangency
      within [eps] is touching: the arc branch, computed at the nominal
      radius, clamps it to a zero-length span towards the disk. *)
   let reach = r +. Closed.eps in
-  if dd +. c.r <= reach then cov_covered
-  else if dd > reach +. c.r || dd +. reach < c.r then cov_disjoint
+  if dd +. cr <= reach then cov_covered
+  else if dd > reach +. cr || dd +. reach < cr then cov_disjoint
   else if dd < 1e-15 then (* concentric, neither contained: numeric guard *)
     cov_disjoint
   else begin
@@ -30,20 +41,30 @@ let coverage_into c ~cx ~cy ~r out =
        crossing): the covered span is centered on the direction towards the
        disk center with half-angle phi. Start/length are computed with
        exactly the float operations of [Angle.ivl (theta -. phi)
-       (theta +. phi)], so the two entries stay bit-identical. *)
-    let cos_phi = ((dd *. dd) +. (c.r *. c.r) -. (r *. r)) /. (2. *. dd *. c.r) in
-    let cos_phi = Float.max (-1.) (Float.min 1. cos_phi) in
+       (theta +. phi)], so the two entries stay bit-identical. The clamp
+       to [-1, 1] is [Float.max (-1.) (Float.min 1. _)] written out (same
+       result, NaN included). *)
+    let cos_phi = ((dd *. dd) +. (cr *. cr) -. (r *. r)) /. (2. *. dd *. cr) in
+    let cos_phi =
+      if cos_phi > 1. then 1. else if cos_phi < -1. then -1. else cos_phi
+    in
     let phi = acos cos_phi in
     let theta = atan2 dy dx in
-    let start = Angle.norm (theta -. phi) in
+    let start = norm (theta -. phi) in
+    let len = norm (theta +. phi -. start) in
     Float.Array.set out 0 start;
-    Float.Array.set out 1 (Angle.norm (theta +. phi -. start));
+    Float.Array.set out 1 len;
+    Float.Array.set out 2 (norm (start +. len));
     cov_arc
   end
 
+let coverage_into xs ys ~r i j out =
+  classify ~ccx:(Fvec.get xs i) ~ccy:(Fvec.get ys i) ~cr:r ~cx:(Fvec.get xs j)
+    ~cy:(Fvec.get ys j) ~r out
+
 let coverage_by_disk c ~cx ~cy ~r =
-  let out = Float.Array.create 2 in
-  let code = coverage_into c ~cx ~cy ~r out in
+  let out = Float.Array.create 3 in
+  let code = classify ~ccx:c.cx ~ccy:c.cy ~cr:c.r ~cx ~cy ~r out in
   if code = cov_covered then Covered
   else if code = cov_disjoint then Disjoint
   else

@@ -70,8 +70,8 @@ let int t bound =
    written out inline (not [bits64]) so no boxed int64 crosses a call
    boundary: every intermediate is consumed by an int64 primitive and
    stays in registers, leaving the boxed float return as the only
-   allocation of a draw. *)
-let unit_float t =
+   allocation of a draw; inlined, as in [fill_float], not even that. *)
+let[@inline] unit_float t =
   let s = Int64.add (st_get t 0) golden in
   st_set t 0 s;
   let z =
@@ -88,6 +88,14 @@ let unit_float t =
   Int64.to_float (Int64.shift_right_logical z 11) /. 9007199254740992.
 
 let float t bound = unit_float t *. bound
+
+let fill_float t bound buf ~pos ~stride ~count =
+  assert (count >= 0 && stride >= 1 && pos >= 0);
+  assert (count = 0 || pos + ((count - 1) * stride) < Float.Array.length buf);
+  for k = 0 to count - 1 do
+    Float.Array.unsafe_set buf (pos + (k * stride)) (unit_float t *. bound)
+  done
+
 let uniform t lo hi = lo +. (unit_float t *. (hi -. lo))
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t p = unit_float t < p

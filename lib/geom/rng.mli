@@ -38,6 +38,13 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val fill_float :
+  t -> float -> floatarray -> pos:int -> stride:int -> count:int -> unit
+(** [fill_float t bound buf ~pos ~stride ~count] writes [count] successive
+    draws of [float t bound] to [buf.(pos)], [buf.(pos + stride)], ...:
+    the same stream and the same bits as [count] calls, with no float
+    boxed per draw. The slots must lie inside [buf]. *)
+
 val uniform : t -> float -> float -> float
 (** [uniform t lo hi] is uniform in [\[lo, hi)]. *)
 

@@ -25,15 +25,16 @@ let fill_on rng ~center ~radius ~pos ~samples:m (buf : floatarray) =
         Float.Array.unsafe_set buf (pos + si) (c0 +. s)
       done
   | 2 ->
+      (* The m angles are drawn into the x slots in one call, then
+         replaced by the point in place: the same draws in the same
+         order as one [Rng.float] per sample, with no float boxed. *)
       let c0 = center.(0) and c1 = center.(1) in
+      Rng.fill_float rng Angle.two_pi buf ~pos ~stride:2 ~count:m;
       for si = 0 to m - 1 do
-        let theta = Rng.float rng (2. *. Float.pi) in
-        Float.Array.unsafe_set buf
-          (pos + (2 * si))
-          (c0 +. (radius *. cos theta));
-        Float.Array.unsafe_set buf
-          (pos + (2 * si) + 1)
-          (c1 +. (radius *. sin theta))
+        let p = pos + (2 * si) in
+        let theta = Float.Array.unsafe_get buf p in
+        Float.Array.unsafe_set buf p (c0 +. (radius *. cos theta));
+        Float.Array.unsafe_set buf (p + 1) (c1 +. (radius *. sin theta))
       done
   | d ->
       for si = 0 to m - 1 do

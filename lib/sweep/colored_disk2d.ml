@@ -1,6 +1,5 @@
 module Circle = Maxrs_geom.Circle
 module Closed = Maxrs_geom.Closed
-module Angle = Maxrs_geom.Angle
 module Kern = Maxrs_geom.Kern
 module Pstore = Maxrs_geom.Pstore
 module Fvec = Maxrs_geom.Fvec
@@ -84,14 +83,12 @@ let scratch_key =
         add_c = Kern.Ibuf.create 256;
         rem_a = Kern.Fbuf.create 256;
         rem_c = Kern.Ibuf.create 256;
-        cov = Float.Array.create 2;
+        cov = Float.Array.create 3;
         counter = Color_counter.create ();
       })
 
 let sweep_circle_cols ~radius xs ys colors n i =
   let sc = Domain.DLS.get scratch_key in
-  let xi = Fvec.get xs i and yi = Fvec.get ys i in
-  let c = Circle.make ~cx:xi ~cy:yi ~r:radius in
   let counter = sc.counter in
   Color_counter.reset counter;
   Color_counter.add counter colors.(i);
@@ -101,17 +98,13 @@ let sweep_circle_cols ~radius xs ys colors n i =
   Kern.Ibuf.clear sc.rem_c;
   for j = 0 to n - 1 do
     if j <> i then begin
-      let code =
-        Circle.coverage_into c ~cx:(Fvec.unsafe_get xs j)
-          ~cy:(Fvec.unsafe_get ys j) ~r:radius sc.cov
-      in
+      let code = Circle.coverage_into xs ys ~r:radius i j sc.cov in
       if code = Circle.cov_covered then
         Color_counter.add counter (Array.unsafe_get colors j)
       else if code = Circle.cov_arc then begin
         let start = Float.Array.get sc.cov 0
-        and len = Float.Array.get sc.cov 1 in
+        and stop = Float.Array.get sc.cov 2 in
         let col = Array.unsafe_get colors j in
-        let stop = Angle.norm (start +. len) in
         Kern.Fbuf.push sc.add_a start;
         Kern.Ibuf.push sc.add_c col;
         Kern.Fbuf.push sc.rem_a stop;

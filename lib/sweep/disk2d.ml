@@ -1,6 +1,5 @@
 module Circle = Maxrs_geom.Circle
 module Closed = Maxrs_geom.Closed
-module Angle = Maxrs_geom.Angle
 module Kern = Maxrs_geom.Kern
 module Pstore = Maxrs_geom.Pstore
 module Fvec = Maxrs_geom.Fvec
@@ -54,7 +53,7 @@ type scratch = {
   add_w : Kern.Fbuf.t;  (** addition weights (>= 0) *)
   rem_a : Kern.Fbuf.t;  (** removal angles *)
   rem_w : Kern.Fbuf.t;  (** removal weights (negated, <= 0) *)
-  cov : floatarray;  (** 2-slot [Circle.coverage_into] out-buffer *)
+  cov : floatarray;  (** [Circle.coverage_into] out-buffer *)
 }
 
 let scratch_key =
@@ -64,7 +63,7 @@ let scratch_key =
         add_w = Kern.Fbuf.create 256;
         rem_a = Kern.Fbuf.create 256;
         rem_w = Kern.Fbuf.create 256;
-        cov = Float.Array.create 2;
+        cov = Float.Array.create 3;
       })
 
 (* Sweep the boundary circle of disk [i]. Ties are resolved by
@@ -72,8 +71,6 @@ let scratch_key =
    covered. Returns (best angle, best depth). *)
 let sweep_circle_cols ~radius xs ys ws n i =
   let sc = Domain.DLS.get scratch_key in
-  let xi = Fvec.get xs i and yi = Fvec.get ys i in
-  let c = Circle.make ~cx:xi ~cy:yi ~r:radius in
   let base = ref (Fvec.get ws i) in
   Kern.Fbuf.clear sc.add_a;
   Kern.Fbuf.clear sc.add_w;
@@ -82,15 +79,11 @@ let sweep_circle_cols ~radius xs ys ws n i =
   for j = 0 to n - 1 do
     if j <> i then begin
       let wj = Fvec.unsafe_get ws j in
-      let code =
-        Circle.coverage_into c ~cx:(Fvec.unsafe_get xs j)
-          ~cy:(Fvec.unsafe_get ys j) ~r:radius sc.cov
-      in
+      let code = Circle.coverage_into xs ys ~r:radius i j sc.cov in
       if code = Circle.cov_covered then base := !base +. wj
       else if code = Circle.cov_arc then begin
         let start = Float.Array.get sc.cov 0
-        and len = Float.Array.get sc.cov 1 in
-        let stop = Angle.norm (start +. len) in
+        and stop = Float.Array.get sc.cov 2 in
         Kern.Fbuf.push sc.add_a start;
         Kern.Fbuf.push sc.add_w wj;
         Kern.Fbuf.push sc.rem_a stop;

@@ -24,4 +24,44 @@ type result = { x : float; y : float; depth : int; stats : stats }
 
 val max_colored_depth :
   radius:float -> (float * float) array -> colors:int array -> result
-(** Exact maximum colored depth. Requires a non-empty input. *)
+(** Exact maximum colored depth. Requires a non-empty input. Runs the
+    {!Cell} kernel. *)
+
+val dense_colors : int array -> int array
+(** Dense ids [0 .. k - 1] for the colors, numbered by first
+    occurrence. *)
+
+(** The per-cell kernel behind {!max_colored_depth}, on per-domain flat
+    scratch: load a cell with {!Cell.push}, then {!Cell.solve} it. Once
+    the scratch has grown to the cell, a solve allocates 0 words, and
+    so do pushes of floats that are already boxed. *)
+module Cell : sig
+  type t
+
+  val with_scratch : (t -> 'a) -> 'a
+  (** [with_scratch f] lends [f] this domain's scratch, or fresh scratch
+      while another solve on this domain (another thread) holds it. The
+      scratch must not escape [f]. *)
+
+  val clear : t -> unit
+  val length : t -> int
+
+  val push : t -> float -> float -> color:int -> raw:int -> unit
+  (** Append a disk at (x, y). [color] is its dense id (see
+      {!dense_colors}), [raw] the caller's color it stands for: the
+      visit order, which picks the witness among equally deep circles,
+      hashes raw colors. Raises [Invalid_argument] on a negative dense
+      id. *)
+
+  val solve : t -> radius:float -> int
+  (** The maximum colored depth over the loaded disks of the given
+      radius, [min_int] if no disk contributes a union arc. Leaves the
+      disks loaded. *)
+
+  val witness : t -> floatarray
+  (** After {!solve}: slots 0 and 1 hold the witness (x, y), (0, 0)
+      when no disk contributes. *)
+
+  val events : t -> int
+  (** After {!solve}: the sweep events it processed. *)
+end

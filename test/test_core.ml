@@ -514,6 +514,106 @@ let test_output_sensitive_stats () =
   Alcotest.(check bool) "cells processed" true
     (r.Output_sensitive.stats.Output_sensitive.cells_processed > 0)
 
+(* Answers of the per-cell kernel pinned bit for bit: witness (x, y) as
+   hex floats, depth, sweep events, cells and trimmed disks, at 1 and at
+   4 domains (each pool domain sweeps on its own scratch). Between them
+   the inputs hold exact duplicates, negative colors, cells of more than
+   16 disks and a cell of 47 colors, so the visit order's class table
+   (16 buckets, doubled past 32 colors) and disk table (the power of two
+   >= max 16 n) both take more than their first size. *)
+let os_pinned_inputs =
+  [
+    ( "30 points in [0,10]^2, 10 colors",
+      fun () ->
+        let rng = Rng.create 11 in
+        let pts =
+          Array.init 30 (fun _ ->
+              (Rng.uniform rng 0. 10., Rng.uniform rng 0. 10.))
+        in
+        (pts, Array.init 30 (fun _ -> Rng.int rng 10)) );
+    ( "48 disks in one 0.4 square, 48 colors, duplicates",
+      fun () ->
+        let rng = Rng.create 12 in
+        let pts =
+          Array.init 48 (fun _ ->
+              (Rng.uniform rng 2. 2.4, Rng.uniform rng 3. 3.4))
+        in
+        let colors = Array.init 48 (fun i -> i - 20) in
+        pts.(47) <- pts.(3);
+        pts.(46) <- pts.(3);
+        pts.(44) <- pts.(5);
+        colors.(44) <- colors.(5);
+        (pts, colors) );
+    ( "60 disks on a 0.5 lattice, colors -3..3",
+      fun () ->
+        let rng = Rng.create 13 in
+        let snap v = Float.round (v *. 2.) /. 2. in
+        let pts =
+          Array.init 60 (fun _ ->
+              (snap (Rng.uniform rng 0. 3.), snap (Rng.uniform rng 0. 3.)))
+        in
+        (pts, Array.init 60 (fun _ -> Rng.int rng 7 - 3)) );
+  ]
+
+let os_pins =
+  [
+    ("0x1.1a33446e2485p+3", "0x1.b5611aa9e26f5p+2", 4, 24028, 3896, 8614);
+    ("0x1.0096030e0829ap+1", "0x1.3480a9c2ae2c7p+1", 47, 1170238, 360, 13834);
+    ("0x1.34a9fea74be3ap+1", "0x1.d2a7fa9d2f8e9p-1", 7, 560904, 1175, 16850);
+  ]
+
+let test_output_sensitive_pinned () =
+  List.iter2
+    (fun (name, gen) (x, y, depth, events, cells, disks) ->
+      let pts, colors = gen () in
+      List.iter
+        (fun domains ->
+          let r = Output_sensitive.solve ~domains pts ~colors in
+          let st = r.Output_sensitive.stats in
+          let msg what =
+            Printf.sprintf "%s, %d domains: %s" name domains what
+          in
+          let hex v = Printf.sprintf "%h" v in
+          Alcotest.(check string) (msg "x") x (hex r.Output_sensitive.x);
+          Alcotest.(check string) (msg "y") y (hex r.Output_sensitive.y);
+          Alcotest.(check int) (msg "depth") depth r.Output_sensitive.depth;
+          Alcotest.(check int) (msg "sweep events") events
+            st.Output_sensitive.sweep_events;
+          Alcotest.(check int) (msg "cells") cells
+            st.Output_sensitive.cells_processed;
+          Alcotest.(check int) (msg "trimmed disks") disks
+            st.Output_sensitive.disks_after_trim)
+        [ 1; 4 ])
+    os_pinned_inputs os_pins
+
+(* Two same-color disks whose centers lie 1e-10 apart (within
+   [Closed.eps], not equal) cover each other's circles. Only an earlier
+   disk may bury a later one, so each color keeps a boundary and the
+   pairs 1.5 apart meet at depth 2, as the naive sweep finds. *)
+let test_output_sensitive_near_pairs () =
+  let pts = [| (0., 0.); (1e-10, 0.); (1.5, 0.); (1.5 +. 1e-10, 0.) |] in
+  let colors = [| 0; 0; 1; 1 |] in
+  let naive = Colored_disk2d.max_colored ~radius:1. pts ~colors in
+  Alcotest.(check int) "naive sweep" 2 naive.Colored_disk2d.value;
+  Alcotest.(check int) "output-sensitive" 2
+    (Output_sensitive.solve pts ~colors).Output_sensitive.depth
+
+(* A solve_mix-shaped solve (30 points in [0, 10]^2, 10 colors, faithful
+   grids): the per-cell kernel allocates nothing, so what remains per
+   cell is the grid bucketing, well under 150 minor words. *)
+let test_output_sensitive_words_per_cell () =
+  let pts, colors = (snd (List.hd os_pinned_inputs)) () in
+  let solve () = Output_sensitive.solve_unchecked ~domains:1 pts ~colors in
+  ignore (solve ());
+  let w0 = Gc.minor_words () in
+  let r = Maxrs_resilience.Outcome.value (solve ()) in
+  let words = Gc.minor_words () -. w0 in
+  let cells = r.Output_sensitive.stats.Output_sensitive.cells_processed in
+  let per_cell = words /. float_of_int cells in
+  if per_cell > 150. then
+    Alcotest.failf "%.1f minor words per cell (%d cells), over 150" per_cell
+      cells
+
 (* ------------------------------------------------------------------ *)
 (* (1 - eps) colored (Theorem 1.6) *)
 
@@ -730,6 +830,12 @@ let () =
           Alcotest.test_case "planted" `Quick test_output_sensitive_planted;
           Alcotest.test_case "radius scaling" `Quick test_output_sensitive_radius;
           Alcotest.test_case "stats" `Quick test_output_sensitive_stats;
+          Alcotest.test_case "pinned kernel answers" `Quick
+            test_output_sensitive_pinned;
+          Alcotest.test_case "same-color pairs 1e-10 apart" `Quick
+            test_output_sensitive_near_pairs;
+          Alcotest.test_case "minor words per cell" `Quick
+            test_output_sensitive_words_per_cell;
         ] );
       ( "approx-colored",
         [

@@ -9,6 +9,7 @@ module Grid = Maxrs_geom.Grid
 module Shifted_grids = Maxrs_geom.Shifted_grids
 module Angle = Maxrs_geom.Angle
 module Circle = Maxrs_geom.Circle
+module Fvec = Maxrs_geom.Fvec
 
 let check_float = Alcotest.(check (float 1e-9))
 let check_floatish = Alcotest.(check (float 1e-6))
@@ -222,6 +223,46 @@ let test_sphere_fill_offset () =
         (Int64.bits_of_float (Rng.float rs 1.))
         (Int64.bits_of_float (Rng.float rb 1.)))
     [ 1; 2; 3 ]
+
+(* Known answer: the first draws of seed 2024 on the unit circle, bit
+   for bit. The angles come from the splitmix64 stream; cos and sin come
+   from the host's libm, so a host whose libm rounds differently fails
+   here rather than in a snapshot's position check. *)
+let test_sphere_known_answer () =
+  let rng = Rng.create 2024 in
+  let buf = Float.Array.make 8 0. in
+  Sphere.fill_on rng ~center:[| 0.; 0. |] ~radius:1. ~pos:0 ~samples:4 buf;
+  List.iteri
+    (fun i hex ->
+      Alcotest.(check string)
+        (Printf.sprintf "slot %d" i)
+        hex
+        (Printf.sprintf "%h" (Float.Array.get buf i)))
+    [
+      "-0x1.6f15ef64fefa3p-1";
+      "-0x1.64eb98c6fc672p-1";
+      "0x1.a36352311a5ccp-1";
+      "0x1.25b25851fa435p-1";
+      "-0x1.33b551429c2b9p-2";
+      "0x1.e8563d8a01ed4p-1";
+      "0x1.7d85828822951p-1";
+      "0x1.557228e3445cp-1";
+    ];
+  Alcotest.(check int64) "rng state after" 8709371129873692732L (Rng.state rng)
+
+(* Drawing at d = 2 allocates nothing per sample (nor per call). *)
+let test_sphere_fill_words () =
+  let rng = Rng.create 3 in
+  let m = 1000 in
+  let buf = Float.Array.make (2 * m) 0. in
+  let center = [| 1.; -2. |] in
+  Sphere.fill_on rng ~center ~radius:1.5 ~pos:0 ~samples:m buf;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    Sphere.fill_on rng ~center ~radius:1.5 ~pos:0 ~samples:m buf
+  done;
+  Alcotest.(check (float 0.)) "minor words over 10,000 samples" 0.
+    (Gc.minor_words () -. w0)
 
 let test_sphere_in_ball () =
   let rng = Rng.create 10 in
@@ -548,6 +589,54 @@ let test_circle_coverage_cases () =
          if m > Float.pi then m -. Angle.two_pi else m)
   | _ -> Alcotest.fail "expected Arc"
 
+(* [coverage_into] on columns is [coverage_by_disk] bit for bit, with
+   the arc's end in slot 2, and a call allocates nothing: it takes no
+   float read from a column as an argument. *)
+let test_circle_coverage_into () =
+  let pts =
+    [| (0.25, -0.5); (0.25, -0.5); (1.25, -0.25); (2.25, -0.5); (9., 9.);
+       (0.25 +. 1e-10, -0.5); (-1.5, 0.3); (0.25, 1.5) |]
+  in
+  let n = Array.length pts in
+  let xs = Fvec.init n (fun i -> fst pts.(i))
+  and ys = Fvec.init n (fun i -> snd pts.(i)) in
+  let out = Float.Array.create 3 in
+  let codes = Array.make 3 0 in
+  for i = 0 to n - 1 do
+    let cx, cy = pts.(i) in
+    let c = Circle.make ~cx ~cy ~r:1. in
+    for j = 0 to n - 1 do
+      let code = Circle.coverage_into xs ys ~r:1. i j out in
+      codes.(code) <- codes.(code) + 1;
+      let bits f = Int64.bits_of_float f in
+      let dx, dy = pts.(j) in
+      match Circle.coverage_by_disk c ~cx:dx ~cy:dy ~r:1. with
+      | Circle.Covered -> Alcotest.(check int) "covered" Circle.cov_covered code
+      | Circle.Disjoint ->
+          Alcotest.(check int) "disjoint" Circle.cov_disjoint code
+      | Circle.Arc ivl ->
+          Alcotest.(check int) "arc" Circle.cov_arc code;
+          let _, stop = Angle.endpoints ivl in
+          Alcotest.(check (list int64)) "start, len, end"
+            [ bits ivl.Angle.start; bits ivl.Angle.len; bits stop ]
+            (List.map (fun k -> bits (Float.Array.get out k)) [ 0; 1; 2 ])
+    done
+  done;
+  Array.iteri
+    (fun code k ->
+      Alcotest.(check bool) (Printf.sprintf "code %d met" code) true (k > 0))
+    codes;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        ignore (Sys.opaque_identity (Circle.coverage_into xs ys ~r:1. i j out))
+      done
+    done
+  done;
+  Alcotest.(check (float 0.)) "minor words over 6,400 calls" 0.
+    (Gc.minor_words () -. w0)
+
 let prop_circle_coverage_consistent =
   (* The coverage classification must agree with direct membership tests of
      sampled circle points in the disk. *)
@@ -630,6 +719,10 @@ let () =
           Alcotest.test_case "samples lie on sphere" `Quick test_sphere_radius;
           Alcotest.test_case "fill_on at an offset = one-sample calls" `Quick
             test_sphere_fill_offset;
+          Alcotest.test_case "known-answer draws at d = 2" `Quick
+            test_sphere_known_answer;
+          Alcotest.test_case "fill_on at d = 2 allocates nothing" `Quick
+            test_sphere_fill_words;
           Alcotest.test_case "ball samples inside" `Quick test_sphere_in_ball;
           Alcotest.test_case "mean near center" `Quick
             test_sphere_mean_near_center;
@@ -672,6 +765,8 @@ let () =
             test_circle_point_angle_roundtrip;
           Alcotest.test_case "intersections" `Quick test_circle_intersections;
           Alcotest.test_case "coverage cases" `Quick test_circle_coverage_cases;
+          Alcotest.test_case "coverage_into on columns allocates nothing"
+            `Quick test_circle_coverage_into;
         ] );
       ("properties", qcheck_cases);
     ]

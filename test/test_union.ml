@@ -59,6 +59,18 @@ let test_union_buried_disk () =
       Alcotest.(check bool) "center disk buried" true (a.Disk_union.disk <> 0))
     arcs
 
+(* Centers 1e-10 apart (within [Closed.eps], not equal): each disk
+   covers the other's circle, and only the earlier may bury the later,
+   so the union keeps one full circle. *)
+let test_union_near_coincident () =
+  let arcs =
+    Disk_union.boundary_arcs ~radius:1. [| (0., 0.); (1e-10, 0.) |]
+  in
+  Alcotest.(check int) "one arc" 1 (List.length arcs);
+  Alcotest.(check (float 1e-9)) "the first disk's full circle" Angle.two_pi
+    (total_arc_len arcs);
+  Alcotest.(check int) "on disk 0" 0 (List.hd arcs).Disk_union.disk
+
 let test_union_contains () =
   let centers = [| (0., 0.); (3., 0.) |] in
   Alcotest.(check bool) "inside first" true
@@ -147,6 +159,51 @@ let test_colored_depth_stats_populated () =
   Alcotest.(check bool) "circles swept" true
     (r.Colored_depth.stats.Colored_depth.circles_swept > 0)
 
+let test_colored_depth_near_coincident () =
+  (* One color, centers 1e-10 apart: were the two to bury each other,
+     no circle would be left to sweep (depth [min_int]). *)
+  let centers = [| (0., 0.); (1e-10, 0.) |] and colors = [| 3; 3 |] in
+  let r = Colored_depth.max_colored_depth ~radius:1. centers ~colors in
+  Alcotest.(check int) "depth 1" 1 r.Colored_depth.depth;
+  Alcotest.(check int) "depth at reported point" 1
+    (Colored_disk2d.colored_depth_at ~radius:1. centers ~colors
+       r.Colored_depth.x r.Colored_depth.y)
+
+(* Once the per-domain scratch has grown to a cell, loading it with
+   floats that are already boxed and solving it allocate nothing. The
+   cell has 60 disks and 40 colors, past both visit-order tables' first
+   sizes. *)
+let test_colored_depth_cell_words () =
+  let module Cell = Colored_depth.Cell in
+  let rng = Rng.create 5 in
+  let n = 60 in
+  let centers =
+    Array.init n (fun _ -> (Rng.uniform rng 0. 3., Rng.uniform rng 0. 3.))
+  in
+  let colors = Array.init n (fun i -> (i mod 40) - 7) in
+  let dense = Colored_depth.dense_colors colors in
+  Cell.with_scratch @@ fun cell ->
+  let solve () =
+    Cell.clear cell;
+    for i = 0 to n - 1 do
+      let x, y = centers.(i) in
+      Cell.push cell x y ~color:dense.(i) ~raw:colors.(i)
+    done;
+    ignore (Sys.opaque_identity (Cell.solve cell ~radius:1.))
+  in
+  solve ();
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 10 do
+    solve ()
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 10 cells" 0. words;
+  (* The wrapper, called while this scratch is lent out, works on fresh
+     scratch and leaves this one loaded. *)
+  let r = Colored_depth.max_colored_depth ~radius:1. centers ~colors in
+  Alcotest.(check int) "same depth as the wrapper" r.Colored_depth.depth
+    (Cell.solve cell ~radius:1.)
+
 let prop_first_algorithm_matches_naive =
   QCheck.Test.make ~count:200 ~name:"first algorithm = naive colored sweep"
     QCheck.(
@@ -221,6 +278,8 @@ let () =
           Alcotest.test_case "two overlapping" `Quick test_union_two_overlapping;
           Alcotest.test_case "buried disk" `Quick test_union_buried_disk;
           Alcotest.test_case "containment" `Quick test_union_contains;
+          Alcotest.test_case "centers 1e-10 apart" `Quick
+            test_union_near_coincident;
         ] );
       ( "colored-depth",
         [
@@ -230,6 +289,10 @@ let () =
             test_colored_depth_duplicate_color;
           Alcotest.test_case "stats populated" `Quick
             test_colored_depth_stats_populated;
+          Alcotest.test_case "same-color pair 1e-10 apart" `Quick
+            test_colored_depth_near_coincident;
+          Alcotest.test_case "cell kernel allocates nothing" `Quick
+            test_colored_depth_cell_words;
         ] );
       ( "radius",
         [
