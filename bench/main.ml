@@ -1472,9 +1472,9 @@ let e13 () =
 
 (* ------------------------------------------------------------------ *)
 (* E14 — the flat-memory kernels on the Theorem 1.2 static solver, the
-   Theorem 1.3 batched 1-D queries, the exact disk sweep and Theorem
-   4.6's exact colored solver, at domains = 1 (--domains does not
-   apply). Each row reports the best-of-3 wall clock and the smallest
+   Theorem 1.3 batched and single 1-D queries, the exact disk sweep and
+   Theorem 4.6's exact colored solver, at domains = 1 (--domains does
+   not apply). Each row reports the best-of-3 wall clock and the smallest
    minor-words delta after a full major collection. Minor words repeat
    exactly for a given binary and input, so CI gates them at 1.15x the
    checked-in row with the same (workload, n, m); wall clock is
@@ -1533,7 +1533,7 @@ let e14 () =
       ~domains:(Some 1) ()
   in
   let rows_acc = ref [] in
-  row "%-14s %8s %6s %11s %13s\n" "workload" "n" "m" "current(s)"
+  row "%-17s %8s %6s %11s %13s\n" "workload" "n" "m" "current(s)"
     "minor words";
   let record ~workload ~n ~m ~ok (t, a) =
     if not ok then begin
@@ -1541,7 +1541,7 @@ let e14 () =
         workload n m;
       exit 1
     end;
-    row "%-14s %8d %6d %11.4f %13.0f\n" workload n m t a;
+    row "%-17s %8d %6d %11.4f %13.0f\n" workload n m t a;
     rows_acc := (workload, n, m, t, a) :: !rows_acc
   in
   let static_rows ~workload ~dim ~epsilon ~gen ns =
@@ -1615,6 +1615,37 @@ let e14 () =
         record ~workload:"interval1d_e3" ~n ~m ~ok (t, a)
       end)
     [ (20000, 100); (40000, 100); (80000, 100) ];
+  (* Theorem 1.3's single query, as the daemon serves [Solve_interval]:
+     the checked entry on one length, with negative weights. The answer
+     is rescored as above; on grown scratch a query allocates only its
+     answer, so its minor words gate the daemon's 1-D path. *)
+  List.iter
+    (fun n ->
+      if n <= max_n then begin
+        let rng = Rng.create (7 * n) in
+        let pts =
+          Array.init n (fun _ ->
+              (Rng.uniform rng 0. 1000., Rng.uniform rng (-1.) 3.))
+        in
+        let len = 25. in
+        let r, t, a =
+          measure (fun () -> Interval1d.max_sum_checked ~len pts)
+        in
+        let ok =
+          match r with
+          | Error _ -> false
+          | Ok { Interval1d.lo; value } ->
+              let sum =
+                Array.fold_left
+                  (fun acc (x, w) ->
+                    if x -. len <= lo && lo <= x then acc +. w else acc)
+                  0. pts
+              in
+              Float.abs (sum -. value) <= 1e-9 *. Float.max 1. value
+        in
+        record ~workload:"interval1d_single" ~n ~m:1 ~ok (t, a)
+      end)
+    [ 12000; 20000; 80000 ];
   (* Exact disk sweep at E2's exact-comparison sizes. *)
   List.iter
     (fun n ->

@@ -127,17 +127,28 @@ let r_list ?elem_bytes dec r what =
 let r_float_array r what = r_array ~elem_bytes:8 r_f64 r what
 let r_int_array r what = r_array ~elem_bytes:8 r_int r what
 
+(* A run of [n] fixed-size elements gets one bounds check, then its
+   caller reads it in place from the returned offset; the cursor moves
+   past it. A short run fails with the message an element-wise read of
+   8-byte words would have given at its first missing word. *)
+let r_run r ~elem_bytes n =
+  let p = r.pos in
+  let remaining = String.length r.data - p in
+  if n * elem_bytes > remaining then
+    malformed "truncated i64 at offset %d" (p + (8 * (remaining / 8)));
+  r.pos <- p + (n * elem_bytes);
+  p
+
 (* Inverse of [fvec]: one bounds check for the whole run, then a
    straight fill of the fresh column. *)
 let r_fvec r what =
   let n = r_len ~elem_bytes:8 r what in
-  need r (8 * n) what;
+  let p = r_run r ~elem_bytes:8 n in
   let v = Fvec.create n in
   for i = 0 to n - 1 do
     Fvec.unsafe_set v i
-      (Int64.float_of_bits (String.get_int64_le r.data (r.pos + (8 * i))))
+      (Int64.float_of_bits (String.get_int64_le r.data (p + (8 * i))))
   done;
-  r.pos <- r.pos + (8 * n);
   v
 
 (* {1 Config} *)

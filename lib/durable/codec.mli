@@ -46,6 +46,14 @@ val r_float_array : reader -> string -> float array
 val r_int_array : reader -> string -> int array
 val r_fvec : reader -> string -> Maxrs_geom.Fvec.t
 
+val r_run : reader -> elem_bytes:int -> int -> int
+(** [r_run r ~elem_bytes n] checks once that a run of [n] elements of
+    [elem_bytes] bytes each remains, returns the offset in [r.data]
+    where it starts and moves the cursor past it; the caller reads the
+    run in place. A short run raises {!Malformed} with the message an
+    element-wise read of 8-byte words gives at its first missing
+    word. *)
+
 val r_len : ?elem_bytes:int -> reader -> string -> int
 (** Read and validate a collection length: non-negative, below the
     global cap, and small enough that [n * elem_bytes] (default 1, the

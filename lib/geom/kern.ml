@@ -9,7 +9,7 @@
      boxing these kernels exist to remove;
    - an LSD radix sort on the monotone-mapped float bit pattern, used by
      [sort_ff]/[sort_fi] above [radix_threshold] elements, with reusable
-     per-domain scratch in [Domain.DLS].
+     per-domain scratch lent to one sort at a time ([Lend]).
 
    Keys must not be NaN (the [<] / [>] scans would run off the ends and
    the bit mapping has no slot for unordered values); the checked solver
@@ -375,11 +375,13 @@ type radix_scratch = {
   mutable idx : int array;
   mutable idx2 : int array;
   mutable fscr : Fvec.t;  (* gather scratch for the float columns *)
-  hist : int array;  (* 16 digit positions x 256 counts *)
+  hist : int array;
+      (* 16 digit positions x 256 counts ([radix_passes]) or 6 x 2048
+         ([radix_order]) *)
 }
 
-let radix_scratch_key =
-  Domain.DLS.new_key (fun () ->
+let radix_lend =
+  Lend.make (fun () ->
       {
         khi = [||];
         klo = [||];
@@ -388,23 +390,39 @@ let radix_scratch_key =
         idx = [||];
         idx2 = [||];
         fscr = Fvec.create 0;
-        hist = Array.make (16 * 256) 0;
+        hist = Array.make (6 * 2048) 0;
       })
 
-let radix_ensure sc n =
+let radix_cap n =
+  let cap = ref 512 in
+  while !cap < n do
+    cap := !cap * 2
+  done;
+  !cap
+
+(* The key columns and one permutation, all [order] needs; the tandem
+   sorts add the payload columns, a second permutation and the gather
+   column. Each group grows on its own, so a process that only orders
+   keys holds no payload scratch. *)
+let ensure_keys sc n =
   if Array.length sc.khi < n then begin
-    let cap = ref (max 512 8) in
-    while !cap < n do
-      cap := !cap * 2
-    done;
-    let cap = !cap in
+    let cap = radix_cap n in
     sc.khi <- Array.make cap 0;
     sc.klo <- Array.make cap 0;
+    sc.idx <- Array.make cap 0
+  end
+
+let ensure_gather sc n =
+  if Fvec.length sc.fscr < n then sc.fscr <- Fvec.create (radix_cap n)
+
+let radix_ensure sc n =
+  ensure_keys sc n;
+  ensure_gather sc n;
+  if Array.length sc.phi < n then begin
+    let cap = radix_cap n in
     sc.phi <- Array.make cap 0;
     sc.plo <- Array.make cap 0;
-    sc.idx <- Array.make cap 0;
-    sc.idx2 <- Array.make cap 0;
-    sc.fscr <- Fvec.create cap
+    sc.idx2 <- Array.make cap 0
   end
 
 let mask32 = 0xFFFF_FFFF
@@ -487,68 +505,173 @@ let radix_passes sc n =
    non-negatives) or all bits (for negatives) so unsigned half-order is
    the float order; [lxor mask32] on top inverts a half for the
    descending payload convention. *)
+let radix_ff_on sc key pay n =
+  radix_ensure sc n;
+  let khi = sc.khi and klo = sc.klo and phi = sc.phi and plo = sc.plo in
+  for i = 0 to n - 1 do
+    let b = Int64.bits_of_float (Fvec.unsafe_get key i +. 0.0) in
+    let hi = Int64.to_int (Int64.shift_right_logical b 32) in
+    let lo = Int64.to_int (Int64.logand b 0xFFFF_FFFFL) in
+    let s = -(hi lsr 31) land mask32 in
+    Array.unsafe_set khi i (hi lxor (s lor 0x8000_0000));
+    Array.unsafe_set klo i (lo lxor s);
+    let b = Int64.bits_of_float (Fvec.unsafe_get pay i +. 0.0) in
+    let hi = Int64.to_int (Int64.shift_right_logical b 32) in
+    let lo = Int64.to_int (Int64.logand b 0xFFFF_FFFFL) in
+    let s = -(hi lsr 31) land mask32 in
+    Array.unsafe_set phi i (hi lxor (s lor 0x8000_0000) lxor mask32);
+    Array.unsafe_set plo i (lo lxor s lxor mask32)
+  done;
+  radix_passes sc n;
+  let idx = sc.idx and fscr = sc.fscr in
+  for i = 0 to n - 1 do
+    Fvec.unsafe_set fscr i (Fvec.unsafe_get key (Array.unsafe_get idx i))
+  done;
+  Fvec.blit ~src:fscr ~src_pos:0 ~dst:key ~dst_pos:0 ~len:n;
+  for i = 0 to n - 1 do
+    Fvec.unsafe_set fscr i (Fvec.unsafe_get pay (Array.unsafe_get idx i))
+  done;
+  Fvec.blit ~src:fscr ~src_pos:0 ~dst:pay ~dst_pos:0 ~len:n
+
+let radix_fi_on sc key pay n =
+  radix_ensure sc n;
+  let khi = sc.khi and klo = sc.klo and phi = sc.phi and plo = sc.plo in
+  for i = 0 to n - 1 do
+    let b = Int64.bits_of_float (Fvec.unsafe_get key i +. 0.0) in
+    let hi = Int64.to_int (Int64.shift_right_logical b 32) in
+    let lo = Int64.to_int (Int64.logand b 0xFFFF_FFFFL) in
+    let s = -(hi lsr 31) land mask32 in
+    Array.unsafe_set khi i (hi lxor (s lor 0x8000_0000));
+    Array.unsafe_set klo i (lo lxor s);
+    (* int payload, ascending: flip the sign bit so unsigned
+       half-order matches signed order *)
+    let m = Array.unsafe_get pay i lxor min_int in
+    Array.unsafe_set plo i (m land mask32);
+    Array.unsafe_set phi i ((m lsr 32) land mask32)
+  done;
+  radix_passes sc n;
+  let idx = sc.idx and fscr = sc.fscr and iscr = sc.idx2 in
+  for i = 0 to n - 1 do
+    Fvec.unsafe_set fscr i (Fvec.unsafe_get key (Array.unsafe_get idx i));
+    Array.unsafe_set iscr i (Array.unsafe_get pay i)
+  done;
+  Fvec.blit ~src:fscr ~src_pos:0 ~dst:key ~dst_pos:0 ~len:n;
+  for i = 0 to n - 1 do
+    Array.unsafe_set pay i (Array.unsafe_get iscr (Array.unsafe_get idx i))
+  done
+
+(* The scratch is lent for one sort: a thread switch inside the passes
+   must not let another sort of this domain swap [idx]/[idx2] under us,
+   or the unchecked gathers would index past the arrays. *)
 let radix_ff key pay n =
   if n > 1 then begin
-    let sc = Domain.DLS.get radix_scratch_key in
-    radix_ensure sc n;
-    let khi = sc.khi and klo = sc.klo and phi = sc.phi and plo = sc.plo in
-    for i = 0 to n - 1 do
-      let b = Int64.bits_of_float (Fvec.unsafe_get key i +. 0.0) in
-      let hi = Int64.to_int (Int64.shift_right_logical b 32) in
-      let lo = Int64.to_int (Int64.logand b 0xFFFF_FFFFL) in
-      let s = -(hi lsr 31) land mask32 in
-      Array.unsafe_set khi i (hi lxor (s lor 0x8000_0000));
-      Array.unsafe_set klo i (lo lxor s);
-      let b = Int64.bits_of_float (Fvec.unsafe_get pay i +. 0.0) in
-      let hi = Int64.to_int (Int64.shift_right_logical b 32) in
-      let lo = Int64.to_int (Int64.logand b 0xFFFF_FFFFL) in
-      let s = -(hi lsr 31) land mask32 in
-      Array.unsafe_set phi i (hi lxor (s lor 0x8000_0000) lxor mask32);
-      Array.unsafe_set plo i (lo lxor s lxor mask32)
-    done;
-    radix_passes sc n;
-    let idx = sc.idx and fscr = sc.fscr in
-    for i = 0 to n - 1 do
-      Fvec.unsafe_set fscr i (Fvec.unsafe_get key (Array.unsafe_get idx i))
-    done;
-    Fvec.blit ~src:fscr ~src_pos:0 ~dst:key ~dst_pos:0 ~len:n;
-    for i = 0 to n - 1 do
-      Fvec.unsafe_set fscr i (Fvec.unsafe_get pay (Array.unsafe_get idx i))
-    done;
-    Fvec.blit ~src:fscr ~src_pos:0 ~dst:pay ~dst_pos:0 ~len:n
+    let sc = Lend.take radix_lend in
+    match radix_ff_on sc key pay n with
+    | () -> Lend.give radix_lend sc
+    | exception e ->
+        Lend.give radix_lend sc;
+        raise e
   end
 
 let radix_fi key pay n =
   if n > 1 then begin
-    let sc = Domain.DLS.get radix_scratch_key in
-    radix_ensure sc n;
-    let khi = sc.khi and klo = sc.klo and phi = sc.phi and plo = sc.plo in
-    for i = 0 to n - 1 do
-      let b = Int64.bits_of_float (Fvec.unsafe_get key i +. 0.0) in
-      let hi = Int64.to_int (Int64.shift_right_logical b 32) in
-      let lo = Int64.to_int (Int64.logand b 0xFFFF_FFFFL) in
-      let s = -(hi lsr 31) land mask32 in
-      Array.unsafe_set khi i (hi lxor (s lor 0x8000_0000));
-      Array.unsafe_set klo i (lo lxor s);
-      (* int payload, ascending: flip the sign bit so unsigned
-         half-order matches signed order *)
-      let m = Array.unsafe_get pay i lxor min_int in
-      Array.unsafe_set plo i (m land mask32);
-      Array.unsafe_set phi i ((m lsr 32) land mask32)
-    done;
-    radix_passes sc n;
-    let idx = sc.idx and fscr = sc.fscr and iscr = sc.idx2 in
-    for i = 0 to n - 1 do
-      Fvec.unsafe_set fscr i (Fvec.unsafe_get key (Array.unsafe_get idx i));
-      Array.unsafe_set iscr i (Array.unsafe_get pay i)
-    done;
-    Fvec.blit ~src:fscr ~src_pos:0 ~dst:key ~dst_pos:0 ~len:n;
-    for i = 0 to n - 1 do
-      Array.unsafe_set pay i (Array.unsafe_get iscr (Array.unsafe_get idx i))
-    done
+    let sc = Lend.take radix_lend in
+    match radix_fi_on sc key pay n with
+    | () -> Lend.give radix_lend sc
+    | exception e ->
+        Lend.give radix_lend sc;
+        raise e
   end
 
 let radix_threshold = 512
+
+(* ---------- order: stable key-only permutation -------------------- *)
+(* The order of a key column alone: a stable LSD radix over the mapped
+   key (the same monotone map as above) that starts from the identity
+   permutation, so equal keys keep ascending index — exactly the
+   payload [intro_fi] leaves when its payload is the identity, and no
+   payload digits to sort. Six digits of at most 11 bits, three per
+   32-bit half (11, 11, 10 bits), so no digit straddles the halves;
+   constant digits are skipped. Below [radix_threshold] the introsort
+   runs on a copy of the keys. *)
+
+let radix_order sc key n perm =
+  let khi = sc.khi and klo = sc.klo and hist = sc.hist in
+  Array.fill hist 0 (6 * 2048) 0;
+  for i = 0 to n - 1 do
+    let b = Int64.bits_of_float (Fvec.unsafe_get key i +. 0.0) in
+    let hi = Int64.to_int (Int64.shift_right_logical b 32) in
+    let lo = Int64.to_int (Int64.logand b 0xFFFF_FFFFL) in
+    let s = -(hi lsr 31) land mask32 in
+    let hi = hi lxor (s lor 0x8000_0000) and lo = lo lxor s in
+    Array.unsafe_set khi i hi;
+    Array.unsafe_set klo i lo;
+    Array.unsafe_set perm i i;
+    let d = lo land 0x7ff in
+    Array.unsafe_set hist d (Array.unsafe_get hist d + 1);
+    let d = 2048 + ((lo lsr 11) land 0x7ff) in
+    Array.unsafe_set hist d (Array.unsafe_get hist d + 1);
+    let d = 4096 + (lo lsr 22) in
+    Array.unsafe_set hist d (Array.unsafe_get hist d + 1);
+    let d = 6144 + (hi land 0x7ff) in
+    Array.unsafe_set hist d (Array.unsafe_get hist d + 1);
+    let d = 8192 + ((hi lsr 11) land 0x7ff) in
+    Array.unsafe_set hist d (Array.unsafe_get hist d + 1);
+    let d = 10240 + (hi lsr 22) in
+    Array.unsafe_set hist d (Array.unsafe_get hist d + 1)
+  done;
+  let src = ref perm and dst = ref sc.idx in
+  for p = 0 to 5 do
+    let arr = if p < 3 then klo else khi in
+    let shift = 11 * (p mod 3) in
+    let base = 2048 * p in
+    let d0 = (Array.unsafe_get arr 0 lsr shift) land 0x7ff in
+    if Array.unsafe_get hist (base + d0) < n then begin
+      let sum = ref 0 in
+      for d = base to base + 2047 do
+        let c = Array.unsafe_get hist d in
+        Array.unsafe_set hist d !sum;
+        sum := !sum + c
+      done;
+      let s = !src and t = !dst in
+      for i = 0 to n - 1 do
+        let e = Array.unsafe_get s i in
+        let d = base + ((Array.unsafe_get arr e lsr shift) land 0x7ff) in
+        Array.unsafe_set t (Array.unsafe_get hist d) e;
+        Array.unsafe_set hist d (Array.unsafe_get hist d + 1)
+      done;
+      src := t;
+      dst := s
+    end
+  done;
+  if !src != perm then Array.blit !src 0 perm 0 n
+
+let order_on sc key n perm =
+  if n >= radix_threshold then begin
+    ensure_keys sc n;
+    radix_order sc key n perm
+  end
+  else begin
+    ensure_gather sc n;
+    let keys = sc.fscr in
+    for i = 0 to n - 1 do
+      Fvec.unsafe_set keys i (Fvec.unsafe_get key i);
+      Array.unsafe_set perm i i
+    done;
+    intro_fi keys perm n
+  end
+
+let order key n perm =
+  if n < 0 || n > Fvec.length key || n > Array.length perm then
+    invalid_arg "Kern.order";
+  if n > 0 then begin
+    let sc = Lend.take radix_lend in
+    match order_on sc key n perm with
+    | () -> Lend.give radix_lend sc
+    | exception e ->
+        Lend.give radix_lend sc;
+        raise e
+  end
 
 let sort_ff key pay n =
   if n >= radix_threshold then radix_ff key pay n else intro_ff key pay n
@@ -565,15 +688,19 @@ module Fbuf = struct
   let clear b = b.len <- 0
   let length b = b.len
 
-  let push b x =
+  (* A slot, not a push: a float passed to a function of another
+     module is boxed, while the caller's store through the [Fvec]
+     external is not. *)
+  let reserve b =
+    let k = b.len in
     let cap = Fvec.length b.data in
-    if b.len = cap then begin
+    if k = cap then begin
       let data = Fvec.create (2 * cap) in
-      Fvec.blit ~src:b.data ~src_pos:0 ~dst:data ~dst_pos:0 ~len:b.len;
+      Fvec.blit ~src:b.data ~src_pos:0 ~dst:data ~dst_pos:0 ~len:k;
       b.data <- data
     end;
-    Fvec.unsafe_set b.data b.len x;
-    b.len <- b.len + 1
+    b.len <- k + 1;
+    k
 
   let get b i = Fvec.get b.data i
   let data b = b.data

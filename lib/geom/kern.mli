@@ -12,10 +12,11 @@
     sorts: a hand-monomorphised introsort (median-of-three quicksort,
     insertion sort below 16 elements, heapsort at the depth limit), and
     — above a size threshold — a byte-wise LSD radix sort on the
-    monotone-mapped float bit pattern with per-domain scratch in
-    [Domain.DLS]. Both produce identical output: an element is exactly
-    its (key, payload) pair, so sorting by the composite order
-    reproduces the comparison sort's arrays bit for bit.
+    monotone-mapped float bit pattern with per-domain scratch lent to
+    one sort at a time ({!Lend}). Both produce identical output: an
+    element is exactly its (key, payload) pair, so sorting by the
+    composite order reproduces the comparison sort's arrays bit for
+    bit.
 
     Keys are assumed non-NaN (every public solver entry rejects
     non-finite input up front); all kernels are deterministic — the same
@@ -51,6 +52,15 @@ val sort_fi : Fvec.t -> int array -> int -> unit
     ascending, ties by integer payload {e ascending}. Dispatches like
     {!sort_ff}. *)
 
+val order : Fvec.t -> int -> int array -> unit
+(** [order key n perm] writes to [perm.(0 .. n-1)] the stable ascending
+    order of [key.(0 .. n-1)]: keys ascending, equal keys by ascending
+    index — the payload {!intro_fi} leaves when the payload starts as
+    the identity. [key] is left as it is. At or above
+    {!radix_threshold} it is a key-only LSD radix order (11-bit digits,
+    constant digits skipped); below, the introsort on a copy. Raises
+    [Invalid_argument] when [n] exceeds either array. *)
+
 (** {2 Direct strategy entries}
 
     The two implementations behind [sort_ff]/[sort_fi], exposed so the
@@ -66,14 +76,15 @@ val intro_fi : Fvec.t -> int array -> int -> unit
 val radix_ff : Fvec.t -> Fvec.t -> int -> unit
 (** LSD radix sort over the monotone float-bit mapping; -0.0 is
     canonicalized to +0.0 before mapping so zeros compare equal, as
-    under [<]. Uses per-domain scratch; safe to call concurrently from
-    distinct domains. *)
+    under [<]. Runs on lent per-domain scratch ({!Lend}), so it is safe
+    to call concurrently from distinct domains and from the threads of
+    one domain. *)
 
 val radix_fi : Fvec.t -> int array -> int -> unit
 
 (** Growable scratch buffers for event queues and bucket lists: amortised
-    O(1) push, never shrink, reusable across sweeps so steady-state
-    operation allocates nothing. Not thread-safe — keep one per domain. *)
+    O(1) append, never shrink, reusable across sweeps so steady-state
+    operation allocates nothing. Not thread-safe — lend them ({!Lend}). *)
 
 module Fbuf : sig
   type t
@@ -81,10 +92,18 @@ module Fbuf : sig
   val create : int -> t
   val clear : t -> unit
   val length : t -> int
-  val push : t -> float -> unit
+
+  val reserve : t -> int
+  (** Append one slot, growing the store if needed, and return its
+      index; the caller writes it with [Fvec.unsafe_set (data b) k x].
+      This is the float buffer's append: a float argument to a function
+      of another module would be boxed, the store through the {!Fvec}
+      external is not, so an append allocates nothing once grown. *)
+
   val get : t -> int -> float
   val data : t -> Fvec.t
-  (** The backing store; valid up to [length]. Invalidated by [push]. *)
+  (** The backing store; valid up to [length]. Invalidated by
+      [reserve]. *)
 end
 
 module Ibuf : sig

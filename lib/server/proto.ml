@@ -137,9 +137,88 @@ let err_code_to_string = function
   | Too_large -> "request too large"
   | Internal -> "internal error"
 
-let string_ b s =
-  Codec.int_ b (String.length s);
-  Buffer.add_string b s
+(* {1 Exact-size encoding}
+
+   Every message is written into one [Bytes] of exactly its encoded
+   size, computed first: no buffer growth and no copy out. Floats are
+   written here, through the [Bytes] primitives, so no [Int64] crosses
+   a call boxed. The bytes are those of the WAL codec's [Buffer]
+   writers: little-endian, floats as IEEE-754 bit patterns, an option
+   as a 0/1 byte then its value, a collection as its length then its
+   elements. *)
+
+(* u8 version | int id | u8 tag *)
+let header_bytes = 10
+let opt_bytes = function None -> 1 | Some _ -> 9
+
+let[@inline] put_u8 b p v =
+  Bytes.unsafe_set b p (Char.unsafe_chr (v land 0xff));
+  p + 1
+
+let[@inline] put_int b p v =
+  Bytes.set_int64_le b p (Int64.of_int v);
+  p + 8
+
+let[@inline] put_f64 b p v =
+  Bytes.set_int64_le b p (Int64.bits_of_float v);
+  p + 8
+
+let put_opt_f64 b p = function
+  | None -> put_u8 b p 0
+  | Some v -> put_f64 b (put_u8 b p 1) v
+
+let put_opt_int b p = function
+  | None -> put_u8 b p 0
+  | Some v -> put_int b (put_u8 b p 1) v
+
+let put_pairs b p a =
+  let n = Array.length a in
+  let p = put_int b p n in
+  for i = 0 to n - 1 do
+    let x, y = Array.unsafe_get a i in
+    let q = p + (16 * i) in
+    Bytes.set_int64_le b q (Int64.bits_of_float x);
+    Bytes.set_int64_le b (q + 8) (Int64.bits_of_float y)
+  done;
+  p + (16 * n)
+
+let put_triples b p a =
+  let n = Array.length a in
+  let p = put_int b p n in
+  for i = 0 to n - 1 do
+    let x, y, w = Array.unsafe_get a i in
+    let q = p + (24 * i) in
+    Bytes.set_int64_le b q (Int64.bits_of_float x);
+    Bytes.set_int64_le b (q + 8) (Int64.bits_of_float y);
+    Bytes.set_int64_le b (q + 16) (Int64.bits_of_float w)
+  done;
+  p + (24 * n)
+
+let put_ints b p a =
+  let n = Array.length a in
+  let p = put_int b p n in
+  for i = 0 to n - 1 do
+    Bytes.set_int64_le b (p + (8 * i)) (Int64.of_int (Array.unsafe_get a i))
+  done;
+  p + (8 * n)
+
+let put_xyw b p (x, y, w) = put_f64 b (put_f64 b (put_f64 b p x) y) w
+
+let put_string b p s =
+  let n = String.length s in
+  let p = put_int b p n in
+  Bytes.blit_string s 0 b p n;
+  p + n
+
+(* The header, then [body] from its offset; checks the size was exact. *)
+let encode size ~id ~tag body =
+  let b = Bytes.create size in
+  let p = put_u8 b (put_int b (put_u8 b 0 version) id) tag in
+  let stop = body b p in
+  assert (stop = size);
+  Bytes.unsafe_to_string b
+
+(* {1 Decoding helpers} *)
 
 let r_string (r : Codec.reader) what =
   let n = Codec.r_len r what in
@@ -153,89 +232,108 @@ let r_points_len r what =
   if n > max_points then Codec.malformed "%s: %d points exceed cap" what n;
   n
 
-let xyw b (x, y, w) =
-  Codec.f64 b x;
-  Codec.f64 b y;
-  Codec.f64 b w
-
 let r_xyw r =
   let x = Codec.r_f64 r in
   let y = Codec.r_f64 r in
   let w = Codec.r_f64 r in
   (x, y, w)
 
-let xy b (x, y) =
-  Codec.f64 b x;
-  Codec.f64 b y
-
-let r_xy r =
-  let x = Codec.r_f64 r in
-  let y = Codec.r_f64 r in
-  (x, y)
-
-let array_ enc b a =
-  Codec.int_ b (Array.length a);
-  Array.iter (enc b) a
-
+(* Point runs: one bounds check, then the floats are read in place.
+   What is left to allocate is the wire type itself, a tuple and its
+   boxed floats per point (7 words a pair, 10 a triple); the array is
+   made from a static tuple, so no young block forces a minor
+   collection to fill it. *)
 let r_points r what =
   let n = r_points_len r what in
-  Array.init n (fun _ -> r_xyw r)
+  let p = Codec.r_run r ~elem_bytes:24 n in
+  let s = r.Codec.data in
+  let a = Array.make n (0., 0., 0.) in
+  for i = 0 to n - 1 do
+    let q = p + (24 * i) in
+    Array.unsafe_set a i
+      ( Int64.float_of_bits (String.get_int64_le s q),
+        Int64.float_of_bits (String.get_int64_le s (q + 8)),
+        Int64.float_of_bits (String.get_int64_le s (q + 16)) )
+  done;
+  a
 
 let r_pairs r what =
   let n = r_points_len r what in
-  Array.init n (fun _ -> r_xy r)
+  let p = Codec.r_run r ~elem_bytes:16 n in
+  let s = r.Codec.data in
+  let a = Array.make n (0., 0.) in
+  for i = 0 to n - 1 do
+    let q = p + (16 * i) in
+    Array.unsafe_set a i
+      ( Int64.float_of_bits (String.get_int64_le s q),
+        Int64.float_of_bits (String.get_int64_le s (q + 8)) )
+  done;
+  a
 
 let r_colors r what =
   let n = r_points_len r what in
-  Array.init n (fun _ -> Codec.r_int r)
+  let p = Codec.r_run r ~elem_bytes:8 n in
+  let s = r.Codec.data in
+  let a = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let v = String.get_int64_le s (p + (8 * i)) in
+    let c = Int64.to_int v in
+    if Int64.of_int c <> v then Codec.malformed "int out of native range";
+    Array.unsafe_set a i c
+  done;
+  a
 
 (* {1 Requests} *)
 
+let request_size = function
+  | Ping | Query | Stats -> header_bytes
+  | Solve_weighted { deadline; points; _ } ->
+      header_bytes + 8 + opt_bytes deadline + 8 + (24 * Array.length points)
+  | Solve_colored { deadline; max_shifts; points; colors; _ } ->
+      header_bytes + 8 + opt_bytes deadline + 8 + opt_bytes max_shifts + 8
+      + (16 * Array.length points)
+      + 8
+      + (8 * Array.length colors)
+  | Solve_static { max_shifts; points; _ } ->
+      header_bytes + 24 + opt_bytes max_shifts + 8
+      + (24 * Array.length points)
+  | Solve_interval { points; _ } ->
+      header_bytes + 16 + (16 * Array.length points)
+  | Insert _ -> header_bytes + 24
+  | Delete _ -> header_bytes + 8
+  | Range_sum _ -> header_bytes + 16
+
+let request_tag = function
+  | Ping -> 0
+  | Solve_weighted _ -> 1
+  | Solve_colored _ -> 2
+  | Solve_static _ -> 3
+  | Solve_interval _ -> 4
+  | Insert _ -> 5
+  | Delete _ -> 6
+  | Query -> 7
+  | Stats -> 8
+  | Range_sum _ -> 9
+
 let encode_request ~id req =
-  let b = Buffer.create 64 in
-  Codec.u8 b version;
-  Codec.int_ b id;
-  (match req with
-  | Ping -> Codec.u8 b 0
-  | Solve_weighted { radius; deadline; points } ->
-      Codec.u8 b 1;
-      Codec.f64 b radius;
-      Codec.opt Codec.f64 b deadline;
-      array_ xyw b points
-  | Solve_colored { radius; deadline; seed; max_shifts; points; colors } ->
-      Codec.u8 b 2;
-      Codec.f64 b radius;
-      Codec.opt Codec.f64 b deadline;
-      Codec.int_ b seed;
-      Codec.opt Codec.int_ b max_shifts;
-      array_ xy b points;
-      Codec.int_array b colors
-  | Solve_static { radius; epsilon; seed; max_shifts; points } ->
-      Codec.u8 b 3;
-      Codec.f64 b radius;
-      Codec.f64 b epsilon;
-      Codec.int_ b seed;
-      Codec.opt Codec.int_ b max_shifts;
-      array_ xyw b points
-  | Solve_interval { len; points } ->
-      Codec.u8 b 4;
-      Codec.f64 b len;
-      array_ xy b points
-  | Insert { x; y; weight } ->
-      Codec.u8 b 5;
-      Codec.f64 b x;
-      Codec.f64 b y;
-      Codec.f64 b weight
-  | Delete { handle } ->
-      Codec.u8 b 6;
-      Codec.int_ b handle
-  | Query -> Codec.u8 b 7
-  | Stats -> Codec.u8 b 8
-  | Range_sum { lo; hi } ->
-      Codec.u8 b 9;
-      Codec.f64 b lo;
-      Codec.f64 b hi);
-  Buffer.contents b
+  encode (request_size req) ~id ~tag:(request_tag req) (fun b p ->
+      match req with
+      | Ping | Query | Stats -> p
+      | Solve_weighted { radius; deadline; points } ->
+          let p = put_opt_f64 b (put_f64 b p radius) deadline in
+          put_triples b p points
+      | Solve_colored { radius; deadline; seed; max_shifts; points; colors }
+        ->
+          let p = put_opt_f64 b (put_f64 b p radius) deadline in
+          let p = put_opt_int b (put_int b p seed) max_shifts in
+          put_ints b (put_pairs b p points) colors
+      | Solve_static { radius; epsilon; seed; max_shifts; points } ->
+          let p = put_int b (put_f64 b (put_f64 b p radius) epsilon) seed in
+          put_triples b (put_opt_int b p max_shifts) points
+      | Solve_interval { len; points } -> put_pairs b (put_f64 b p len) points
+      | Insert { x; y; weight } -> put_xyw b p (x, y, weight)
+      | Delete { handle } -> put_int b p handle
+      | Range_sum { lo; hi } -> put_f64 b (put_f64 b p lo) hi)
 
 let r_request r =
   let v = Codec.r_u8 r in
@@ -289,13 +387,6 @@ let decode_request payload = Codec.protect r_request payload
 
 (* {1 Replies} *)
 
-let answer_ b a =
-  Codec.f64 b a.x;
-  Codec.f64 b a.y;
-  Codec.f64 b a.value;
-  Codec.bool_ b a.verified;
-  Codec.u8 b (source_to_u8 a.source)
-
 let r_answer r =
   let x = Codec.r_f64 r in
   let y = Codec.r_f64 r in
@@ -304,68 +395,84 @@ let r_answer r =
   let source = source_of_u8 (Codec.r_u8 r) in
   { x; y; value; verified; source }
 
-let encode_reply ~id reply =
-  let b = Buffer.create 64 in
-  Codec.u8 b version;
-  Codec.int_ b id;
-  (match reply with
-  | Pong -> Codec.u8 b 0
-  | Solved outcome ->
-      Codec.u8 b 1;
-      Codec.u8 b
-        (match outcome with
-        | Outcome.Complete _ -> 0
-        | Outcome.Degraded _ -> 1
-        | Outcome.Partial _ -> 2);
-      answer_ b (Outcome.value outcome)
-  | Inserted { handle; seq } ->
-      Codec.u8 b 2;
-      Codec.int_ b handle;
-      Codec.int_ b seq
-  | Deleted { seq } ->
-      Codec.u8 b 3;
-      Codec.int_ b seq
-  | Best best ->
-      Codec.u8 b 4;
-      Codec.opt xyw b best
+let reply_size = function
+  | Pong -> header_bytes
+  | Solved _ -> header_bytes + 1 + 26
+  | Inserted _ -> header_bytes + 16
+  | Deleted _ -> header_bytes + 8
+  | Best best -> header_bytes + 1 + (match best with None -> 0 | Some _ -> 24)
   | Stats_reply s ->
-      Codec.u8 b 5;
-      Codec.f64 b s.uptime_s;
-      Codec.int_ b s.conns_active;
-      Codec.int_ b s.queue_depth;
-      Codec.int_ b s.inflight;
-      Codec.int_ b s.accepted;
-      Codec.int_ b s.rejected;
-      Codec.int_ b s.completed;
-      Codec.int_ b s.degraded;
-      Codec.int_ b s.partial;
-      Codec.int_ b s.invalid;
-      Codec.int_ b s.protocol_errors;
-      Codec.int_ b s.timeouts;
-      Codec.int_ b s.disconnects;
-      Codec.int_ b s.p50_us;
-      Codec.int_ b s.p99_us;
-      array_
-        (fun b (i, c) ->
-          Codec.int_ b i;
-          Codec.int_ b c)
-        b s.latency_buckets
-  | Error_reply { code; retry_after_ms; msg } ->
-      Codec.u8 b 6;
-      Codec.u8 b (err_code_to_u8 code);
-      Codec.int_ b retry_after_ms;
-      string_ b msg
-  | Range_best { seg; epoch; lag_ops } ->
-      Codec.u8 b 7;
-      Codec.opt
-        (fun b (l, h, s) ->
-          Codec.int_ b l;
-          Codec.int_ b h;
-          Codec.f64 b s)
-        b seg;
-      Codec.int_ b epoch;
-      Codec.int_ b lag_ops);
-  Buffer.contents b
+      header_bytes + 8 + (14 * 8) + 8 + (16 * Array.length s.latency_buckets)
+  | Error_reply { msg; _ } -> header_bytes + 17 + String.length msg
+  | Range_best { seg; _ } ->
+      header_bytes + 1 + (match seg with None -> 0 | Some _ -> 24) + 16
+
+let reply_tag = function
+  | Pong -> 0
+  | Solved _ -> 1
+  | Inserted _ -> 2
+  | Deleted _ -> 3
+  | Best _ -> 4
+  | Stats_reply _ -> 5
+  | Error_reply _ -> 6
+  | Range_best _ -> 7
+
+let encode_reply ~id reply =
+  encode (reply_size reply) ~id ~tag:(reply_tag reply) (fun b p ->
+      match reply with
+      | Pong -> p
+      | Solved outcome ->
+          let p =
+            put_u8 b p
+              (match outcome with
+              | Outcome.Complete _ -> 0
+              | Outcome.Degraded _ -> 1
+              | Outcome.Partial _ -> 2)
+          in
+          let a = Outcome.value outcome in
+          let p = put_f64 b (put_f64 b (put_f64 b p a.x) a.y) a.value in
+          put_u8 b (put_u8 b p (if a.verified then 1 else 0))
+            (source_to_u8 a.source)
+      | Inserted { handle; seq } -> put_int b (put_int b p handle) seq
+      | Deleted { seq } -> put_int b p seq
+      | Best None -> put_u8 b p 0
+      | Best (Some xyw) -> put_xyw b (put_u8 b p 1) xyw
+      | Stats_reply s ->
+          let p = put_f64 b p s.uptime_s in
+          let p =
+            List.fold_left (put_int b) p
+              [
+                s.conns_active;
+                s.queue_depth;
+                s.inflight;
+                s.accepted;
+                s.rejected;
+                s.completed;
+                s.degraded;
+                s.partial;
+                s.invalid;
+                s.protocol_errors;
+                s.timeouts;
+                s.disconnects;
+                s.p50_us;
+                s.p99_us;
+              ]
+          in
+          Array.fold_left
+            (fun p (i, c) -> put_int b (put_int b p i) c)
+            (put_int b p (Array.length s.latency_buckets))
+            s.latency_buckets
+      | Error_reply { code; retry_after_ms; msg } ->
+          let p = put_int b (put_u8 b p (err_code_to_u8 code)) retry_after_ms in
+          put_string b p msg
+      | Range_best { seg; epoch; lag_ops } ->
+          let p =
+            match seg with
+            | None -> put_u8 b p 0
+            | Some (l, h, sum) ->
+                put_f64 b (put_int b (put_int b (put_u8 b p 1) l) h) sum
+          in
+          put_int b (put_int b p epoch) lag_ops)
 
 let r_reply r =
   let v = Codec.r_u8 r in

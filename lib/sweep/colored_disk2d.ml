@@ -1,6 +1,7 @@
 module Circle = Maxrs_geom.Circle
 module Closed = Maxrs_geom.Closed
 module Kern = Maxrs_geom.Kern
+module Lend = Maxrs_geom.Lend
 module Pstore = Maxrs_geom.Pstore
 module Fvec = Maxrs_geom.Fvec
 module Obs = Maxrs_obs.Obs
@@ -64,9 +65,10 @@ module Color_counter = struct
     if cur = 1 then t.distinct <- t.distinct - 1
 end
 
-(* Per-domain sweep scratch (see [Disk2d.scratch] for the two-stream
-   design and the determinism argument): angle buffers with tandem color
-   payloads, plus the reused color multiset. *)
+(* Per-domain sweep scratch, lent to one sweep at a time (see
+   [Disk2d.scratch] for the two-stream design and the determinism
+   argument): angle buffers with tandem color payloads, plus the reused
+   color multiset. *)
 type scratch = {
   add_a : Kern.Fbuf.t;
   add_c : Kern.Ibuf.t;
@@ -76,8 +78,8 @@ type scratch = {
   counter : Color_counter.t;
 }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
+let scratch =
+  Lend.make (fun () ->
       {
         add_a = Kern.Fbuf.create 256;
         add_c = Kern.Ibuf.create 256;
@@ -87,8 +89,12 @@ let scratch_key =
         counter = Color_counter.create ();
       })
 
-let sweep_circle_cols ~radius xs ys colors n i =
-  let sc = Domain.DLS.get scratch_key in
+(* As in [Disk2d]: local, so the float is stored unboxed. *)
+let[@inline] push b x =
+  let k = Kern.Fbuf.reserve b in
+  Fvec.unsafe_set (Kern.Fbuf.data b) k x
+
+let sweep_circle_on sc ~radius xs ys colors n i =
   let counter = sc.counter in
   Color_counter.reset counter;
   Color_counter.add counter colors.(i);
@@ -105,9 +111,9 @@ let sweep_circle_cols ~radius xs ys colors n i =
         let start = Float.Array.get sc.cov 0
         and stop = Float.Array.get sc.cov 2 in
         let col = Array.unsafe_get colors j in
-        Kern.Fbuf.push sc.add_a start;
+        push sc.add_a start;
         Kern.Ibuf.push sc.add_c col;
-        Kern.Fbuf.push sc.rem_a stop;
+        push sc.rem_a stop;
         Kern.Ibuf.push sc.rem_c col;
         (* Active from the start iff it wraps (see [Disk2d]). *)
         if stop < start then Color_counter.add counter col
@@ -144,6 +150,16 @@ let sweep_circle_cols ~radius xs ys colors n i =
     end
   done;
   (!best_angle, !best)
+
+let sweep_circle_cols ~radius xs ys colors n i =
+  let sc = Lend.take scratch in
+  match sweep_circle_on sc ~radius xs ys colors n i with
+  | r ->
+      Lend.give scratch sc;
+      r
+  | exception e ->
+      Lend.give scratch sc;
+      raise e
 
 let solve_cols ?domains ~budget ~radius xs ys colors n =
   (* Independent per-circle sweeps, reduced in index order (strict >,

@@ -1,6 +1,7 @@
 module Circle = Maxrs_geom.Circle
 module Closed = Maxrs_geom.Closed
 module Kern = Maxrs_geom.Kern
+module Lend = Maxrs_geom.Lend
 module Pstore = Maxrs_geom.Pstore
 module Fvec = Maxrs_geom.Fvec
 module Obs = Maxrs_obs.Obs
@@ -40,14 +41,14 @@ let depth_at_cols ~radius xs ys ws n qx qy =
   done;
   !acc
 
-(* Per-domain sweep scratch: the n per-center sweeps of one solve reuse
-   these buffers, so steady-state sweeping allocates nothing. Additions
-   and removals are kept as two separately sorted streams merged
-   adds-first on equal angles — the same event order as the old single
-   sort with its (angle asc, signed weight desc) comparator, since add
-   weights are >= 0 and removal weights <= 0. Keyed by [Domain.DLS]:
-   each pool domain owns one scratch, and results never depend on
-   scratch contents, so determinism is unaffected. *)
+(* Per-domain sweep scratch, lent to one sweep at a time ([Lend]): the
+   n per-center sweeps of one solve reuse these buffers, so steady-state
+   sweeping allocates nothing. Additions and removals are kept as two
+   separately sorted streams merged adds-first on equal angles — the
+   same event order as the old single sort with its (angle asc, signed
+   weight desc) comparator, since add weights are >= 0 and removal
+   weights <= 0. Results never depend on scratch contents, so
+   determinism is unaffected. *)
 type scratch = {
   add_a : Kern.Fbuf.t;  (** addition angles *)
   add_w : Kern.Fbuf.t;  (** addition weights (>= 0) *)
@@ -56,8 +57,8 @@ type scratch = {
   cov : floatarray;  (** [Circle.coverage_into] out-buffer *)
 }
 
-let scratch_key =
-  Domain.DLS.new_key (fun () ->
+let scratch =
+  Lend.make (fun () ->
       {
         add_a = Kern.Fbuf.create 256;
         add_w = Kern.Fbuf.create 256;
@@ -66,11 +67,16 @@ let scratch_key =
         cov = Float.Array.create 3;
       })
 
+(* Defined here, not called across modules, so the float is stored
+   unboxed ([Kern.Fbuf.reserve]). *)
+let[@inline] push b x =
+  let k = Kern.Fbuf.reserve b in
+  Fvec.unsafe_set (Kern.Fbuf.data b) k x
+
 (* Sweep the boundary circle of disk [i]. Ties are resolved by
    processing additions first so that closed-arc endpoints count as
    covered. Returns (best angle, best depth). *)
-let sweep_circle_cols ~radius xs ys ws n i =
-  let sc = Domain.DLS.get scratch_key in
+let sweep_circle_on sc ~radius xs ys ws n i =
   let base = ref (Fvec.get ws i) in
   Kern.Fbuf.clear sc.add_a;
   Kern.Fbuf.clear sc.add_w;
@@ -84,10 +90,10 @@ let sweep_circle_cols ~radius xs ys ws n i =
       else if code = Circle.cov_arc then begin
         let start = Float.Array.get sc.cov 0
         and stop = Float.Array.get sc.cov 2 in
-        Kern.Fbuf.push sc.add_a start;
-        Kern.Fbuf.push sc.add_w wj;
-        Kern.Fbuf.push sc.rem_a stop;
-        Kern.Fbuf.push sc.rem_w (-.wj);
+        push sc.add_a start;
+        push sc.add_w wj;
+        push sc.rem_a stop;
+        push sc.rem_w (-.wj);
         (* An arc whose removal the sweep meets before its addition
            wraps past angle 0: it is active from the start. One that
            starts at 0 is added by its own event, not counted twice. *)
@@ -122,6 +128,16 @@ let sweep_circle_cols ~radius xs ys ws n i =
     end
   done;
   (!best_angle, !best)
+
+let sweep_circle_cols ~radius xs ys ws n i =
+  let sc = Lend.take scratch in
+  match sweep_circle_on sc ~radius xs ys ws n i with
+  | r ->
+      Lend.give scratch sc;
+      r
+  | exception e ->
+      Lend.give scratch sc;
+      raise e
 
 let solve_cols ?domains ~budget ~radius xs ys ws n =
   (* The n circle sweeps are independent; run them on the domain pool

@@ -3,6 +3,7 @@ module Parallel = Maxrs_parallel.Parallel
 module Guard = Maxrs_resilience.Guard
 module Kern = Maxrs_geom.Kern
 module Fvec = Maxrs_geom.Fvec
+module Lend = Maxrs_geom.Lend
 
 (* Each query merges two implicit streams of n endpoints each; the 2n
    events are recorded in one [add] per query (not per event) to keep
@@ -20,29 +21,97 @@ type placement = { lo : float; value : float }
 
 type batched = { xs : Fvec.t; ws : Fvec.t; prefix : Fvec.t; n : int }
 
-(* Sort by (coordinate, input index) on unboxed columns — the stable
-   order, radix-sorted above [Kern.radix_threshold] — then permute
-   straight into flat coordinate/weight columns. No boxed pair array
-   survives preprocessing: queries (and the RMSQ read tier, which
-   compiles these very columns into an index) run over [Fvec]s only.
-   The query sweep only ever folds whole groups of equal coordinates,
-   so the stable tie order is as good as the old unspecified one. *)
+(* Per-domain sort scratch, lent to one solve at a time ([Lend]): the
+   pairs gathered in input order, their order, and a single query's
+   sorted columns. Grown, never shrunk. *)
+type scratch = {
+  mutable xin : Fvec.t;
+  mutable win : Fvec.t;
+  mutable perm : int array;
+  mutable xs : Fvec.t;
+  mutable ws : Fvec.t;
+}
+
+let scratch =
+  Lend.make (fun () ->
+      {
+        xin = Fvec.create 0;
+        win = Fvec.create 0;
+        perm = [||];
+        xs = Fvec.create 0;
+        ws = Fvec.create 0;
+      })
+
+let ensure sc n =
+  if Array.length sc.perm < n then begin
+    let cap = ref 256 in
+    while !cap < n do
+      cap := 2 * !cap
+    done;
+    let cap = !cap in
+    sc.xin <- Fvec.create cap;
+    sc.win <- Fvec.create cap;
+    sc.perm <- Array.make cap 0;
+    sc.xs <- Fvec.create cap;
+    sc.ws <- Fvec.create cap
+  end
+
+(* The one sorting routine. One sequential pass validates the pairs and
+   gathers them in input order; [Kern.order] orders the coordinates
+   (stable: equal coordinates keep input order, as the old sort by
+   (coordinate, input index) did); one permuting pass writes [xs]/[ws].
+   Returns the index of the first non-finite pair, whose error
+   [Guard.pairs_1d] reports, or -1 once [xs]/[ws] hold the sorted
+   columns. The query sweep only ever folds whole groups of equal
+   coordinates, so any stable tie order is as good as another. The
+   scratch must already hold [Array.length pts] slots. *)
+let sort_into sc pts ~xs ~ws =
+  let n = Array.length pts in
+  let xin = sc.xin and win = sc.win in
+  let bad = ref (-1) and i = ref 0 in
+  while !i < n do
+    let x, w = Array.unsafe_get pts !i in
+    if x -. x = 0. && w -. w = 0. then begin
+      Fvec.unsafe_set xin !i x;
+      Fvec.unsafe_set win !i w;
+      incr i
+    end
+    else begin
+      bad := !i;
+      i := n
+    end
+  done;
+  if !bad < 0 then begin
+    let perm = sc.perm in
+    Kern.order xin n perm;
+    for i = 0 to n - 1 do
+      let j = Array.unsafe_get perm i in
+      Fvec.unsafe_set xs i (Fvec.unsafe_get xin j);
+      Fvec.unsafe_set ws i (Fvec.unsafe_get win j)
+    done
+  end;
+  !bad
+
+let non_finite fn = invalid_arg (fn ^ ": non-finite coordinate or weight")
+
+(* Columns the caller keeps ([batched], the RMSQ read tier, which
+   compiles these very columns and [prefix] into an index): no boxed
+   pair array survives preprocessing. *)
 let preprocess pts =
   let n = Array.length pts in
-  let keys = Fvec.create n in
-  let idx = Array.init n Fun.id in
-  for i = 0 to n - 1 do
-    Fvec.unsafe_set keys i (fst (Array.unsafe_get pts i))
-  done;
-  Kern.sort_fi keys idx n;
   let xs = Fvec.create n and ws = Fvec.create n in
+  if
+    Lend.with_ scratch (fun sc ->
+        ensure sc n;
+        sort_into sc pts ~xs ~ws)
+    >= 0
+  then
+    non_finite "Interval1d.preprocess";
   let prefix = Fvec.create (n + 1) in
   Fvec.unsafe_set prefix 0 0.;
   for i = 0 to n - 1 do
-    let x, w = Array.unsafe_get pts (Array.unsafe_get idx i) in
-    Fvec.unsafe_set xs i x;
-    Fvec.unsafe_set ws i w;
-    Fvec.unsafe_set prefix (i + 1) (Fvec.unsafe_get prefix i +. w)
+    Fvec.unsafe_set prefix (i + 1)
+      (Fvec.unsafe_get prefix i +. Fvec.unsafe_get ws i)
   done;
   { xs; ws; prefix; n }
 
@@ -104,9 +173,30 @@ let query_cols xs ws n ~len =
     { lo = !best_lo; value = !best }
   end
 
-let query b ~len = query_cols b.xs b.ws b.n ~len
+let query (b : batched) ~len = query_cols b.xs b.ws b.n ~len
 
-let max_sum ~len pts = query (preprocess pts) ~len
+(* A single query sorts into the lent scratch's columns and sweeps them
+   there: no prefix, nothing allocated but the answer. [None] when a
+   pair is not finite. *)
+let solve ~len pts =
+  let n = Array.length pts in
+  let sc = Lend.take scratch in
+  match
+    ensure sc n;
+    if sort_into sc pts ~xs:sc.xs ~ws:sc.ws >= 0 then None
+    else Some (query_cols sc.xs sc.ws n ~len)
+  with
+  | r ->
+      Lend.give scratch sc;
+      r
+  | exception e ->
+      Lend.give scratch sc;
+      raise e
+
+let max_sum ~len pts =
+  match solve ~len pts with
+  | Some p -> p
+  | None -> non_finite "Interval1d.max_sum"
 
 let max_sum_brute ~len pts =
   assert (len >= 0.);
@@ -145,8 +235,12 @@ let max_sum_brute ~len pts =
 let max_sum_checked ~len pts =
   let open Guard in
   let* () = non_negative ~field:"len" len in
-  let* () = pairs_1d ~field:"points" pts in
-  Ok (max_sum ~len pts)
+  match solve ~len pts with
+  | Some p -> Ok p
+  | None -> (
+      match pairs_1d ~field:"points" pts with
+      | Error _ as e -> e
+      | Ok () -> assert false (* [solve] met a non-finite pair *))
 
 let batched ?domains ~lens pts =
   let b = preprocess pts in

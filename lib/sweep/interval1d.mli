@@ -16,11 +16,13 @@ type placement = {
 
 val max_sum : len:float -> (float * float) array -> placement
 (** [max_sum ~len pts] with [pts] an array of (coordinate, weight) pairs.
-    Requires [len >= 0] and a non-empty array. The empty placement (weight
-    0, covering no points) is also considered, so [value >= 0] ... unless
-    every placement covering at least one point is forced; we report
-    max(best covering placement, 0) semantics by allowing an interval far
-    away: value is never negative. *)
+    Requires [len >= 0]. The empty placement (weight 0, covering no
+    points, far away) is also considered, so the value is never
+    negative. One pass gathers the pairs, {!Maxrs_geom.Kern.order}
+    orders them, one sweep answers — on per-domain scratch lent to the
+    call ({!Maxrs_geom.Lend}), so once it has grown a call allocates
+    only its answer. Raises [Invalid_argument] on a non-finite
+    coordinate or weight. *)
 
 val max_sum_brute : len:float -> (float * float) array -> placement
 (** O(n^2) reference implementation (candidate left endpoints are the
@@ -39,7 +41,9 @@ type batched = {
     domain): no boxed pairs survive preprocessing. *)
 
 val preprocess : (float * float) array -> batched
-(** Sort once into flat columns; O(n log n). *)
+(** Sort once into fresh flat columns, with their prefix sums;
+    O(n log n). Equal coordinates keep input order. Raises
+    [Invalid_argument] on a non-finite coordinate or weight. *)
 
 val query : batched -> len:float -> placement
 (** O(n) per length, via a merge of the two implicitly-sorted event lists. *)

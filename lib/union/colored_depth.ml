@@ -2,6 +2,7 @@ module Circle = Maxrs_geom.Circle
 module Closed = Maxrs_geom.Closed
 module Fvec = Maxrs_geom.Fvec
 module Kern = Maxrs_geom.Kern
+module Lend = Maxrs_geom.Lend
 
 type stats = { union_arcs : int; circles_swept : int; events : int }
 type result = { x : float; y : float; depth : int; stats : stats }
@@ -60,7 +61,6 @@ module Cell = struct
      grown scratch allocates nothing. Between solves every [counts] slot
      is 0 and every [group] slot is -1. *)
   type t = {
-    busy : bool Atomic.t;  (** lent to a solve *)
     mutable n : int;
     mutable xs : Fvec.t;
     mutable ys : Fvec.t;
@@ -81,7 +81,6 @@ module Cell = struct
   let create () =
     let cap = 16 in
     {
-      busy = Atomic.make false;
       n = 0;
       xs = Fvec.create cap;
       ys = Fvec.create cap;
@@ -99,16 +98,10 @@ module Cell = struct
       events = 0;
     }
 
-  (* The domain's scratch is lent to one solve at a time: the daemon's
-     worker threads share a domain, and a thread switch can fall inside
-     a solve. A solve that finds it lent out works on fresh scratch. *)
-  let key = Domain.DLS.new_key create
-
-  let with_scratch f =
-    let t = Domain.DLS.get key in
-    if Atomic.compare_and_set t.busy false true then
-      Fun.protect ~finally:(fun () -> Atomic.set t.busy false) (fun () -> f t)
-    else f (create ())
+  (* Lent to one solve at a time: the daemon's worker threads share a
+     domain, and a thread switch can fall inside a solve. *)
+  let lend = Lend.make create
+  let with_scratch f = Lend.with_ lend f
 
   let clear t = t.n <- 0
   let length t = t.n

@@ -46,10 +46,15 @@ let is_permutation idx n =
 (* ------------------------------------------------------------------ *)
 (* Kern: scratch buffers *)
 
+let[@inline] fbuf_push b x =
+  let k = Kern.Fbuf.reserve b in
+  Fvec.unsafe_set (Kern.Fbuf.data b) k x
+
 let test_fbuf_growth () =
   let b = Kern.Fbuf.create 2 in
   for i = 0 to 99 do
-    Kern.Fbuf.push b (float_of_int i)
+    Alcotest.(check int) "slot" i (Kern.Fbuf.reserve b);
+    Fvec.set (Kern.Fbuf.data b) i (float_of_int i)
   done;
   Alcotest.(check int) "length" 100 (Kern.Fbuf.length b);
   Alcotest.(check bool) "roundtrip" true
@@ -63,8 +68,25 @@ let test_fbuf_growth () =
     && Fvec.get (Kern.Fbuf.data b) 42 = 42.);
   Kern.Fbuf.clear b;
   Alcotest.(check int) "cleared" 0 (Kern.Fbuf.length b);
-  Kern.Fbuf.push b 7.;
+  fbuf_push b 7.;
   Alcotest.(check (float 0.)) "reusable" 7. (Kern.Fbuf.get b 0)
+
+(* An append from another module — reserve a slot, store through the
+   [Fvec] external — boxes nothing: 0 words per append once grown. *)
+let test_fbuf_append_allocates_nothing () =
+  let b = Kern.Fbuf.create 8 in
+  let xs = Fvec.init 4096 (fun i -> float_of_int i *. 0.5) in
+  for i = 0 to 4095 do
+    fbuf_push b (Fvec.unsafe_get xs i)
+  done;
+  Kern.Fbuf.clear b;
+  let w0 = Gc.minor_words () in
+  for i = 0 to 4095 do
+    fbuf_push b (Fvec.unsafe_get xs i)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 4096 appends" 0. words;
+  Alcotest.(check (float 0.)) "last slot" 2047.5 (Kern.Fbuf.get b 4095)
 
 let test_ibuf_growth () =
   let b = Kern.Ibuf.create 1 in
@@ -256,6 +278,30 @@ let prop_radix_ff =
              (List.init n (fun i ->
                   ( Int64.bits_of_float (fst arr.(i)),
                     Int64.bits_of_float (snd arr.(i)) ))))
+
+(* The key-only order is the permutation the tandem introsort leaves in
+   an identity payload: equal keys (both zeros included) by ascending
+   index. Permutations are ints, so the comparison is exact; the keys
+   must come back untouched, bit for bit. *)
+let prop_order =
+  QCheck.Test.make ~count:120
+    ~name:"order = intro_fi with an identity payload on adversarial floats"
+    (adversarial_arrays (QCheck.Gen.return ()))
+    (fun arr ->
+      let n = Array.length arr in
+      let key = Fvec.init n (fun i -> fst arr.(i)) in
+      let k1 = Fvec.init n (fun i -> fst arr.(i)) in
+      let want = Array.init n Fun.id in
+      Kern.intro_fi k1 want n;
+      let perm = Array.make (n + 3) (-1) in
+      Kern.order key n perm;
+      Array.sub perm 0 n = want
+      && Array.for_all (( = ) (-1)) (Array.sub perm n 3)
+      && List.for_all
+           (fun i ->
+             Int64.bits_of_float (Fvec.get key i)
+             = Int64.bits_of_float (fst arr.(i)))
+           (List.init n Fun.id))
 
 let prop_radix_fi =
   QCheck.Test.make ~count:120
@@ -507,6 +553,8 @@ let () =
       ( "scratch-buffers",
         [
           Alcotest.test_case "Fbuf growth and reuse" `Quick test_fbuf_growth;
+          Alcotest.test_case "Fbuf append allocates nothing" `Quick
+            test_fbuf_append_allocates_nothing;
           Alcotest.test_case "Ibuf growth and reuse" `Quick test_ibuf_growth;
         ] );
       qcheck "sort-kernels"
@@ -518,6 +566,7 @@ let () =
           prop_sort_fi;
           prop_radix_ff;
           prop_radix_fi;
+          prop_order;
         ];
       ( "kdtree-duplicates",
         [

@@ -249,6 +249,403 @@ let qcheck_proto_mutation_total =
       match Proto.decode_request (Bytes.unsafe_to_string by) with
       | Ok _ | Error _ -> true)
 
+(* The [Buffer] encoder that the exact-size one replaced, kept as the
+   reference for its bytes. *)
+module Ref_encoder = struct
+  let source_to_u8 = function
+    | Proto.Exact -> 0
+    | Proto.Approx_fallback -> 1
+    | Proto.Best_so_far -> 2
+
+  let err_code_to_u8 = function
+    | Proto.Overloaded -> 0
+    | Proto.Invalid -> 1
+    | Proto.Malformed_request -> 2
+    | Proto.Shutting_down -> 3
+    | Proto.Too_large -> 4
+    | Proto.Internal -> 5
+
+  let string_ b s =
+    Codec.int_ b (String.length s);
+    Buffer.add_string b s
+
+  let xyw b (x, y, w) =
+    Codec.f64 b x;
+    Codec.f64 b y;
+    Codec.f64 b w
+
+  let xy b (x, y) =
+    Codec.f64 b x;
+    Codec.f64 b y
+
+  let array_ enc b a =
+    Codec.int_ b (Array.length a);
+    Array.iter (enc b) a
+
+  let encode_request ~id req =
+    let b = Buffer.create 64 in
+    Codec.u8 b Proto.version;
+    Codec.int_ b id;
+    (match req with
+    | Proto.Ping -> Codec.u8 b 0
+    | Proto.Solve_weighted { radius; deadline; points } ->
+        Codec.u8 b 1;
+        Codec.f64 b radius;
+        Codec.opt Codec.f64 b deadline;
+        array_ xyw b points
+    | Proto.Solve_colored { radius; deadline; seed; max_shifts; points; colors }
+      ->
+        Codec.u8 b 2;
+        Codec.f64 b radius;
+        Codec.opt Codec.f64 b deadline;
+        Codec.int_ b seed;
+        Codec.opt Codec.int_ b max_shifts;
+        array_ xy b points;
+        Codec.int_array b colors
+    | Proto.Solve_static { radius; epsilon; seed; max_shifts; points } ->
+        Codec.u8 b 3;
+        Codec.f64 b radius;
+        Codec.f64 b epsilon;
+        Codec.int_ b seed;
+        Codec.opt Codec.int_ b max_shifts;
+        array_ xyw b points
+    | Proto.Solve_interval { len; points } ->
+        Codec.u8 b 4;
+        Codec.f64 b len;
+        array_ xy b points
+    | Proto.Insert { x; y; weight } ->
+        Codec.u8 b 5;
+        Codec.f64 b x;
+        Codec.f64 b y;
+        Codec.f64 b weight
+    | Proto.Delete { handle } ->
+        Codec.u8 b 6;
+        Codec.int_ b handle
+    | Proto.Query -> Codec.u8 b 7
+    | Proto.Stats -> Codec.u8 b 8
+    | Proto.Range_sum { lo; hi } ->
+        Codec.u8 b 9;
+        Codec.f64 b lo;
+        Codec.f64 b hi);
+    Buffer.contents b
+
+  let answer_ b (a : Proto.answer) =
+    Codec.f64 b a.x;
+    Codec.f64 b a.y;
+    Codec.f64 b a.value;
+    Codec.bool_ b a.verified;
+    Codec.u8 b (source_to_u8 a.source)
+
+  let encode_reply ~id reply =
+    let b = Buffer.create 64 in
+    Codec.u8 b Proto.version;
+    Codec.int_ b id;
+    (match reply with
+    | Proto.Pong -> Codec.u8 b 0
+    | Proto.Solved outcome ->
+        Codec.u8 b 1;
+        Codec.u8 b
+          (match outcome with
+          | Outcome.Complete _ -> 0
+          | Outcome.Degraded _ -> 1
+          | Outcome.Partial _ -> 2);
+        answer_ b (Outcome.value outcome)
+    | Proto.Inserted { handle; seq } ->
+        Codec.u8 b 2;
+        Codec.int_ b handle;
+        Codec.int_ b seq
+    | Proto.Deleted { seq } ->
+        Codec.u8 b 3;
+        Codec.int_ b seq
+    | Proto.Best best ->
+        Codec.u8 b 4;
+        Codec.opt xyw b best
+    | Proto.Stats_reply s ->
+        Codec.u8 b 5;
+        Codec.f64 b s.uptime_s;
+        Codec.int_ b s.conns_active;
+        Codec.int_ b s.queue_depth;
+        Codec.int_ b s.inflight;
+        Codec.int_ b s.accepted;
+        Codec.int_ b s.rejected;
+        Codec.int_ b s.completed;
+        Codec.int_ b s.degraded;
+        Codec.int_ b s.partial;
+        Codec.int_ b s.invalid;
+        Codec.int_ b s.protocol_errors;
+        Codec.int_ b s.timeouts;
+        Codec.int_ b s.disconnects;
+        Codec.int_ b s.p50_us;
+        Codec.int_ b s.p99_us;
+        array_
+          (fun b (i, c) ->
+            Codec.int_ b i;
+            Codec.int_ b c)
+          b s.latency_buckets
+    | Proto.Error_reply { code; retry_after_ms; msg } ->
+        Codec.u8 b 6;
+        Codec.u8 b (err_code_to_u8 code);
+        Codec.int_ b retry_after_ms;
+        string_ b msg
+    | Proto.Range_best { seg; epoch; lag_ops } ->
+        Codec.u8 b 7;
+        Codec.opt
+          (fun b (l, h, s) ->
+            Codec.int_ b l;
+            Codec.int_ b h;
+            Codec.f64 b s)
+          b seg;
+        Codec.int_ b epoch;
+        Codec.int_ b lag_ops);
+    Buffer.contents b
+end
+
+(* Floats whose bits a codec could lose: signed zeros, NaN payloads,
+   infinities, subnormals and the extremes. *)
+let edge_floats =
+  [|
+    0.;
+    -0.;
+    Int64.float_of_bits 0x7FF8_0000_0000_0001L;
+    Int64.float_of_bits 0xFFF4_0000_0000_ABCDL;
+    Float.infinity;
+    Float.neg_infinity;
+    5e-324;
+    -2.2250738585072e-308;
+    Float.max_float;
+    1e308;
+    -1.5;
+  |]
+
+let edge_requests =
+  let f i = edge_floats.(i mod Array.length edge_floats) in
+  let pairs n = Array.init n (fun i -> (f i, f (i + 3))) in
+  let triples n = Array.init n (fun i -> (f i, f (i + 1), f (i + 5))) in
+  List.concat_map
+    (fun n ->
+      [
+        Proto.Ping;
+        Proto.Solve_weighted
+          { radius = f n; deadline = None; points = triples n };
+        Proto.Solve_weighted
+          { radius = 1.; deadline = Some (f (n + 2)); points = triples n };
+        Proto.Solve_colored
+          {
+            radius = f (n + 1);
+            deadline = Some (-0.);
+            seed = -n;
+            max_shifts = None;
+            points = pairs n;
+            colors = Array.init n (fun i -> (i * max_int) - n);
+          };
+        Proto.Solve_colored
+          {
+            radius = 2.;
+            deadline = None;
+            seed = max_int;
+            max_shifts = Some min_int;
+            points = pairs n;
+            colors = Array.init n (fun i -> -i);
+          };
+        Proto.Solve_static
+          {
+            radius = f n;
+            epsilon = f (n + 4);
+            seed = n;
+            max_shifts = Some n;
+            points = triples n;
+          };
+        Proto.Solve_static
+          {
+            radius = 1.;
+            epsilon = 0.25;
+            seed = 0;
+            max_shifts = None;
+            points = triples n;
+          };
+        Proto.Solve_interval { len = f (n + 6); points = pairs n };
+        Proto.Insert { x = f n; y = f (n + 1); weight = f (n + 2) };
+        Proto.Delete { handle = min_int + n };
+        Proto.Query;
+        Proto.Stats;
+        Proto.Range_sum { lo = f n; hi = f (n + 7) };
+      ])
+    [ 0; 1; 2; 11 ]
+
+let edge_replies =
+  let f i = edge_floats.(i mod Array.length edge_floats) in
+  let answer i =
+    {
+      Proto.x = f i;
+      y = f (i + 1);
+      value = f (i + 2);
+      verified = i mod 2 = 0;
+      source =
+        (match i mod 3 with
+        | 0 -> Proto.Exact
+        | 1 -> Proto.Approx_fallback
+        | _ -> Proto.Best_so_far);
+    }
+  in
+  List.concat_map
+    (fun i ->
+      [
+        Proto.Pong;
+        Proto.Solved (Outcome.Complete (answer i));
+        Proto.Solved (Outcome.Degraded (answer (i + 1)));
+        Proto.Solved (Outcome.Partial (answer (i + 2)));
+        Proto.Inserted { handle = i; seq = max_int - i };
+        Proto.Deleted { seq = -i };
+        Proto.Best None;
+        Proto.Best (Some (f i, f (i + 4), f (i + 8)));
+        Proto.Stats_reply
+          {
+            Proto.uptime_s = f i;
+            conns_active = i;
+            queue_depth = -i;
+            inflight = max_int;
+            accepted = min_int;
+            rejected = 1;
+            completed = 2;
+            degraded = 3;
+            partial = 4;
+            invalid = 5;
+            protocol_errors = 6;
+            timeouts = 7;
+            disconnects = 8;
+            p50_us = 9;
+            p99_us = 10;
+            latency_buckets = Array.init i (fun j -> (j, (j * 7) - i));
+          };
+        Proto.Error_reply
+          {
+            code =
+              (match i mod 6 with
+              | 0 -> Proto.Overloaded
+              | 1 -> Proto.Invalid
+              | 2 -> Proto.Malformed_request
+              | 3 -> Proto.Shutting_down
+              | 4 -> Proto.Too_large
+              | _ -> Proto.Internal);
+            retry_after_ms = i * 13;
+            msg = String.make i 'm';
+          };
+        Proto.Range_best { seg = None; epoch = 0; lag_ops = i };
+        Proto.Range_best
+          { seg = Some (i, (2 * i) + 1, f (i + 9)); epoch = i; lag_ops = -i };
+      ])
+    [ 0; 1; 2; 3; 4; 5 ]
+
+let test_encoder_matches_reference () =
+  List.iteri
+    (fun k req ->
+      List.iter
+        (fun id ->
+          let s = Proto.encode_request ~id req in
+          if s <> Ref_encoder.encode_request ~id req then
+            Alcotest.failf "request %d, id %d: bytes differ" k id;
+          match Proto.decode_request s with
+          | Ok (id', req') ->
+              if id' <> id || Proto.encode_request ~id req' <> s then
+                Alcotest.failf "request %d does not round trip" k
+          | Error m -> Alcotest.failf "request %d: %s" k m)
+        [ 0; 7; -1; max_int; min_int ])
+    edge_requests;
+  List.iteri
+    (fun k reply ->
+      List.iter
+        (fun id ->
+          let s = Proto.encode_reply ~id reply in
+          if s <> Ref_encoder.encode_reply ~id reply then
+            Alcotest.failf "reply %d, id %d: bytes differ" k id;
+          match Proto.decode_reply s with
+          | Ok (id', reply') ->
+              if id' <> id || Proto.encode_reply ~id reply' <> s then
+                Alcotest.failf "reply %d does not round trip" k
+          | Error m -> Alcotest.failf "reply %d: %s" k m)
+        [ 0; 7; -1; max_int; min_int ])
+    edge_replies
+
+(* Every proper prefix of a point-carrying request, and a length field
+   one point past the bytes, decode to an ordinary [Error]: the codec's
+   own [Malformed], never an exception caught as a decoder bug. *)
+let test_truncated_points_are_errors () =
+  let pairs = [| (1., 2.); (3., -4.); (0.5, 0.25) |] in
+  let cases =
+    [
+      (Proto.Solve_interval { len = 1.5; points = pairs }, [ 18 ]);
+      ( Proto.Solve_weighted
+          {
+            radius = 1.;
+            deadline = None;
+            points = Array.map (fun (x, y) -> (x, y, 1.)) pairs;
+          },
+        [ 19 ] );
+      ( Proto.Solve_colored
+          {
+            radius = 1.;
+            deadline = None;
+            seed = 3;
+            max_shifts = None;
+            points = pairs;
+            colors = [| 4; -5; 6 |];
+          },
+        [ 28; 28 + 8 + 48 ] );
+    ]
+  in
+  let expect_error what s =
+    match Proto.decode_request s with
+    | Ok _ -> Alcotest.failf "%s decoded" what
+    | Error m ->
+        if contains ~needle:"decoder bug" m then
+          Alcotest.failf "%s raised: %s" what m
+  in
+  List.iter
+    (fun (req, len_fields) ->
+      let s = Proto.encode_request ~id:9 req in
+      for k = 0 to String.length s - 1 do
+        expect_error (Printf.sprintf "prefix %d of %d" k (String.length s))
+          (String.sub s 0 k)
+      done;
+      List.iter
+        (fun off ->
+          let b = Bytes.of_string s in
+          Bytes.set_int64_le b off (Int64.add (Bytes.get_int64_le b off) 1L);
+          expect_error
+            (Printf.sprintf "length at %d plus one" off)
+            (Bytes.to_string b))
+        len_fields)
+    cases
+
+let interval_request ?(seed = 11) n =
+  let rng = Rng.create seed in
+  Proto.Solve_interval
+    {
+      len = 25.;
+      points =
+        Array.init n (fun _ ->
+            (Rng.uniform rng 0. 1000., Rng.uniform rng (-1.) 3.));
+    }
+
+(* The 12,000-pair interval request is encoded into one exact-size
+   string with no boxed float and no buffer growth, and decoded with
+   nothing allocated beyond the wire type's tuples and their floats. *)
+let test_codec_allocation () =
+  let req = interval_request 12_000 in
+  let minor_words f =
+    Gc.minor ();
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    (r, Gc.minor_words () -. w0)
+  in
+  let s, enc = minor_words (fun () -> Proto.encode_request ~id:1 req) in
+  if enc > 32. then Alcotest.failf "encode: %.0f minor words (bound 32)" enc;
+  let r, dec = minor_words (fun () -> Proto.decode_request s) in
+  Alcotest.(check bool) "decodes" true (Result.is_ok r);
+  let bound = float_of_int ((7 * 12_000) + 64) in
+  if dec > bound then
+    Alcotest.failf "decode: %.0f minor words (bound %.0f)" dec bound
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end basics *)
 
@@ -1243,6 +1640,74 @@ let test_sigterm_drain_process () =
   cleanup_wal wal;
   Sys.remove log
 
+(* Two connections send 12,000-pair intervals at once to a two-worker
+   daemon, whose worker threads are systhreads of one domain and share
+   its scratch: every reply must be the local call's, and the daemon
+   must still answer afterwards and drain cleanly. *)
+let test_concurrent_intervals_process () =
+  let sock = fresh_path ".sock" in
+  let pid, log =
+    spawn_daemon [ "serve"; "--addr"; "unix:" ^ sock; "--workers"; "2" ]
+  in
+  let addr = Netio.Unix_sock sock in
+  let job seed =
+    let len = 10. +. float_of_int seed in
+    match interval_request ~seed 12_000 with
+    | Proto.Solve_interval { points; _ } -> (
+        match Interval1d.max_sum_checked ~len points with
+        | Ok p ->
+            ( Proto.Solve_interval { len; points },
+              [ bits p.Interval1d.lo; bits (p.lo +. len); bits p.value ] )
+        | Error _ -> Alcotest.fail "local solve rejected")
+    | _ -> assert false
+  in
+  (* Each connection keeps three requests in flight, so both workers
+     always have a solve to run. *)
+  let bad = Atomic.make 0 and replies = Atomic.make 0 in
+  let client (req, want) =
+    match Netio.connect addr with
+    | Error _ -> Atomic.incr bad
+    | Ok fd ->
+        let payload = Proto.encode_request ~id:1 req in
+        let send () = Result.is_ok (Netio.send fd payload) in
+        let recv () =
+          match Netio.recv ~idle:10. ~frame:10. ~max_frame:(1 lsl 23) fd with
+          | Ok p -> (
+              match Proto.decode_reply p with
+              | Ok (_, Proto.Solved o) ->
+                  let a = Outcome.value o in
+                  Atomic.incr replies;
+                  [ bits a.Proto.x; bits a.y; bits a.value ] = want
+              | Ok _ | Error _ -> false)
+          | Error _ -> false
+        in
+        let t0 = Unix.gettimeofday () in
+        let inflight = ref 0 and ok = ref true in
+        for _ = 1 to 3 do
+          if !ok && send () then incr inflight else ok := false
+        done;
+        while !ok && !inflight > 0 do
+          if recv () then decr inflight else ok := false;
+          if !ok && Unix.gettimeofday () -. t0 < 1.0 then
+            if send () then incr inflight else ok := false
+        done;
+        if not !ok then Atomic.incr bad;
+        Netio.close_noerr fd
+  in
+  let threads = List.map (Thread.create client) [ job 1; job 2 ] in
+  List.iter Thread.join threads;
+  let c = Client.create addr in
+  let alive = Client.ping c in
+  Client.close c;
+  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+  let status = wait_exit pid in
+  Sys.remove log;
+  Alcotest.(check int) "connections that saw a wrong or missing reply" 0
+    (Atomic.get bad);
+  Alcotest.(check bool) "replies served" true (Atomic.get replies > 20);
+  ok_or_fail "ping after the storm" alive;
+  Alcotest.(check bool) "drains, exit 0" true (status = Unix.WEXITED 0)
+
 let test_kill9_recovery_process () =
   let wal = fresh_path ".wal" in
   let sock = fresh_path ".sock" in
@@ -1602,6 +2067,12 @@ let () =
     [
       ( "proto",
         Alcotest.test_case "300 random round trips" `Quick test_proto_roundtrip
+        :: Alcotest.test_case "encoder bytes = Buffer reference" `Quick
+             test_encoder_matches_reference
+        :: Alcotest.test_case "truncated point runs are errors" `Quick
+             test_truncated_points_are_errors
+        :: Alcotest.test_case "12,000-pair interval codec allocation" `Quick
+             test_codec_allocation
         :: List.map QCheck_alcotest.to_alcotest
              [ qcheck_proto_garbage_total; qcheck_proto_mutation_total ] );
       ( "serve",
@@ -1679,6 +2150,8 @@ let () =
         [
           Alcotest.test_case "SIGTERM drains, exits 0, WAL flushed" `Quick
             test_sigterm_drain_process;
+          Alcotest.test_case "concurrent intervals on two workers" `Quick
+            test_concurrent_intervals_process;
           Alcotest.test_case "kill -9 recovers bit-identically" `Quick
             test_kill9_recovery_process;
           Alcotest.test_case "sharded session: chaos + kill -9" `Quick

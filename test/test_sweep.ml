@@ -295,6 +295,125 @@ let prop_interval1d_batched_consistent =
           Float.abs (single.Interval1d.value -. r.Interval1d.value) < 1e-9)
         lens batch)
 
+(* Answers computed before the single query moved to the key-only
+   order and lent scratch; they must not move. Duplicates, negative
+   weights, -0.0 and sizes on both sides of the radix threshold. *)
+let pinned_inputs =
+  [
+    ( "dups40",
+      2.5,
+      (let rng = Rng.create 101 in
+       Array.init 40 (fun _ ->
+           (float_of_int (Rng.int rng 10), Rng.uniform rng (-3.) 5.))),
+      "0x1p-1",
+      "0x1.0562068d48f4p+5" );
+    ( "dups2000",
+      7.,
+      (let rng = Rng.create 202 in
+       Array.init 2000 (fun _ ->
+           (0.5 *. float_of_int (Rng.int rng 300), Rng.uniform rng (-2.) 3.))),
+      "0x1.3p+5",
+      "0x1.5dd955e5f7adcp+6" );
+    ( "signed600",
+      0.,
+      (let rng = Rng.create 303 in
+       Array.init 600 (fun i ->
+           let x =
+             if i mod 7 = 0 then -0.0
+             else 0.25 *. Float.round (4. *. Rng.uniform rng (-50.) 50.)
+           in
+           (x, Rng.uniform rng (-4.) 4.))),
+      "-0x1.1cp+4",
+      "0x1.112971ef3e8eep+3" );
+    ( "wide12000",
+      3.,
+      (let rng = Rng.create 404 in
+       Array.init 12000 (fun _ ->
+           (Rng.uniform rng (-1e6) 1e6, Rng.uniform rng (-1.) 2.))),
+      "0x1.97d93fe252cf8p+18",
+      "0x1.da188aa22c914p+1" );
+    ("empty", 1., [||], "0x0p+0", "0x0p+0");
+  ]
+
+let test_interval1d_pinned () =
+  List.iter
+    (fun (name, len, pts, lo, value) ->
+      let hex (p : Interval1d.placement) =
+        (Printf.sprintf "%h" p.lo, Printf.sprintf "%h" p.value)
+      in
+      let want = (lo, value) in
+      let check what p =
+        Alcotest.(check (pair string string)) (name ^ ": " ^ what) want (hex p)
+      in
+      check "max_sum" (Interval1d.max_sum ~len pts);
+      (match Interval1d.max_sum_checked ~len pts with
+      | Ok p -> check "max_sum_checked" p
+      | Error _ -> Alcotest.failf "%s: rejected" name);
+      check "preprocess + query"
+        (Interval1d.query (Interval1d.preprocess pts) ~len))
+    pinned_inputs
+
+(* A single query on grown scratch allocates its answer and little
+   else: no index array, no column. *)
+let test_interval1d_single_allocation () =
+  let rng = Rng.create 7 in
+  let pts =
+    Array.init 12_000 (fun _ ->
+        (Rng.uniform rng 0. 1000., Rng.uniform rng (-1.) 3.))
+  in
+  ignore (Interval1d.max_sum_checked ~len:25. pts);
+  Gc.minor ();
+  let major0 = (Gc.quick_stat ()).Gc.major_words in
+  let w0 = Gc.minor_words () in
+  let r = Interval1d.max_sum_checked ~len:25. pts in
+  let minor = Gc.minor_words () -. w0 in
+  let major = (Gc.quick_stat ()).Gc.major_words -. major0 in
+  Alcotest.(check bool) "answered" true (Result.is_ok r);
+  if minor > 64. then Alcotest.failf "%.0f minor words (bound 64)" minor;
+  Alcotest.(check (float 0.)) "major words" 0. major
+
+(* Two systhreads of one domain share its scratch slots; lending keeps
+   each solve on scratch of its own, so every answer is the sequential
+   one. Both threads alternate 12,000-point interval queries with
+   700-disk sweeps on inputs of their own. *)
+let test_threads_share_no_scratch () =
+  let interval seed =
+    let rng = Rng.create seed in
+    Array.init 12_000 (fun _ ->
+        (Rng.uniform rng 0. 1000., Rng.uniform rng (-1.) 3.))
+  in
+  let disks seed =
+    let rng = Rng.create seed in
+    Array.init 700 (fun _ ->
+        (Rng.uniform rng 0. 4., Rng.uniform rng 0. 4., Rng.uniform rng 0.5 2.))
+  in
+  let work seed =
+    let pts = interval seed and tri = disks (seed + 1) in
+    let solve () =
+      let p = Interval1d.max_sum ~len:25. pts in
+      let d = Disk2d.max_weight ~domains:1 ~radius:1. tri in
+      List.map Int64.bits_of_float
+        [ p.Interval1d.lo; p.value; d.Disk2d.x; d.y; d.value ]
+    in
+    (solve, solve ())
+  in
+  let jobs = [ work 11; work 23 ] in
+  let differed = Atomic.make 0 in
+  let threads =
+    List.map
+      (fun (solve, want) ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to 5 do
+              if solve () <> want then Atomic.incr differed
+            done)
+          ())
+      jobs
+  in
+  List.iter Thread.join threads;
+  Alcotest.(check int) "answers that differ from the sequential ones" 0
+    (Atomic.get differed)
+
 (* ------------------------------------------------------------------ *)
 (* Rect2d *)
 
@@ -654,6 +773,11 @@ let () =
             test_interval1d_placement_consistent;
           Alcotest.test_case "NaN rejected before the kernels" `Quick
             test_nan_rejected_upstream;
+          Alcotest.test_case "pinned answers" `Quick test_interval1d_pinned;
+          Alcotest.test_case "single query allocates its answer" `Quick
+            test_interval1d_single_allocation;
+          Alcotest.test_case "threads of one domain share no scratch" `Quick
+            test_threads_share_no_scratch;
         ] );
       ( "rect2d",
         [
