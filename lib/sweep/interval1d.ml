@@ -58,8 +58,7 @@ let ensure sc n =
 
 (* The one sorting routine. One sequential pass validates the pairs and
    gathers them in input order; [Kern.order] orders the coordinates
-   (stable: equal coordinates keep input order, as the old sort by
-   (coordinate, input index) did); one permuting pass writes [xs]/[ws].
+   by (coordinate, input index); one permuting pass writes [xs]/[ws].
    Returns the index of the first non-finite pair, whose error
    [Guard.pairs_1d] reports, or -1 once [xs]/[ws] hold the sorted
    columns. The query sweep only ever folds whole groups of equal

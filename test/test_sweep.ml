@@ -295,9 +295,10 @@ let prop_interval1d_batched_consistent =
           Float.abs (single.Interval1d.value -. r.Interval1d.value) < 1e-9)
         lens batch)
 
-(* Answers computed before the single query moved to the key-only
-   order and lent scratch; they must not move. Duplicates, negative
-   weights, -0.0 and sizes on both sides of the radix threshold. *)
+(* Answers pinned from the (coordinate, index) tandem sort on fresh
+   columns; the key-only order on lent scratch must reproduce them bit
+   for bit. Duplicates, negative weights, -0.0 and sizes on both sides
+   of the radix threshold. *)
 let pinned_inputs =
   [
     ( "dups40",
