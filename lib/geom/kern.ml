@@ -375,9 +375,9 @@ type radix_scratch = {
   mutable idx : int array;
   mutable idx2 : int array;
   mutable fscr : Fvec.t;  (* gather scratch for the float columns *)
-  hist : int array;
-      (* 16 digit positions x 256 counts ([radix_passes]) or 6 x 2048
-         ([radix_order]) *)
+  mutable hist : int array;
+      (* 16 digit positions x 256 counts ([radix_passes]); grown to
+         6 x 2048 by the first [radix_order] *)
 }
 
 let radix_lend =
@@ -390,7 +390,7 @@ let radix_lend =
         idx = [||];
         idx2 = [||];
         fscr = Fvec.create 0;
-        hist = Array.make (6 * 2048) 0;
+        hist = Array.make (16 * 256) 0;
       })
 
 let radix_cap n =
@@ -400,17 +400,16 @@ let radix_cap n =
   done;
   !cap
 
-(* The key columns and one permutation, all [order] needs; the tandem
-   sorts add the payload columns, a second permutation and the gather
-   column. Each group grows on its own, so a process that only orders
-   keys holds no payload scratch. *)
+(* Every column grows by its own length. [order] needs only the key
+   columns and one permutation, so a process that only orders keys
+   holds no payload scratch; and the tandem passes swap [idx] with
+   [idx2], so neither keeps the length it was made with. *)
+let grown a n = if Array.length a < n then Array.make (radix_cap n) 0 else a
+
 let ensure_keys sc n =
-  if Array.length sc.khi < n then begin
-    let cap = radix_cap n in
-    sc.khi <- Array.make cap 0;
-    sc.klo <- Array.make cap 0;
-    sc.idx <- Array.make cap 0
-  end
+  sc.khi <- grown sc.khi n;
+  sc.klo <- grown sc.klo n;
+  sc.idx <- grown sc.idx n
 
 let ensure_gather sc n =
   if Fvec.length sc.fscr < n then sc.fscr <- Fvec.create (radix_cap n)
@@ -418,12 +417,9 @@ let ensure_gather sc n =
 let radix_ensure sc n =
   ensure_keys sc n;
   ensure_gather sc n;
-  if Array.length sc.phi < n then begin
-    let cap = radix_cap n in
-    sc.phi <- Array.make cap 0;
-    sc.plo <- Array.make cap 0;
-    sc.idx2 <- Array.make cap 0
-  end
+  sc.phi <- grown sc.phi n;
+  sc.plo <- grown sc.plo n;
+  sc.idx2 <- grown sc.idx2 n
 
 let mask32 = 0xFFFF_FFFF
 
@@ -596,6 +592,7 @@ let radix_threshold = 512
    runs on a copy of the keys. *)
 
 let radix_order sc key n perm =
+  if Array.length sc.hist < 6 * 2048 then sc.hist <- Array.make (6 * 2048) 0;
   let khi = sc.khi and klo = sc.klo and hist = sc.hist in
   Array.fill hist 0 (6 * 2048) 0;
   for i = 0 to n - 1 do

@@ -22,8 +22,9 @@ type placement = { lo : float; value : float }
 type batched = { xs : Fvec.t; ws : Fvec.t; prefix : Fvec.t; n : int }
 
 (* Per-domain sort scratch, lent to one solve at a time ([Lend]): the
-   pairs gathered in input order, their order, and a single query's
-   sorted columns. Grown, never shrunk. *)
+   pairs gathered in input order and their order, and a single query's
+   sorted columns, which [preprocess] never needs (it sorts into columns
+   of its own). Each group is grown, never shrunk. *)
 type scratch = {
   mutable xin : Fvec.t;
   mutable win : Fvec.t;
@@ -42,18 +43,26 @@ let scratch =
         ws = Fvec.create 0;
       })
 
+let cap n =
+  let c = ref 256 in
+  while !c < n do
+    c := 2 * !c
+  done;
+  !c
+
 let ensure sc n =
   if Array.length sc.perm < n then begin
-    let cap = ref 256 in
-    while !cap < n do
-      cap := 2 * !cap
-    done;
-    let cap = !cap in
-    sc.xin <- Fvec.create cap;
-    sc.win <- Fvec.create cap;
-    sc.perm <- Array.make cap 0;
-    sc.xs <- Fvec.create cap;
-    sc.ws <- Fvec.create cap
+    let c = cap n in
+    sc.xin <- Fvec.create c;
+    sc.win <- Fvec.create c;
+    sc.perm <- Array.make c 0
+  end
+
+let ensure_cols sc n =
+  if Fvec.length sc.xs < n then begin
+    let c = cap n in
+    sc.xs <- Fvec.create c;
+    sc.ws <- Fvec.create c
   end
 
 (* The one sorting routine. One sequential pass validates the pairs and
@@ -182,6 +191,7 @@ let solve ~len pts =
   let sc = Lend.take scratch in
   match
     ensure sc n;
+    ensure_cols sc n;
     if sort_into sc pts ~xs:sc.xs ~ws:sc.ws >= 0 then None
     else Some (query_cols sc.xs sc.ws n ~len)
   with

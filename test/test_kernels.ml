@@ -88,6 +88,46 @@ let test_fbuf_append_allocates_nothing () =
   Alcotest.(check (float 0.)) "minor words over 4096 appends" 0. words;
   Alcotest.(check (float 0.)) "last slot" 2047.5 (Kern.Fbuf.get b 4095)
 
+(* The tandem passes leave their permutation in whichever index column
+   the last pass wrote and swap the two when it is the second, while
+   [order] grows only the key columns and one permutation: every later
+   sort on the same scratch must still find each column long enough.
+   Colours below 256 on angle keys run one payload pass and eight key
+   passes, an odd count, after an order larger than that sort and
+   before sorts larger than it. Each result is the introsort's. *)
+let test_radix_scratch_odd_passes () =
+  let rng = Random.State.make [| 41 |] in
+  let angles n = Fvec.init n (fun _ -> Random.State.float rng (2. *. Float.pi)) in
+  let intro key n pay =
+    let k = Fvec.init n (Fvec.get key) and p = Array.init n pay in
+    Kern.intro_fi k p n;
+    (k, p)
+  in
+  let order name n =
+    let key = angles n in
+    let perm = Array.make n 0 in
+    Kern.order key n perm;
+    Alcotest.(check (array int)) (name ^ ": order") (snd (intro key n Fun.id)) perm
+  in
+  let sorted name sort n pay =
+    let key = angles n in
+    let k1, p1 = intro key n pay in
+    let k2 = Fvec.init n (Fvec.get key) and p2 = Array.init n pay in
+    sort k2 p2 n;
+    Alcotest.(check (array int)) (name ^ ": payload") p1 p2;
+    for i = 0 to n - 1 do
+      if Fvec.get k1 i <> Fvec.get k2 i then
+        Alcotest.failf "%s: key %d differs" name i
+    done
+  in
+  order "order 5,000" 5000;
+  sorted "sort_fi 600, colours" Kern.sort_fi 600 (fun i -> i mod 200);
+  order "order 3,000" 3000;
+  sorted "radix_fi 3,000" Kern.radix_fi 3000 Fun.id;
+  sorted "radix_fi 3,000, colours" Kern.radix_fi 3000 (fun i -> i mod 200);
+  order "order 8,000" 8000;
+  sorted "radix_fi 8,000" Kern.radix_fi 8000 Fun.id
+
 let test_ibuf_growth () =
   let b = Kern.Ibuf.create 1 in
   for i = 0 to 63 do
@@ -556,6 +596,8 @@ let () =
           Alcotest.test_case "Fbuf append allocates nothing" `Quick
             test_fbuf_append_allocates_nothing;
           Alcotest.test_case "Ibuf growth and reuse" `Quick test_ibuf_growth;
+          Alcotest.test_case "radix scratch after an odd pass count" `Quick
+            test_radix_scratch_odd_passes;
         ] );
       qcheck "sort-kernels"
         [
