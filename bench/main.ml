@@ -978,10 +978,16 @@ let e12 () =
   in
   (* Near-linear solvers: events / (n ln n) flat across the ladder. *)
   let ladder = List.filter (fun n -> n <= max_n) [ 1000; 4000; 16000; 64000; 100000 ] in
-  let linear_series ~theorem ~solver ~counters ~run =
+  (* [extra = (key, counter)] reports a counter beside the events of
+     each point, and in its JSON under [key], without summing it into
+     them. *)
+  let linear_series ?extra ~theorem ~solver ~counters ~run () =
     row "\n[%s] Theorem %s — %s / (n ln n):\n" solver theorem
       (String.concat "+" counters);
-    row "%8s %14s %12s\n" "n" "events" "ratio";
+    row "%8s %14s %12s%s\n" "n" "events" "ratio"
+      (match extra with
+      | Some (key, _) -> Printf.sprintf " %14s" key
+      | None -> "");
     let points =
       List.map
         (fun n ->
@@ -992,17 +998,23 @@ let e12 () =
               0 counters
           in
           let ratio = float_of_int events /. nlogn n in
-          row "%8d %14d %12.2f\n" n events ratio;
-          (n, events, ratio))
+          let extra =
+            Option.map (fun (key, c) -> (key, Obs.Snapshot.counter d c)) extra
+          in
+          row "%8d %14d %12.2f%s\n" n events ratio
+            (match extra with
+            | Some (_, v) -> Printf.sprintf " %14d" v
+            | None -> "");
+          (n, events, ratio, extra))
         ladder
     in
-    let sp = spread (List.map (fun (_, _, r) -> r) points) in
+    let sp = spread (List.map (fun (_, _, r, _) -> r) points) in
     row "ratio spread (max/min): %.2f  (flat shape => < 3)\n" sp;
     (theorem, solver, String.concat "+" counters, "n_log_n", points, sp)
   in
   let s12 =
-    linear_series ~theorem:"1.2" ~solver:"static"
-      ~counters:[ "samples.visited" ]
+    linear_series ~extra:("drawn", "samples.drawn") ~theorem:"1.2"
+      ~solver:"static" ~counters:[ "samples.visited" ]
       ~run:(fun n ->
         let rng = Rng.create (41000 + n) in
         let pts =
@@ -1014,6 +1026,7 @@ let e12 () =
         measure (fun () ->
             Static.solve_or_point ~cfg:(bench_cfg ~shifts:4 ~seed:n ()) ~dim:2
               pts))
+      ()
   in
   let s15 =
     linear_series ~theorem:"1.5" ~solver:"colored"
@@ -1029,6 +1042,7 @@ let e12 () =
             Colored.solve_or_point
               ~cfg:(bench_cfg ~shifts:4 ~seed:n ())
               ~dim:2 points ~colors))
+      ()
   in
   let s16 =
     (* The Theorem-1.6 pipeline = a Theorem-1.5 estimate plus an exact
@@ -1047,6 +1061,7 @@ let e12 () =
         measure (fun () ->
             Approx_colored.solve ~max_shifts:4 ~seed:n
               ?domains:!domains_opt pts ~colors))
+      ()
   in
   (* Theorem 4.6: events / (n * opt) bounded at fixed density, where the
      planted extent keeps the expected depth (and thus opt) constant. *)
@@ -1092,10 +1107,14 @@ let e12 () =
          \"normalizer\": %S, \"ratio_spread\": %.4f,\n      \"points\": ["
         theorem solver counter norm sp;
       List.iteri
-        (fun j (n, events, ratio) ->
+        (fun j (n, events, ratio, extra) ->
           if j > 0 then Buffer.add_string buf ", ";
-          Printf.bprintf buf
-            "{ \"n\": %d, \"events\": %d, \"ratio\": %.4f }" n events ratio)
+          Printf.bprintf buf "{ \"n\": %d, \"events\": %d, \"ratio\": %.4f" n
+            events ratio;
+          Option.iter
+            (fun (key, v) -> Printf.bprintf buf ", %S: %d" key v)
+            extra;
+          Buffer.add_string buf " }")
         points;
       Buffer.add_string buf "] }")
     [ s12; s15; s16 ];

@@ -7,7 +7,7 @@ module Fvec = Maxrs_geom.Fvec
 
 type result = { center : Point.t; value : int }
 
-(* Columnar solve core over a colored store; see [Static.solve_core] for
+(* Columnar solve core over a colored store; see [Static.build] for
    the scratch-buffer scaling argument. The color-grouped processing
    order (Section 3.2's sort step) is computed on an index array with
    the exact comparator the tuple path used, so the permutation — and

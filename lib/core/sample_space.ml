@@ -89,6 +89,10 @@ type rows = {
   mutable ibits : int;  (** [index] has [1 lsl ibits] slots *)
 }
 
+(* The grids, the samples per cell and each grid's stream a space is
+   built on (see {!layout}). *)
+type layout = { grids : Shifted_grids.t; samples : int; streams : Rng.t array }
+
 (* A cell is named by its row and grid, [row lsl gbits lor grid]: an
    int, so a heap of cells holds no pointer. *)
 type cell = int
@@ -134,7 +138,7 @@ let max_page_shift ~dim ~m =
 (* Rows per page past the first for a fresh grid, as a shift: the power
    of two at or below a sixteenth of the expected balls, at least 4 and
    at most [max_page_shift]. A grid holds a few rows per ball, so a page
-   is a small share of its rows. A small space — a static solve over a
+   is a small share of its rows. A small space — a colored solve over a
    hundred points — gets pages small enough to be allocated in the minor
    heap, where a short-lived space's pages die young instead of passing
    through the major heap as large blocks. *)
@@ -183,22 +187,33 @@ let make_grids ~dim ~cfg =
   in
   (grids, rng)
 
-let create ~dim ~cfg ~expected_n =
+let layout ~dim ~cfg ~expected_n =
   Config.validate cfg;
   let grids, rng = make_grids ~dim ~cfg in
-  let count = Shifted_grids.count grids in
-  let m = Config.samples_per_cell cfg ~n:expected_n in
+  {
+    grids;
+    samples = Config.samples_per_cell cfg ~n:expected_n;
+    streams = Array.init (Shifted_grids.count grids) (Rng.split_at rng);
+  }
+
+(* [new_cell] numbers each cell's samples on from the grid's id counter,
+   which every creation moves by [m]. *)
+let uid l ~grid c = (c * l.samples * Shifted_grids.count l.grids) + grid
+
+let create ~dim ~cfg ~expected_n =
+  let l = layout ~dim ~cfg ~expected_n in
+  let count = Shifted_grids.count l.grids and m = l.samples in
   let shift = page_shift ~dim ~m ~expected_n in
   {
     dim;
     cfg;
-    grids;
+    grids = l.grids;
     rows =
       Array.mapi
         (fun gi grid ->
-          make_rows grid (Rng.split_at rng gi) ~next_id:0 ~shift
+          make_rows grid l.streams.(gi) ~next_id:0 ~shift
             (make_page ~dim ~m 0))
-        grids.Shifted_grids.grids;
+        l.grids.Shifted_grids.grids;
     t_samples = m;
     stride = count;
     gbits = ceil_log2 count;
@@ -405,6 +420,8 @@ let free_row g r =
 let draw_cell rng grid key ~m pos ~at =
   Sphere.fill_on rng ~center:(Grid.cell_center grid key)
     ~radius:(Grid.cell_circumradius grid) ~pos:at ~samples:m pos
+
+let skip_cell rng grid ~m = Sphere.skip_on rng ~dim:grid.Grid.dim ~samples:m
 
 (* Materialize the cell at [key] (hash [h]) of grid [gi] in a free row,
    indexed at the empty slot [i] that {!find_slot} returned. *)

@@ -46,9 +46,45 @@ type cell
 
 type t
 
+type layout = {
+  grids : Maxrs_geom.Shifted_grids.t;
+  samples : int;  (** samples per cell *)
+  streams : Maxrs_geom.Rng.t array;  (** per grid, its sampling stream *)
+}
+
+val layout : dim:int -> cfg:Config.t -> expected_n:int -> layout
+(** The shifted grids, the per-cell sample count and each grid's fresh
+    sampling stream that {!create} builds a space for [expected_n] balls
+    on: deterministic functions of [(dim, cfg, expected_n)]. The streams
+    are the layout's own, and drawing from them moves them. Raises
+    [Invalid_argument] on an invalid config. *)
+
+val uid : layout -> grid:int -> int -> int
+(** [uid l ~grid c] is the {!cell_uid} that a fresh space on [l] gives
+    the [c]-th cell it creates in that grid (from 0). *)
+
+val draw_cell :
+  Maxrs_geom.Rng.t ->
+  Maxrs_geom.Grid.t ->
+  Maxrs_geom.Grid.key ->
+  m:int ->
+  floatarray ->
+  at:int ->
+  unit
+(** [draw_cell rng grid key ~m buf ~at] is the sampling step: the [m]
+    samples of the cell at [key], uniform on its circumsphere, drawn
+    from [rng] into [buf] from [at] as {!Maxrs_geom.Sphere.fill_on}
+    lays them out. A cell's samples are this draw from the rng state
+    the grid's stream stood at when the cell was created. *)
+
+val skip_cell : Maxrs_geom.Rng.t -> Maxrs_geom.Grid.t -> m:int -> unit
+(** Leaves [rng] where {!draw_cell} with [m] samples on that grid would,
+    without drawing. *)
+
 val create : dim:int -> cfg:Config.t -> expected_n:int -> t
-(** Build the (empty) grid collection; [expected_n] sets the per-cell
-    sample count for this epoch and the rows per page of storage. *)
+(** Build the (empty) grid collection on {!layout}; [expected_n] sets
+    the per-cell sample count for this epoch and the rows per page of
+    storage. *)
 
 val dim : t -> int
 val samples_per_cell : t -> int

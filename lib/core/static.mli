@@ -1,6 +1,12 @@
 (** Static MaxRS for d-balls — Theorem 1.2: a randomized (1/2 - eps)-
     approximation in O(eps^{-2d-2} n log n) time, avoiding the
-    log^{Theta(d)} n blowup of sampling-based (1 - eps) schemes. *)
+    log^{Theta(d)} n blowup of sampling-based (1 - eps) schemes.
+
+    The answer is the deepest sample of the {!Sample_space} that holds
+    every ball (its [best]), bit for bit, found without building that
+    space: each grid bounds every cell's depths by the total weight of
+    the balls meeting it, and draws and scans only the cells whose bound
+    can beat the best depth found so far (DESIGN.md §2.5). *)
 
 type result = {
   center : Maxrs_geom.Point.t;  (** placement for the query ball *)
@@ -41,7 +47,10 @@ val solve_unchecked :
 (** The validation-free path behind {!solve_checked}: identical
     computation, no input scan. For callers whose input is already
     validated or generated; behaviour on non-finite coordinates or
-    negative weights is unspecified. *)
+    negative weights is unspecified. The solve prunes every cell whose
+    balls' total weight cannot beat the best depth found so far, which
+    bounds the cell's depths only when every weight is [>= 0]: with a
+    negative weight the answer may differ from the sample space's. *)
 
 val solve_store :
   ?cfg:Config.t -> ?radius:float -> Maxrs_geom.Pstore.t -> result option

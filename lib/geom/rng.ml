@@ -38,12 +38,23 @@ let of_state state =
 let create seed = of_state (Int64.of_int seed)
 let state t = st_get t 0
 
+type states = (int64, Bigarray.int64_elt, Bigarray.c_layout) BA1.t
+
+let save t (a : states) i = BA1.set a i (st_get t 0)
+let load t (a : states) i = st_set t 0 (BA1.get a i)
+
 let bits64 t =
   let s = Int64.add (st_get t 0) golden in
   st_set t 0 s;
   mix s
 
 let split t = of_state (bits64 t)
+
+(* Every draw adds [golden] to the state once, so k draws add k times
+   it, wrapping as the draws do. *)
+let advance t k =
+  assert (k >= 0);
+  st_set t 0 (Int64.add (st_get t 0) (Int64.mul golden (Int64.of_int k)))
 
 let split_at t i =
   assert (i >= 0);

@@ -17,8 +17,23 @@ val state : t -> int64
 val of_state : int64 -> t
 (** Rebuild a generator from a {!state} value. *)
 
+type states = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** A column of {!state} values. *)
+
+val save : t -> states -> int -> unit
+(** [save t a i] writes [t]'s {!state} into [a.{i}], with no int64
+    boxed on the way. *)
+
+val load : t -> states -> int -> unit
+(** [load t a i] sets [t]'s state to [a.{i}]: [t] continues the stream
+    that [of_state a.{i}] would start. *)
+
 val split : t -> t
 (** [split t] derives an independent generator; [t] advances. *)
+
+val advance : t -> int -> unit
+(** [advance t k] moves [t] past its next [k] 64-bit draws in O(1): the
+    state {!bits64} called [k] times would leave. [k >= 0]. *)
 
 val split_at : t -> int -> t
 (** [split_at t i] derives the [i]-th child generator without advancing

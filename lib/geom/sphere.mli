@@ -19,6 +19,13 @@ val fill_on :
     [samples * dim] slots from [pos] must lie inside [buf]; no other slot
     is written. *)
 
+val skip_on : Rng.t -> dim:int -> samples:int -> unit
+(** [skip_on rng ~dim ~samples] leaves [rng] exactly where {!fill_on}
+    with that many samples on a [dim]-dimensional center would, and
+    writes nothing: [samples] steps of the stream at [dim <= 2], in
+    O(1); above that the gaussians and the zero-norm retries are drawn
+    again, without a point or an array built. *)
+
 val sample_in : Rng.t -> center:Point.t -> radius:float -> Point.t
 (** A point distributed uniformly in the closed ball (direction by Muller,
     radius by the [u^{1/d}] inverse-CDF trick). *)

@@ -17,6 +17,7 @@ module Workload = Maxrs.Workload
 module Disk2d = Maxrs_sweep.Disk2d
 module Colored_disk2d = Maxrs_sweep.Colored_disk2d
 module Guard = Maxrs_resilience.Guard
+module Obs = Maxrs_obs.Obs
 
 (* Faithful-shift config at eps = 1/4, small samples: used by most tests. *)
 let test_cfg = Config.make ~epsilon:0.25 ~seed:7 ()
@@ -426,6 +427,127 @@ let test_static_rejects_negative_weight () =
   | Error e -> Alcotest.failf "wrong error: %s" (Guard.to_string e)
   | Ok _ -> Alcotest.fail "negative weight accepted (checked)"
 
+(* The static solve against its incremental oracle: a sample space with
+   every ball inserted into every grid, read by [Sample_space.best]. The
+   answers agree bit for bit (value, center, [None]), the solve creates
+   exactly the oracle's cells and it draws no more samples. Inputs mix
+   exact duplicates, half-lattice centers (on cell boundaries and cell
+   centers), zero and integer weights (ties), radius <> 1 and capped and
+   faithful shift collections (faithful at d <= 2, where the collection
+   stays small). *)
+type static_case = {
+  sdim : int;
+  seps : float;
+  shifts : int option;
+  sradius : float;
+  sseed : int;
+  spts : (Point.t * float) array;
+}
+
+let gen_static_case =
+  let open QCheck.Gen in
+  let* sdim = int_range 1 3 in
+  let* seps = oneofl [ 0.2; 0.3; 0.4; 0.45 ] in
+  let* shifts =
+    if sdim = 3 then map Option.some (int_range 1 3) else opt (int_range 1 4)
+  in
+  let* sradius = oneofl [ 1.; 0.7; 2.5 ] in
+  let* sseed = int_range 0 9999 in
+  let* n = int_range 1 14 in
+  let half_lattice = map (fun k -> float_of_int k /. 2.) (int_range 0 8) in
+  let coord = frequency [ (2, float_range 0. 4.); (1, half_lattice) ] in
+  let weight =
+    frequency
+      [
+        (1, return 0.);
+        (2, map float_of_int (int_range 1 3));
+        (2, float_range 0. 5.);
+      ]
+  in
+  let* fresh = array_repeat n (pair (array_repeat sdim coord) weight) in
+  (* Point [i] repeats an earlier center when [dup.(i) < i]. *)
+  let* dup = array_repeat n (int_range 0 (2 * n)) in
+  let spts =
+    Array.mapi
+      (fun i (p, w) ->
+        if dup.(i) < i then (Array.copy (fst fresh.(dup.(i))), w) else (p, w))
+      fresh
+  in
+  return { sdim; seps; shifts; sradius; sseed; spts }
+
+let print_static_case c =
+  let hex p =
+    String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") p))
+  in
+  let pt (p, w) = Printf.sprintf "(%s, %h)" (hex p) w in
+  Printf.sprintf "d=%d eps=%g shifts=%s r=%g seed=%d pts=[%s]" c.sdim c.seps
+    (match c.shifts with None -> "faithful" | Some k -> string_of_int k)
+    c.sradius c.sseed
+    (String.concat "; " (Array.to_list (Array.map pt c.spts)))
+
+(* The oracle's answer: every ball inserted into every grid of a fresh
+   space, read as [Static] reports it. *)
+let static_oracle ~cfg c =
+  let space =
+    Sample_space.create ~dim:c.sdim ~cfg ~expected_n:(Array.length c.spts)
+  in
+  for grid = 0 to Sample_space.grid_count space - 1 do
+    Array.iter
+      (fun (p, weight) ->
+        Sample_space.insert_in_grid space ~grid
+          ~center:(Point.scale (1. /. c.sradius) p)
+          ~weight)
+      c.spts
+  done;
+  match Sample_space.best space with
+  | Some s when s.Sample_space.depth > 0. ->
+      Some (Point.scale c.sradius s.Sample_space.pos, s.Sample_space.depth)
+  | _ -> None
+
+let prop_static_matches_oracle =
+  QCheck.Test.make ~count:150 ~name:"static = incremental sample space"
+    (QCheck.make ~print:print_static_case gen_static_case)
+    (fun c ->
+      let cfg =
+        Config.make ~epsilon:c.seps ~max_grid_shifts:c.shifts ~seed:c.sseed
+          ~domains:(Some 1) ()
+      in
+      let cells = Obs.counter "grid.cells"
+      and drawn = Obs.counter "samples.drawn" in
+      (* [f]'s answer, and the cells it created and samples it drew. *)
+      let counted f =
+        let c0 = Obs.value cells and d0 = Obs.value drawn in
+        let r = f () in
+        (r, Obs.value cells - c0, Obs.value drawn - d0)
+      in
+      let was = Obs.enabled () in
+      Obs.set_enabled true;
+      Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+      let oracle, oracle_cells, oracle_drawn =
+        counted (fun () -> static_oracle ~cfg c)
+      in
+      let solved, solved_cells, solved_drawn =
+        counted (fun () ->
+            Static.solve ~cfg ~radius:c.sradius ~dim:c.sdim c.spts)
+      in
+      let bits p = Array.map Int64.bits_of_float p in
+      let same =
+        match (oracle, solved) with
+        | None, None -> true
+        | Some (p, v), Some r ->
+            Int64.bits_of_float v = Int64.bits_of_float r.Static.value
+            && bits p = bits r.Static.center
+        | _ -> false
+      in
+      if not same then QCheck.Test.fail_reportf "answers differ";
+      if solved_cells <> oracle_cells then
+        QCheck.Test.fail_reportf "created %d cells, oracle %d" solved_cells
+          oracle_cells;
+      if solved_drawn > oracle_drawn then
+        QCheck.Test.fail_reportf "drew %d samples, oracle %d" solved_drawn
+          oracle_drawn;
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Colored MaxRS (Theorem 1.5) *)
 
@@ -763,7 +885,7 @@ let test_workload_uniform_bounds () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_output_sensitive_exact ]
+    [ prop_output_sensitive_exact; prop_static_matches_oracle ]
 
 let () =
   Alcotest.run "core"

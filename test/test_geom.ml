@@ -137,6 +137,25 @@ let prop_rng_int_in_bound =
       done;
       !ok)
 
+(* [advance t k] is [k] draws in O(1); [save] and [load] carry a state
+   through an int64 column. *)
+let test_rng_advance () =
+  let a = Rng.create 19 and b = Rng.create 19 in
+  List.iter
+    (fun k ->
+      for _ = 1 to k do
+        ignore (Rng.bits64 a)
+      done;
+      Rng.advance b k;
+      Alcotest.(check int64) (Printf.sprintf "advance %d" k) (Rng.state a)
+        (Rng.state b))
+    [ 0; 1; 7; 26; 1000 ];
+  let col = Bigarray.Array1.create Bigarray.Int64 Bigarray.c_layout 3 in
+  Rng.save a col 1;
+  let c = Rng.create 0 in
+  Rng.load c col 1;
+  Alcotest.(check int64) "save/load" (Rng.bits64 a) (Rng.bits64 c)
+
 let test_rng_gaussian_moments () =
   let rng = Rng.create 11 in
   let n = 20000 in
@@ -263,6 +282,29 @@ let test_sphere_fill_words () =
   done;
   Alcotest.(check (float 0.)) "minor words over 10,000 samples" 0.
     (Gc.minor_words () -. w0)
+
+(* [skip_on] leaves the stream exactly where [fill_on] does, from any
+   state: a sample space that skips a cell's draw and draws it later
+   from its stamp sees the same stream on both sides of it. *)
+let test_sphere_skip_on () =
+  let states = Rng.create 77 in
+  List.iter
+    (fun d ->
+      let center = Array.init d (fun i -> 0.25 *. float_of_int i) in
+      List.iter
+        (fun m ->
+          let buf = Float.Array.make (m * d) 0. in
+          for _ = 1 to 200 do
+            let stamp = Rng.bits64 states in
+            let filled = Rng.of_state stamp and skipped = Rng.of_state stamp in
+            Sphere.fill_on filled ~center ~radius:0.4 ~pos:0 ~samples:m buf;
+            Sphere.skip_on skipped ~dim:d ~samples:m;
+            Alcotest.(check int64)
+              (Printf.sprintf "d = %d, m = %d" d m)
+              (Rng.state filled) (Rng.state skipped)
+          done)
+        [ 1; 8; 26 ])
+    [ 1; 2; 3; 4; 5 ]
 
 let test_sphere_in_ball () =
   let rng = Rng.create 10 in
@@ -710,6 +752,7 @@ let () =
             test_rng_int_invalid_bound;
           Alcotest.test_case "split_at keyed by index" `Quick
             test_rng_split_at;
+          Alcotest.test_case "advance, save and load" `Quick test_rng_advance;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "shuffle is a permutation" `Quick test_rng_shuffle;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
@@ -723,6 +766,8 @@ let () =
             test_sphere_known_answer;
           Alcotest.test_case "fill_on at d = 2 allocates nothing" `Quick
             test_sphere_fill_words;
+          Alcotest.test_case "skip_on leaves the stream where fill_on does"
+            `Quick test_sphere_skip_on;
           Alcotest.test_case "ball samples inside" `Quick test_sphere_in_ball;
           Alcotest.test_case "mean near center" `Quick
             test_sphere_mean_near_center;
