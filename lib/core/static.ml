@@ -190,9 +190,10 @@ let build sc (l : Sample_space.layout) ~gi ~inv ~cols ~ws ~buf =
   let grid = l.Sample_space.grids.Shifted_grids.grids.(gi) in
   let rng = l.Sample_space.streams.(gi) in
   let cur = Grid.cursor grid in
-  (* Room for 8 cells per ball at half load; a 2-D grid at ε = 0.3 holds
-     about 7. *)
-  clear_index sc (Int.max 4 (ceil_log2 (16 * Fvec.length ws)));
+  (* Room for 8 cells per ball at half load (a 2-D grid at ε = 0.3 holds
+     about 7), up to 2^20 slots; past that the index doubles as cells
+     come, so clustered balls do not pay for slots they never fill. *)
+  clear_index sc (Int.max 4 (Int.min 20 (ceil_log2 (16 * Fvec.length ws))));
   let cells = ref 0 and links = ref 0 in
   for i = 0 to Fvec.length ws - 1 do
     for k = 0 to dim - 1 do
